@@ -1,0 +1,71 @@
+"""Golden CLI outputs: the command line's files, compared with copies kept
+in ``tests/golden/``.
+
+The goldens were written by the same commands before the mesh became a
+set of arrays and the element loops became batched kernels; they pin the
+printed results of that refactor.  To rewrite one, run its command with
+``--out tests/golden/<name>`` (the ``--domain`` dump goes through a
+``solve --config`` file, as below).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wg4.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+BYTE_EXACT = [
+    ("convergence-sine-8-32.csv", ["convergence", "--case", "sine", "--levels", "8,16,32"]),
+    ("convergence-poly-bump-8-16.csv",
+     ["convergence", "--case", "poly-bump", "--levels", "8,16"]),
+    ("mesh-dump-n3.csv", ["mesh-dump", "--n", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", BYTE_EXACT, ids=[name for name, _ in BYTE_EXACT])
+def test_cli_output_byte_identical(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_mesh_dump_non_unit_domain_byte_identical(tmp_path):
+    config = tmp_path / "mesh.json"
+    config.write_text(json.dumps(
+        {"command": "mesh-dump", "n": 3, "domain": [-1.0, 2.0, 3.0, 5.0]}
+    ))
+    out = tmp_path / "mesh.csv"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "mesh-dump-n3-domain.csv").read_bytes()
+
+
+def _last_place(cell: str) -> float:
+    """One unit in the last printed digit of a ``%.5e`` cell."""
+    mantissa, exponent = cell.split("e")
+    decimals = len(mantissa.split(".")[1])
+    return 10.0 ** (int(exponent) - decimals)
+
+
+def test_ft_demo_field_within_last_digit(tmp_path):
+    """The gaussian-source field at n=8, cell by cell, within one unit in
+    the last printed digit.
+
+    Not byte for byte: the solve amplifies float sums that run in a new
+    order (a batched load or projection adds the same terms in another
+    order), so the last printed digit of a cell may move by one.
+    """
+    out = tmp_path / "field.csv"
+    argv = ["ft-demo", "--scenario", "gaussian-source", "--n", "8", "--grid", "11"]
+    assert main(argv + ["--out", str(out)]) == 0
+    got = out.read_text().strip().split("\n")
+    want = (GOLDEN / "ft-demo-gaussian-n8-grid11.csv").read_text().strip().split("\n")
+    assert got[0] == want[0] == "x,y,u0"
+    assert len(got) == len(want) == 11 * 11 + 1
+    for row, (g, w) in enumerate(zip(got[1:], want[1:]), start=1):
+        for col, (gc, wc) in enumerate(zip(g.split(","), w.split(","))):
+            assert abs(float(gc) - float(wc)) <= _last_place(wc) * (1.0 + 1e-9), (
+                f"row {row} column {col}: {gc} against golden {wc}"
+            )
