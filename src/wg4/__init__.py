@@ -18,7 +18,7 @@ from .errors import ErrorReport, convergence_orders, error_report
 from .harness import CATALOG, run_convergence, sample_field, solve_case
 from .mesh import Mesh, build_structured_mesh, classify_boundary
 from .solve import SolverConfig, SolverError, solve_spd
-from .weakops import DofMap, LocalWeakFunction, WeakFunction, project_Qh
+from .weakops import DofMap, WeakFunction, project_Qh
 
 __all__ = [
     "AssembledSystem",
@@ -27,7 +27,6 @@ __all__ = [
     "CoefficientField",
     "DofMap",
     "ErrorReport",
-    "LocalWeakFunction",
     "Mesh",
     "ProblemSpec",
     "Region",

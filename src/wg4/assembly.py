@@ -16,8 +16,13 @@ flux factor needs no projection: for v0 in P2(T) and elementwise-constant
 kappa, kappa grad v0 . n is already linear along each edge.  Projecting
 the jump factor keeps the scheme exact for globally quadratic solutions,
 which the raw trace difference would break by penalizing the quadratic
-Legendre moment the edge space cannot represent (see
-``PROJECT_TRACE_JUMPS``).
+Legendre moment the edge space cannot represent.
+
+Element matrices are computed once per class of elements that share
+their local geometry (centroid-relative vertices, each edge's p1 -> p2
+orientation and sigma sign) and their kappa and mu; on a structured mesh
+with uniform coefficients there are five such classes.  Loads and
+boundary projections are batched over all elements or edges.
 
 Dirichlet and Neumann data enter as essential constraints: every vb/vg
 block of a boundary edge is fixed to the projected boundary data and
@@ -55,15 +60,7 @@ __all__ = [
     "local_load",
     "assemble",
     "triple_bar_norm",
-    "PROJECT_TRACE_JUMPS",
 ]
-
-#: Use <Pb(u0) - ub, Pb(v0) - vb> in the h^-3 stabilizer term.  The raw
-#: trace difference <u0 - ub, v0 - vb> additionally penalizes the
-#: quadratic moment of the interior trace, which destroys exactness for
-#: quadratic solutions while leaving the observed convergence rates
-#: intact; both variants are available for comparison.
-PROJECT_TRACE_JUMPS = True
 
 
 class AssemblyError(RuntimeError):
@@ -94,21 +91,33 @@ class Region:
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
 
-    def contains(self, x: float, y: float) -> bool:
+    def contains(self, x, y):
+        """Whether the points (x, y), scalars or arrays, lie in the region."""
         if self.shape == "rect":
             x0, y0, x1, y1 = self.bounds
-            return x0 <= x <= x1 and y0 <= y <= y1
+            return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
         cx, cy = self.center
         return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius**2
 
 
-def _check_spd(kappa: np.ndarray) -> None:
-    if kappa.shape != (2, 2):
-        raise ValueError(f"kappa must be 2x2, got shape {kappa.shape}")
-    if not np.allclose(kappa, kappa.T, atol=1e-14):
-        raise ValueError("kappa must be symmetric")
-    if np.linalg.eigvalsh(kappa).min() <= 0:
-        raise ValueError("kappa must be positive definite")
+def _check_spd(kappa: np.ndarray, name: str = "kappa") -> None:
+    """Raise ValueError unless every 2x2 matrix of the stack ``kappa`` is
+    symmetric positive definite; the message names the first that is not,
+    as ``name[i]`` for a stack of shape (m, 2, 2)."""
+    if kappa.shape[-2:] != (2, 2) or kappa.ndim not in (2, 3):
+        raise ValueError(f"{name} must be 2x2 or a stack of 2x2 matrices, got shape {kappa.shape}")
+    stack = kappa.reshape(-1, 2, 2)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    symmetric = np.isclose(stack, stack.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
+    ok = finite & symmetric
+    definite = np.linalg.eigvalsh(np.where(ok[:, None, None], stack, np.eye(2))).min(axis=1) > 0
+    bad = np.flatnonzero(~(ok & definite))
+    if len(bad):
+        i = bad[0]
+        where = f"{name}[{i}]" if kappa.ndim == 3 else name
+        reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
+                  else "not positive definite")
+        raise ValueError(f"{where}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,10 @@ class CoefficientField:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
-        for k in self.kappa:
-            _check_spd(k)
-        if (self.mu < 0).any():
-            raise ValueError("mu must be nonnegative")
+        _check_spd(self.kappa)
+        bad = np.flatnonzero(~(self.mu >= 0))
+        if len(bad):
+            raise ValueError(f"mu[{bad[0]}]: must be nonnegative, got {self.mu[bad[0]]}")
 
     @classmethod
     def uniform(cls, mesh: Mesh, kappa, mu: float) -> "CoefficientField":
@@ -138,15 +147,18 @@ class CoefficientField:
     ) -> "CoefficientField":
         """Background values overridden per region, sampled at element
         centroids; later regions win."""
-        out_k = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.n_elements, 2, 2)).copy()
-        out_mu = np.full(mesh.n_elements, float(mu))
-        for i, elem in enumerate(mesh.elements):
-            cx, cy = elem.centroid
-            for region in regions:
-                if region.contains(cx, cy):
-                    out_k[i] = region.kappa
-                    out_mu[i] = region.mu
-        return cls(kappa=out_k, mu=out_mu)
+        return cls.uniform(mesh, kappa, mu).with_regions(mesh, regions)
+
+    def with_regions(self, mesh: Mesh, regions) -> "CoefficientField":
+        """A copy with each region's values at the elements whose centroid
+        it contains; later regions win."""
+        kappa, mu = self.kappa.copy(), self.mu.copy()
+        cx, cy = mesh.centroids.T
+        for region in regions:
+            inside = region.contains(cx, cy)
+            kappa[inside] = region.kappa
+            mu[inside] = region.mu
+        return CoefficientField(kappa=kappa, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -194,15 +206,8 @@ def _trace_projector(view: weakops.EdgeView, basis0: ElementBasis) -> np.ndarray
     return np.linalg.solve(poly.edge_mass_matrix(view.length, weakops.EDGE_DEGREE), mixed)
 
 
-def local_system(
-    geom: ElementGeometry,
-    kappa: np.ndarray,
-    mu: float,
-    project_trace_jumps: bool | None = None,
-) -> np.ndarray:
+def local_system(geom: ElementGeometry, kappa: np.ndarray, mu: float) -> np.ndarray:
     """Symmetric positive semidefinite 18 x 18 element matrix."""
-    if project_trace_jumps is None:
-        project_trace_jumps = PROJECT_TRACE_JUMPS
     tri = geom.tri
     if tri.area <= 0:
         raise AssemblyError("degenerate element")
@@ -233,90 +238,73 @@ def local_system(
         rows[:, _vg_slice(k)] = -view.sigma * trace_b
         A += (rows * (w / h)[:, None]).T @ rows
 
-        # jump penalty rows: v0 trace (optionally projected to P1(e)) - vb
+        # jump penalty rows: P1(e) projection of the v0 trace - vb
         rows = np.zeros((len(t), N_LOCAL))
-        if project_trace_jumps:
-            rows[:, :N_INTERIOR] = trace_b @ _trace_projector(view, basis0)
-        else:
-            rows[:, :N_INTERIOR] = basis0.eval(pts)
+        rows[:, :N_INTERIOR] = trace_b @ _trace_projector(view, basis0)
         rows[:, _vb_slice(k)] = -trace_b
         A += (rows * (w / h**3)[:, None]).T @ rows
 
     return 0.5 * (A + A.T)
 
 
-def local_load(geom: ElementGeometry, f) -> np.ndarray:
-    """Load vector (6,) of the source against the interior basis."""
-    tri = geom.tri
-    basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
-    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
-    return basis0.eval(pts).T @ (w * f(pts[:, 0], pts[:, 1]))
+def local_load(points: np.ndarray, f) -> np.ndarray:
+    """Load vectors (E, 6) of the source against the interior basis of
+    each triangle ``points`` (E, 3, 2)."""
+    return poly.jacobian_determinants(points)[:, None] * weakops.interior_moments(points, f)
 
 
-class _LocalSystemCache:
-    """Memoizes element matrices across congruent elements.
+def _element_classes(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
+    """One representative element per class of elements sharing their
+    local geometry and coefficients, and each element's class.
 
-    On structured meshes all elements are translates of a couple of
-    reference shapes, so keying on centroid-relative geometry plus the
-    local coefficients collapses the assembly cost to a handful of dense
-    evaluations.
+    The geometry is the centroid-relative vertices, rounded at 1e-12 of
+    the domain's size, and each local edge's p1 -> p2 orientation and
+    sigma sign; the representative is the class's first element.
     """
-
-    def __init__(self, project_trace_jumps: bool | None = None):
-        self.project_trace_jumps = project_trace_jumps
-        self._store: dict = {}
-
-    def key(self, geom: ElementGeometry, kappa: np.ndarray, mu: float):
-        c = geom.tri.centroid
-        rel = [np.ravel(geom.tri.vertices - c)]
-        for v in geom.edges:
-            rel.append(np.concatenate([v.p1 - c, v.p2 - c, v.normal, [float(v.sigma)]]))
-        return (
-            np.round(np.concatenate(rel), 12).tobytes(),
-            np.asarray(kappa, dtype=float).tobytes(),
-            float(mu),
-        )
-
-    def get(self, geom: ElementGeometry, kappa: np.ndarray, mu: float) -> np.ndarray:
-        key = self.key(geom, kappa, mu)
-        mat = self._store.get(key)
-        if mat is None:
-            mat = local_system(geom, kappa, mu, self.project_trace_jumps)
-            self._store[key] = mat
-        return mat
+    x0, y0, x1, y1 = mesh.domain
+    rel = mesh.element_points() - mesh.centroids[:, None, :]
+    verts = mesh.element_vertices
+    rows = np.hstack([
+        np.round(rel.reshape(-1, 6) / max(x1 - x0, y1 - y0), 12),
+        verts < np.roll(verts, -1, axis=1),  # p1 is local vertex k
+        mesh.element_signs,
+        coeff.kappa.reshape(-1, 4),
+        coeff.mu[:, None],
+    ])
+    _, first, classes = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, classes.reshape(-1)
 
 
-def assemble(
-    mesh: Mesh,
-    spec: ProblemSpec,
-    project_trace_jumps: bool | None = None,
-) -> AssembledSystem:
+def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
+    """Element matrices (C, 18, 18), one per class, and each element's class."""
+    first, classes = _element_classes(mesh, coeff)
+    mats = [
+        local_system(weakops.element_geometry(mesh, i), coeff.kappa[i], float(coeff.mu[i]))
+        for i in first
+    ]
+    return np.stack(mats), classes
+
+
+def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     """Assemble the full system and eliminate boundary dofs symmetrically."""
     dofmap = DofMap.for_mesh(mesh)
     size = dofmap.size
-    cache = _LocalSystemCache(project_trace_jumps)
+    idx = dofmap.local_dofs(mesh)
+    mats, classes = _class_matrices(mesh, spec.coeff)
+    rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
+    cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
+    full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    del rows, cols
 
-    nelem = mesh.n_elements
-    idx_all = np.empty((nelem, N_LOCAL), dtype=np.int64)
-    data = np.empty((nelem, N_LOCAL, N_LOCAL))
     b = np.zeros(size)
-    for i in range(nelem):
-        geom = weakops.element_geometry(mesh, i)
-        idx_all[i] = dofmap.local_dofs_for_index(mesh, i)
-        data[i] = cache.get(geom, spec.coeff.kappa[i], float(spec.coeff.mu[i]))
-        b[dofmap.element_block(i)] = local_load(geom, spec.f)
-
-    rows = np.repeat(idx_all[:, :, None], N_LOCAL, axis=2).ravel()
-    cols = np.repeat(idx_all[:, None, :], N_LOCAL, axis=1).ravel()
-    full = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    b[: N_INTERIOR * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
 
     boundary_values = np.zeros(size)
-    for e, edge in enumerate(mesh.edges):
-        if not edge.boundary:
-            continue
-        boundary_values[dofmap.edge_vb(e)] = weakops.project_Qb(edge, spec.xi)
-        boundary_values[dofmap.edge_vg(e)] = weakops.project_Qg(edge, spec.nu)
+    boundary = np.flatnonzero(mesh.boundary)
+    blocks = boundary_values[N_INTERIOR * mesh.n_elements :].reshape(-1, 4)
+    segments = mesh.edge_points(boundary)
+    blocks[boundary, :2] = weakops.project_Qb(segments, spec.xi)
+    blocks[boundary, 2:] = weakops.project_Qg(segments, spec.nu)
     if not np.isfinite(boundary_values).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
@@ -333,12 +321,7 @@ def assemble(
     )
 
 
-def triple_bar_norm(
-    mesh: Mesh,
-    coeff: CoefficientField,
-    w,
-    project_trace_jumps: bool | None = None,
-) -> float:
+def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     """Discrete energy norm: square root of the assembled quadratic form.
 
     ``w`` is a WeakFunction or a full-length coefficient vector (boundary
@@ -348,11 +331,10 @@ def triple_bar_norm(
     dofmap = DofMap.for_mesh(mesh)
     if coeffs.shape != (dofmap.size,):
         raise ValueError(f"expected coefficient vector of length {dofmap.size}")
-    cache = _LocalSystemCache(project_trace_jumps)
+    local = coeffs[dofmap.local_dofs(mesh)]
+    mats, classes = _class_matrices(mesh, coeff)
     total = 0.0
-    for i in range(mesh.n_elements):
-        geom = weakops.element_geometry(mesh, i)
-        local = coeffs[dofmap.local_dofs_for_index(mesh, i)]
-        mat = cache.get(geom, coeff.kappa[i], float(coeff.mu[i]))
-        total += float(local @ mat @ local)
+    for c, mat in enumerate(mats):
+        members = local[classes == c]
+        total += float(np.sum((members @ mat) * members))
     return float(np.sqrt(max(total, 0.0)))

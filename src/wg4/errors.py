@@ -57,22 +57,20 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
     e = projected.coeffs - u_h.coeffs
     e[dofmap.boundary_mask(mesh)] = 0.0
 
-    l2_sq = 0.0
-    eb_sq = 0.0
-    eg_sq = 0.0
-    for i, elem in enumerate(mesh.elements):
-        tri = poly.make_triangle(mesh.vertices[list(elem.vertices)])
-        d0 = e[dofmap.element_block(i)]
-        mass0 = poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE)
-        l2_sq += float(d0 @ mass0 @ d0)
-        h_t = poly.mesh_size(tri)
-        for eid in elem.edges:
-            edge = mesh.edges[eid]
-            emass = poly.edge_mass_matrix(edge, weakops.EDGE_DEGREE)
-            db = e[dofmap.edge_vb(eid)]
-            dg = e[dofmap.edge_vg(eid)]
-            eb_sq += h_t * float(db @ emass @ db)
-            eg_sq += h_t * float(dg @ emass @ dg)
+    # An element's Gram matrix is 2|T| times the reference triangle's, an
+    # edge's |e| times the unit edge's.
+    d0 = e[: weakops.N_INTERIOR * mesh.n_elements].reshape(mesh.n_elements, -1)
+    mass0 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.INTERIOR_DEGREE)
+    l2_sq = float(np.sum(2.0 * mesh.areas * np.einsum("ei,ij,ej->e", d0, mass0, d0)))
+
+    # Each edge counts once per adjacent element T, weighted by h_T, the
+    # shortest side of T.
+    h_t = mesh.edge_lengths[mesh.element_edges].min(axis=1)
+    weight = np.bincount(mesh.element_edges.ravel(), weights=np.repeat(h_t, 3),
+                         minlength=mesh.n_edges) * mesh.edge_lengths
+    edge_blocks = e[weakops.N_INTERIOR * mesh.n_elements :].reshape(mesh.n_edges, 2, 2)
+    emass = poly.edge_mass_matrix(1.0, weakops.EDGE_DEGREE)
+    eb_sq, eg_sq = weight @ np.einsum("eki,ij,ekj->ek", edge_blocks, emass, edge_blocks)
 
     return ErrorReport(
         n=mesh.n,

@@ -8,6 +8,7 @@ coefficient, and interior Gaussian light sources).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import errors as err_mod
-from . import assembly, mesh as mesh_mod, solve as solve_mod, weakops
+from . import assembly, poly, solve as solve_mod, weakops
 from .assembly import CoefficientField, ProblemSpec, Region
 from .errors import ErrorReport, convergence_orders
 from .mesh import Mesh, build_structured_mesh
@@ -45,6 +46,11 @@ FT_DOMAIN = (0.0, 0.0, 50.0, 50.0)
 GAUSSIAN_EPSILON = 100.0 / 64.0
 DEFAULT_SOURCE = (13.3065, 0.0730994)
 SECOND_SOURCE = (49.8272, 13.5234)
+
+
+def _zero(x, y):
+    """The zero field, on points of any shape."""
+    return np.zeros(np.broadcast(x, y).shape)
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,11 @@ def case_poly_bump() -> CaseCatalogEntry:
         bilap = 24.0 * g(y) + 2.0 * d2g(x) * d2g(y) + 24.0 * g(x)
         return c * c * bilap - 2.0 * c * mu * lap + mu * mu * u(x, y)
 
-    zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
-
     def build(mesh: Mesh) -> ProblemSpec:
         return ProblemSpec(
             f=f,
-            xi=zero,
-            nu=zero,
+            xi=_zero,
+            nu=_zero,
             coeff=CoefficientField.uniform(mesh, c * np.eye(2), mu),
             exact_u=u,
             exact_grad=grad_u,
@@ -230,7 +234,6 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
         def nu(x, y):
             return -xi(x, y)
 
-        zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
         inclusion = Region(
             shape="rect",
             bounds=(0.25, 0.25, 0.375, 0.375),
@@ -238,7 +241,7 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
             mu=0.0,
         )
         coeff = CoefficientField.from_regions(mesh, 1e-5 * np.eye(2), 0.0, [inclusion])
-        return ProblemSpec(f=zero, xi=xi, nu=nu, coeff=coeff)
+        return ProblemSpec(f=_zero, xi=xi, nu=nu, coeff=coeff)
 
     return CaseCatalogEntry(
         name=f"boundary-{variant}",
@@ -268,8 +271,6 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
     def f(x, y):
         return amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * eps))
 
-    zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
-
     def build(mesh: Mesh) -> ProblemSpec:
         blocks = [
             Region(shape="disk", center=(25.0, 15.0), radius=4.0,
@@ -280,7 +281,7 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
         coeff = CoefficientField.from_regions(
             mesh, DIFFUSION * np.eye(2), ABSORPTION, blocks
         )
-        return ProblemSpec(f=f, xi=zero, nu=zero, coeff=coeff)
+        return ProblemSpec(f=f, xi=_zero, nu=_zero, coeff=coeff)
 
     return CaseCatalogEntry(
         name="gaussian-source",
@@ -330,23 +331,7 @@ def solve_case(
     mesh = entry.make_mesh(n)
     spec = entry.problem(mesh)
     if regions:
-        base = spec.coeff
-        kappa = base.kappa.copy()
-        mu = base.mu.copy()
-        for i, elem in enumerate(mesh.elements):
-            cx, cy = elem.centroid
-            for region in regions:
-                if region.contains(cx, cy):
-                    kappa[i] = region.kappa
-                    mu[i] = region.mu
-        spec = ProblemSpec(
-            f=spec.f,
-            xi=spec.xi,
-            nu=spec.nu,
-            coeff=CoefficientField(kappa=kappa, mu=mu),
-            exact_u=spec.exact_u,
-            exact_grad=spec.exact_grad,
-        )
+        spec = dataclasses.replace(spec, coeff=spec.coeff.with_regions(mesh, regions))
     system = assembly.assemble(mesh, spec)
     x_free, report = solve_mod.solve_spd(system, config)
     return mesh, spec, system.expand(x_free), report
@@ -400,25 +385,31 @@ def run_convergence(
     )
 
 
-def locate_point(mesh: Mesh, x: float, y: float) -> int:
-    """Element index containing (x, y) on a structured mesh.
+def locate_point(mesh: Mesh, x, y):
+    """Element index containing (x, y) on a structured mesh; ``x`` and
+    ``y`` may be arrays of one shape, and the indices come back in it.
 
     Points on shared edges resolve deterministically (lower-left triangle
     wins on the diagonal, lower cell index on grid lines).
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     x0, y0, x1, y1 = mesh.domain
     n = mesh.n
     tol = 1e-12 * max(x1 - x0, y1 - y0)
-    if not (x0 - tol <= x <= x1 + tol and y0 - tol <= y <= y1 + tol):
-        raise ValueError(f"point ({x}, {y}) lies outside the domain {mesh.domain}")
+    outside = ~((x0 - tol <= x) & (x <= x1 + tol) & (y0 - tol <= y) & (y <= y1 + tol))
+    if outside.any():
+        k = np.flatnonzero(outside)[0]
+        raise ValueError(
+            f"point ({x.flat[k]}, {y.flat[k]}) lies outside the domain {mesh.domain}"
+        )
     sx = (x1 - x0) / n
     sy = (y1 - y0) / n
-    i = min(max(int((x - x0) / sx), 0), n - 1)
-    j = min(max(int((y - y0) / sy), 0), n - 1)
+    i = np.clip(np.trunc((x - x0) / sx).astype(np.int64), 0, n - 1)
+    j = np.clip(np.trunc((y - y0) / sy).astype(np.int64), 0, n - 1)
     xi = (x - (x0 + i * sx)) / sx
     eta = (y - (y0 + j * sy)) / sy
-    upper = xi + eta > 1.0
-    return 2 * (j * n + i) + (1 if upper else 0)
+    return 2 * (j * n + i) + (xi + eta > 1.0)
 
 
 def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,26 +421,14 @@ def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, 
     if grid < 2:
         raise ValueError("grid must be at least 2")
     x0, y0, x1, y1 = mesh.domain
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
-    dofmap = u_h.dofmap
-    points = np.empty((grid * grid, 2))
-    values = np.empty(grid * grid)
-    from .poly import ElementBasis, make_triangle
-
-    basis_cache: dict[int, ElementBasis] = {}
-    for jj, y in enumerate(ys):
-        for ii, x in enumerate(xs):
-            idx = jj * grid + ii
-            points[idx] = (x, y)
-            elem_id = locate_point(mesh, x, y)
-            basis = basis_cache.get(elem_id)
-            if basis is None:
-                tri = make_triangle(mesh.vertices[list(mesh.elements[elem_id].vertices)])
-                basis = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
-                basis_cache[elem_id] = basis
-            c0 = u_h.coeffs[dofmap.element_block(elem_id)]
-            values[idx] = float((basis.eval(points[idx : idx + 1]) @ c0)[0])
+    gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+    elems = locate_point(mesh, points[:, 0], points[:, 1])
+    inverse = poly.inverse_jacobians(mesh.element_points(elems))
+    local = np.einsum("pij,pj->pi", inverse, points - mesh.centroids[elems])
+    vals = poly.monomials(weakops.INTERIOR_DEGREE, local[:, 0], local[:, 1])
+    c0 = u_h.coeffs[: weakops.N_INTERIOR * mesh.n_elements].reshape(mesh.n_elements, -1)
+    values = np.einsum("pi,pi->p", vals, c0[elems])
     if not np.isfinite(values).all():
         raise ValueError("sampled field contains non-finite values")
     return points, values

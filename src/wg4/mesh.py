@@ -4,6 +4,26 @@ Each of the n x n sub-squares is split into two triangles by its
 negative-slope diagonal (top-left corner to bottom-right corner).
 Vertex, element and edge indexing is row-major and deterministic so
 that everything assembled on top of a mesh is bit-reproducible.
+
+A mesh is a struct of arrays, built without per-entity Python loops:
+
+* ``vertices`` (V, 2): coordinates, row-major over the grid;
+* ``element_vertices`` (E, 3): counterclockwise vertex indices; local
+  edge k joins local vertices k and (k + 1) % 3;
+* ``element_edges`` (E, 3): the global edge of each local edge;
+* ``element_signs`` (E, 3): +1 when the element-outward normal on that
+  edge equals the edge's stored normal, -1 when it is the reverse;
+* ``edge_vertices`` (F, 2): sorted vertex pair; p1 -> p2 is the
+  arc-length parameterization both adjacent elements share;
+* ``edge_elements`` (F, 2): adjacent elements in increasing order, -1
+  in the second column for boundary edges;
+* ``edge_normals`` (F, 2): unit normal, outward on boundary edges and
+  otherwise the outward normal of the lower-indexed adjacent element;
+* ``edge_lengths`` (F,) and ``boundary`` (F,), the boundary flag;
+* ``areas`` (E,) and ``centroids`` (E, 2).
+
+Edges are numbered in order of first appearance, scanning elements in
+order and each element's local edges in order.
 """
 
 from __future__ import annotations
@@ -13,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Edge",
-    "Element",
     "Mesh",
     "build_structured_mesh",
     "classify_boundary",
@@ -24,60 +42,45 @@ __all__ = [
 Rectangle = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Single mesh edge with a fixed global orientation.
-
-    ``p1 -> p2`` fixes the arc-length parameterization that both adjacent
-    elements share.  The stored unit normal points outward for boundary
-    edges; for interior edges it points from the lower-indexed adjacent
-    element into the higher-indexed one, so the two adjacent elements see
-    the conormal-trace unknowns with opposite signs.
-    """
-
-    vertices: tuple[int, int]
-    p1: np.ndarray
-    p2: np.ndarray
-    midpoint: np.ndarray
-    normal: np.ndarray
-    length: float
-    boundary: bool
-    elements: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Element:
-    """Triangle with counterclockwise vertices.
-
-    ``edges[k]`` joins local vertices ``k`` and ``(k + 1) % 3``.
-    ``signs[k]`` is +1 when the element-outward normal on that edge equals
-    the edge's stored global normal, -1 when it is the reverse.
-    """
-
-    vertices: tuple[int, int, int]
-    edges: tuple[int, int, int]
-    signs: tuple[int, int, int]
-    area: float
-    diameter: float
-    centroid: np.ndarray
-    normals: np.ndarray  # (3, 2) outward unit normals, one row per local edge
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     domain: Rectangle
     n: int
     vertices: np.ndarray
-    elements: tuple[Element, ...]
-    edges: tuple[Edge, ...]
+    element_vertices: np.ndarray
+    element_edges: np.ndarray
+    element_signs: np.ndarray
+    edge_vertices: np.ndarray
+    edge_elements: np.ndarray
+    edge_normals: np.ndarray
+    edge_lengths: np.ndarray
+    boundary: np.ndarray
+    areas: np.ndarray
+    centroids: np.ndarray
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.element_vertices)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_vertices)
+
+    def element_points(self, elements=slice(None)) -> np.ndarray:
+        """Vertex coordinates (m, 3, 2) of the given elements (default all)."""
+        return self.vertices[self.element_vertices[elements]]
+
+    def edge_points(self, edges=slice(None)) -> np.ndarray:
+        """Endpoints (m, 2, 2) of the given edges, p1 then p2 (default all)."""
+        return self.vertices[self.edge_vertices[edges]]
+
+
+def _outward_normals(points: np.ndarray) -> np.ndarray:
+    """Outward unit normals (E, 3, 2) of counterclockwise triangles (E, 3, 2);
+    row k belongs to the side from vertex k to vertex k + 1."""
+    d = np.roll(points, -1, axis=1) - points
+    normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
+    return normals / np.linalg.norm(normals, axis=-1, keepdims=True)
 
 
 def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
@@ -93,122 +96,96 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"degenerate rectangle {domain!r}")
 
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    vertices = np.empty(((n + 1) * (n + 1), 2))
-    for j in range(n + 1):
-        for i in range(n + 1):
-            vertices[j * (n + 1) + i] = (xs[i], ys[j])
+    gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
+    n_vertices = len(vertices)
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
+    # Element connectivity, counterclockwise: per sub-square the
+    # lower-left (bl, br, tl) then the upper-right (br, tr, tl) triangle.
+    j, i = np.divmod(np.arange(n * n), n)
+    bl = j * (n + 1) + i
+    br, tl = bl + 1, bl + n + 1
+    element_vertices = np.empty((2 * n * n, 3), dtype=np.int64)
+    element_vertices[0::2] = np.column_stack([bl, br, tl])
+    element_vertices[1::2] = np.column_stack([br, tl + 1, tl])
+    n_elements = len(element_vertices)
 
-    # Element connectivity, counterclockwise.  The negative-slope diagonal
-    # joins the top-left and bottom-right corners of each sub-square.
-    conn: list[tuple[int, int, int]] = []
-    for j in range(n):
-        for i in range(n):
-            bl, br = vid(i, j), vid(i + 1, j)
-            tl, tr = vid(i, j + 1), vid(i + 1, j + 1)
-            conn.append((bl, br, tl))  # lower-left triangle
-            conn.append((br, tr, tl))  # upper-right triangle
+    # Edges keyed on the sorted vertex pair, numbered by first appearance.
+    ends = np.stack([element_vertices, np.roll(element_vertices, -1, axis=1)], axis=-1)
+    keys = (ends.min(axis=-1) * n_vertices + ends.max(axis=-1)).ravel()
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    element_edges = rank[inverse.reshape(-1)].reshape(n_elements, 3)
+    edge_vertices = np.column_stack(np.divmod(unique_keys[order], n_vertices))
 
-    # Edge table keyed on the sorted vertex pair; adjacency recorded in
-    # element order so interior edges know their lower-indexed side.
-    edge_ids: dict[tuple[int, int], int] = {}
-    edge_elements: list[list[int]] = []
-    elem_edges: list[tuple[int, int, int]] = []
-    for ei, verts in enumerate(conn):
-        ids = []
-        for k in range(3):
-            key = tuple(sorted((verts[k], verts[(k + 1) % 3])))
-            if key not in edge_ids:
-                edge_ids[key] = len(edge_ids)
-                edge_elements.append([])
-            eid = edge_ids[key]
-            edge_elements[eid].append(ei)
-            ids.append(eid)
-        elem_edges.append(tuple(ids))
+    # Adjacency: the first appearance is the lower-indexed element; the
+    # other one, if any, follows from the sum of the incident elements.
+    owner, owner_local = np.divmod(first[order], 3)
+    incident = np.repeat(np.arange(n_elements), 3)
+    count = np.bincount(element_edges.ravel(), minlength=len(order))
+    total = np.bincount(element_edges.ravel(), weights=incident, minlength=len(order))
+    other = np.where(count == 2, total.astype(np.int64) - owner, -1)
+    edge_elements = np.column_stack([owner, other])
 
-    def outward_normals(verts: tuple[int, int, int]) -> np.ndarray:
-        pts = vertices[list(verts)]
-        normals = np.empty((3, 2))
-        for k in range(3):
-            d = pts[(k + 1) % 3] - pts[k]
-            normals[k] = (d[1], -d[0])
-        return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    points = vertices[element_vertices]
+    normals = _outward_normals(points)
+    edge_normals = normals[owner, owner_local]
+    dots = np.einsum("eki,eki->ek", normals, edge_normals[element_edges])
+    element_signs = np.where(dots > 0.0, 1, -1).astype(np.int8)
 
-    # Global edge normals: outward for boundary edges, otherwise the
-    # outward normal of the lower-indexed adjacent element.
-    normals_by_elem = [outward_normals(v) for v in conn]
-    edges: list[Edge] = []
-    for key, eid in edge_ids.items():
-        adj = tuple(sorted(edge_elements[eid]))
-        owner = adj[0]
-        local = elem_edges[owner].index(eid)
-        p1, p2 = vertices[key[0]], vertices[key[1]]
-        edges.append(
-            Edge(
-                vertices=key,
-                p1=p1,
-                p2=p2,
-                midpoint=0.5 * (p1 + p2),
-                normal=normals_by_elem[owner][local],
-                length=float(np.linalg.norm(p2 - p1)),
-                boundary=len(adj) == 1,
-                elements=adj,
-            )
-        )
-
-    elements: list[Element] = []
-    for ei, verts in enumerate(conn):
-        pts = vertices[list(verts)]
-        d01, d02 = pts[1] - pts[0], pts[2] - pts[0]
-        area = 0.5 * float(d01[0] * d02[1] - d01[1] * d02[0])
-        if area <= 0.0:
-            raise ValueError(f"element {ei} has non-positive area {area}")
-        sides = [np.linalg.norm(pts[(k + 1) % 3] - pts[k]) for k in range(3)]
-        signs = tuple(
-            1 if float(normals_by_elem[ei][k] @ edges[elem_edges[ei][k]].normal) > 0.0 else -1
-            for k in range(3)
-        )
-        elements.append(
-            Element(
-                vertices=verts,
-                edges=elem_edges[ei],
-                signs=signs,
-                area=area,
-                diameter=float(max(sides)),
-                centroid=pts.mean(axis=0),
-                normals=normals_by_elem[ei],
-            )
-        )
+    d01, d02 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
+    areas = 0.5 * (d01[:, 0] * d02[:, 1] - d01[:, 1] * d02[:, 0])
+    if (areas <= 0.0).any():
+        bad = int(np.flatnonzero(areas <= 0.0)[0])
+        raise ValueError(f"element {bad} has non-positive area {areas[bad]}")
+    p = vertices[edge_vertices]
 
     mesh = Mesh(
         domain=(x0, y0, x1, y1),
         n=n,
         vertices=vertices,
-        elements=tuple(elements),
-        edges=tuple(edges),
+        element_vertices=element_vertices,
+        element_edges=element_edges,
+        element_signs=element_signs,
+        edge_vertices=edge_vertices,
+        edge_elements=edge_elements,
+        edge_normals=edge_normals,
+        edge_lengths=np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
+        boundary=count == 1,
+        areas=areas,
+        centroids=points.mean(axis=1),
     )
     _validate(mesh)
     return mesh
 
 
 def _validate(mesh: Mesh) -> None:
+    """Check counts, adjacency and orientation signs; raise RuntimeError
+    naming the first inconsistent entity."""
     n = mesh.n
-    assert mesh.n_elements == 2 * n * n
-    assert mesh.n_edges == 3 * n * n + 2 * n
-    assert len(mesh.vertices) == (n + 1) * (n + 1)
-    for elem in mesh.elements:
-        for k in range(3):
-            edge = mesh.edges[elem.edges[k]]
-            # The outward normal must be exactly +-1 times the stored one.
-            if not np.allclose(elem.normals[k], elem.signs[k] * edge.normal, atol=1e-14):
-                raise AssertionError("edge orientation sign is inconsistent")
-    for edge in mesh.edges:
-        assert len(edge.elements) in (1, 2)
-        assert edge.boundary == (len(edge.elements) == 1)
+    counts = {
+        "elements": (mesh.n_elements, 2 * n * n),
+        "edges": (mesh.n_edges, 3 * n * n + 2 * n),
+        "vertices": (len(mesh.vertices), (n + 1) * (n + 1)),
+    }
+    for name, (got, expected) in counts.items():
+        if got != expected:
+            raise RuntimeError(f"mesh has {got} {name}, expected {expected}")
+    # The outward normal must be exactly +-1 times the stored one.
+    normals = _outward_normals(mesh.element_points())
+    stored = mesh.element_signs[..., None] * mesh.edge_normals[mesh.element_edges]
+    bad = np.flatnonzero((np.abs(normals - stored) > 1e-14).any(axis=(1, 2)))
+    if len(bad):
+        raise RuntimeError(f"element {bad[0]}: edge orientation sign is inconsistent")
+    first, second = mesh.edge_elements.T
+    bad = np.flatnonzero((first < 0) | (mesh.boundary != (second < 0)))
+    if len(bad):
+        raise RuntimeError(
+            f"edge {bad[0]}: adjacent elements {tuple(mesh.edge_elements[bad[0]])} "
+            f"disagree with boundary flag {bool(mesh.boundary[bad[0]])}"
+        )
 
 
 def classify_boundary(mesh: Mesh) -> np.ndarray:
@@ -218,17 +195,17 @@ def classify_boundary(mesh: Mesh) -> np.ndarray:
     geometry (every boundary edge must sit on one of the four sides).
     """
     x0, y0, x1, y1 = mesh.domain
-    flags = np.array([e.boundary for e in mesh.edges], dtype=bool)
-    for edge, flag in zip(mesh.edges, flags):
-        if not flag:
-            continue
-        on_side = any(
-            abs(edge.p1[axis] - bound) <= 1e-12 and abs(edge.p2[axis] - bound) <= 1e-12
-            for axis, bound in ((0, x0), (0, x1), (1, y0), (1, y1))
+    edges = np.flatnonzero(mesh.boundary)
+    ends = mesh.edge_points(edges)
+    on_side = np.zeros(len(edges), dtype=bool)
+    for axis, bound in ((0, x0), (0, x1), (1, y0), (1, y1)):
+        on_side |= (np.abs(ends[:, :, axis] - bound) <= 1e-12).all(axis=1)
+    if not on_side.all():
+        e = edges[~on_side][0]
+        raise RuntimeError(
+            f"edge {e} {tuple(mesh.edge_vertices[e])} flagged boundary but off the rectangle"
         )
-        if not on_side:
-            raise AssertionError(f"edge {edge.vertices} flagged boundary but off the rectangle")
-    return flags
+    return mesh.boundary.copy()
 
 
 def mesh_to_csv(mesh: Mesh) -> str:
@@ -241,25 +218,22 @@ def mesh_to_csv(mesh: Mesh) -> str:
     for i, (x, y) in enumerate(mesh.vertices):
         lines.append(f"{i},{fmt(x)},{fmt(y)}")
     lines.append("# elements")
-    for i, el in enumerate(mesh.elements):
-        lines.append(
-            ",".join(
-                [str(i)]
-                + [str(v) for v in el.vertices]
-                + [str(e) for e in el.edges]
-                + [str(s) for s in el.signs]
-                + [fmt(el.area), fmt(el.diameter)]
-            )
-        )
+    diameters = mesh.edge_lengths[mesh.element_edges].max(axis=1)
+    rows = zip(mesh.element_vertices, mesh.element_edges, mesh.element_signs, mesh.areas,
+               diameters)
+    for i, (verts, edges, signs, area, diameter) in enumerate(rows):
+        cells = [i, *verts, *edges, *signs]
+        lines.append(",".join([str(c) for c in cells] + [fmt(area), fmt(diameter)]))
     lines.append("# edges")
-    for i, ed in enumerate(mesh.edges):
-        adj = list(ed.elements) + [-1] * (2 - len(ed.elements))
+    rows = zip(mesh.edge_vertices, mesh.edge_normals, mesh.edge_lengths, mesh.boundary,
+               mesh.edge_elements)
+    for i, (verts, normal, length, boundary, adjacent) in enumerate(rows):
         lines.append(
             ",".join(
-                [str(i), str(ed.vertices[0]), str(ed.vertices[1])]
-                + [fmt(ed.normal[0]), fmt(ed.normal[1]), fmt(ed.length)]
-                + [str(int(ed.boundary))]
-                + [str(a) for a in adj]
+                [str(i), str(verts[0]), str(verts[1])]
+                + [fmt(normal[0]), fmt(normal[1]), fmt(length)]
+                + [str(int(boundary))]
+                + [str(a) for a in adjacent]
             )
         )
     return "\n".join(lines) + "\n"

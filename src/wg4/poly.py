@@ -20,6 +20,7 @@ from scipy.special import roots_jacobi
 
 __all__ = [
     "Triangle",
+    "REFERENCE_TRIANGLE",
     "ElementBasis",
     "EdgeBasis",
     "QuadratureRule",
@@ -27,6 +28,10 @@ __all__ = [
     "triangle_quadrature",
     "gauss_segment_quadrature",
     "map_to_triangle",
+    "map_to_triangles",
+    "jacobian_determinants",
+    "inverse_jacobians",
+    "monomials",
     "element_mass_matrix",
     "edge_mass_matrix",
 ]
@@ -73,6 +78,10 @@ def make_triangle(vertices: np.ndarray) -> Triangle:
         raise ValueError(f"triangle area must be positive (CCW vertices), got {area}")
     sides = [float(np.linalg.norm(pts[(k + 1) % 3] - pts[k])) for k in range(3)]
     return Triangle(vertices=pts, area=area, centroid=pts.mean(axis=0), diameter=max(sides))
+
+
+#: The reference triangle (0,0), (1,0), (0,1) of every affine map.
+REFERENCE_TRIANGLE = make_triangle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def mesh_size(tri: Triangle) -> float:
@@ -125,13 +134,40 @@ def gauss_segment_quadrature(npoints: int) -> QuadratureRule:
 
 def map_to_triangle(rule: QuadratureRule, tri: Triangle) -> tuple[np.ndarray, np.ndarray]:
     """Map a reference rule to physical points and weights on ``tri``."""
-    v = tri.vertices
-    pts = v[0] + rule.points @ np.stack([v[1] - v[0], v[2] - v[0]])
-    return pts, rule.weights * (2.0 * tri.area)
+    return map_to_triangles(rule, tri.vertices[None])[0], rule.weights * (2.0 * tri.area)
+
+
+def map_to_triangles(rule: QuadratureRule, points: np.ndarray) -> np.ndarray:
+    """Physical points (E, q, 2) of a reference rule on each of the
+    triangles ``points`` (E, 3, 2); the weights are ``rule.weights`` times
+    each triangle's 2|T|."""
+    v0 = points[:, :1]
+    return v0 + rule.points @ (points[:, 1:] - v0)
+
+
+def jacobian_determinants(points: np.ndarray) -> np.ndarray:
+    """det J = 2|T| (E,) of the affine maps J = [v1 - v0, v2 - v0] from the
+    reference triangle onto the triangles ``points`` (E, 3, 2)."""
+    d1, d2 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def inverse_jacobians(points: np.ndarray) -> np.ndarray:
+    """J^-1 (E, 2, 2) of the same maps."""
+    (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(points, (1, 2), (0, 1))
+    rows = [[y2 - y0, x0 - x2], [y0 - y1, x1 - x0]]
+    det = jacobian_determinants(points)
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1)) / det[:, None, None]
 
 
 def _exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
+
+
+def monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^a y^b for a + b <= degree, in ``ElementBasis`` order along a new
+    last axis."""
+    return np.stack([x**a * y**b for a, b in _exponents(degree)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -148,14 +184,10 @@ class ElementBasis:
 
     @classmethod
     def for_triangle(cls, tri: Triangle, degree: int) -> "ElementBasis":
-        (x0, y0), (x1, y1), (x2, y2) = tri.vertices.tolist()
-        # J = [[x1 - x0, x2 - x0], [y1 - y0, y2 - y0]] and det J = 2 |T|
-        det = 2.0 * tri.area
-        inverse = np.array([[y2 - y0, x0 - x2], [y0 - y1, x1 - x0]]) / det
         return cls(
             degree=degree,
             center=tri.centroid,
-            inverse_jacobian=inverse,
+            inverse_jacobian=inverse_jacobians(tri.vertices[None])[0],
             exponents=_exponents(degree),
         )
 
@@ -168,8 +200,7 @@ class ElementBasis:
         return self.inverse_jacobian @ (np.atleast_2d(pts) - self.center).T
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        x, y = self._local(pts)
-        return np.stack([x**a * y**b for a, b in self.exponents], axis=1)
+        return monomials(self.degree, *self._local(pts))
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """Gradients at ``pts``; shape (npoints, dim, 2)."""

@@ -17,13 +17,14 @@ Two element-local operators act on these triples:
       (grad_w v, psi)_T = (grad v0, psi)_T - <v0 - vb, psi . n>_dT
   for every psi in [P1(T)]^2, with n the element-outward unit normal.
 
-Both are linear in the 18 local coefficients and are exposed both as
-operator matrices (for assembly) and as direct evaluations.
+Both are linear in the 18 local coefficients and are exposed as operator
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,14 +39,12 @@ __all__ = [
     "EdgeView",
     "ElementGeometry",
     "DofMap",
-    "LocalWeakFunction",
     "WeakFunction",
     "element_geometry",
     "standalone_element",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
-    "weak_laplacian_kappa",
-    "weak_gradient",
+    "interior_moments",
     "project_Q0",
     "project_Qb",
     "project_Qg",
@@ -102,19 +101,20 @@ class ElementGeometry:
 
 
 def element_geometry(mesh: Mesh, index: int) -> ElementGeometry:
-    elem = mesh.elements[index]
-    tri = poly.make_triangle(mesh.vertices[list(elem.vertices)])
+    """Geometry of one mesh element, for the single-element kernels."""
+    tri = poly.make_triangle(mesh.element_points(index))
+    ends = mesh.edge_points(mesh.element_edges[index])
     views = []
-    for k in range(3):
-        edge = mesh.edges[elem.edges[k]]
+    for k, e in enumerate(mesh.element_edges[index]):
+        sigma = int(mesh.element_signs[index, k])
         views.append(
             EdgeView(
-                p1=edge.p1,
-                p2=edge.p2,
-                length=edge.length,
-                midpoint=edge.midpoint,
-                normal=elem.normals[k],
-                sigma=elem.signs[k],
+                p1=ends[k, 0],
+                p2=ends[k, 1],
+                length=float(mesh.edge_lengths[e]),
+                midpoint=0.5 * (ends[k, 0] + ends[k, 1]),
+                normal=sigma * mesh.edge_normals[e],
+                sigma=sigma,
             )
         )
     return ElementGeometry(tri=tri, edges=tuple(views))
@@ -143,39 +143,6 @@ def standalone_element(vertices: np.ndarray) -> ElementGeometry:
             )
         )
     return ElementGeometry(tri=tri, edges=tuple(views))
-
-
-@dataclass
-class LocalWeakFunction:
-    """Coefficients of one element-local triple {v0, vb, vg}.
-
-    vg rows are stored in the global-normal convention of each edge.
-    """
-
-    c0: np.ndarray  # (6,)
-    cb: np.ndarray  # (3, 2)
-    cg: np.ndarray  # (3, 2)
-
-    @classmethod
-    def zeros(cls) -> "LocalWeakFunction":
-        return cls(np.zeros(N_INTERIOR), np.zeros((3, 2)), np.zeros((3, 2)))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "LocalWeakFunction":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (N_LOCAL,):
-            raise ValueError(f"expected length-{N_LOCAL} vector, got {vec.shape}")
-        cb = np.stack([vec[_vb_slice(k)] for k in range(3)])
-        cg = np.stack([vec[_vg_slice(k)] for k in range(3)])
-        return cls(c0=vec[:N_INTERIOR].copy(), cb=cb, cg=cg)
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.empty(N_LOCAL)
-        vec[:N_INTERIOR] = self.c0
-        for k in range(3):
-            vec[_vb_slice(k)] = self.cb[k]
-            vec[_vg_slice(k)] = self.cg[k]
-        return vec
 
 
 @dataclass(frozen=True)
@@ -207,23 +174,18 @@ class DofMap:
         base = N_INTERIOR * self.n_elements + 4 * e
         return np.arange(base + 2, base + 4)
 
-    def local_dofs_for_index(self, mesh: Mesh, index: int) -> np.ndarray:
-        """Global indices of the 18 local dofs, in LocalWeakFunction order."""
-        elem = mesh.elements[index]
-        idx = np.empty(N_LOCAL, dtype=np.int64)
-        idx[:N_INTERIOR] = self.element_block(index)
-        for k in range(3):
-            idx[_vb_slice(k)] = self.edge_vb(elem.edges[k])
-            idx[_vg_slice(k)] = self.edge_vg(elem.edges[k])
-        return idx
+    def local_dofs(self, mesh: Mesh) -> np.ndarray:
+        """Global indices (E, 18) of every element's local dofs, in
+        LocalWeakFunction order."""
+        base = N_INTERIOR * self.n_elements
+        interior = np.arange(base).reshape(-1, N_INTERIOR)
+        edges = base + 4 * mesh.element_edges[:, :, None] + np.arange(4)
+        return np.hstack([interior, edges.reshape(-1, 3 * N_PER_EDGE)])
 
     def boundary_mask(self, mesh: Mesh) -> np.ndarray:
         """True for every vb/vg dof living on a boundary edge."""
         mask = np.zeros(self.size, dtype=bool)
-        for e, edge in enumerate(mesh.edges):
-            if edge.boundary:
-                mask[self.edge_vb(e)] = True
-                mask[self.edge_vg(e)] = True
+        mask[N_INTERIOR * self.n_elements :].reshape(-1, 4)[mesh.boundary] = True
         return mask
 
 
@@ -237,14 +199,6 @@ class WeakFunction:
     @classmethod
     def zeros(cls, dofmap: DofMap) -> "WeakFunction":
         return cls(coeffs=np.zeros(dofmap.size), dofmap=dofmap)
-
-    def local(self, mesh: Mesh, index: int) -> LocalWeakFunction:
-        idx = self.dofmap.local_dofs_for_index(mesh, index)
-        return LocalWeakFunction.from_vector(self.coeffs[idx])
-
-    def scatter_local(self, mesh: Mesh, index: int, local: LocalWeakFunction) -> None:
-        idx = self.dofmap.local_dofs_for_index(mesh, index)
-        self.coeffs[idx] = local.to_vector()
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +257,6 @@ def weak_gradient_matrix(geom: ElementGeometry) -> np.ndarray:
     return np.linalg.solve(mass_vec, rhs)
 
 
-def weak_laplacian_kappa(geom: ElementGeometry, local: LocalWeakFunction) -> float:
-    """Weak second-order elliptic operator of one local triple (a constant)."""
-    return float(weak_laplacian_matrix(geom) @ local.to_vector())
-
-
-def weak_gradient(geom: ElementGeometry, local: LocalWeakFunction) -> np.ndarray:
-    """Weak gradient coefficients (6,) of one local triple."""
-    return weak_gradient_matrix(geom) @ local.to_vector()
-
-
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
@@ -329,29 +273,52 @@ def project_Q0(geom_or_tri, u, degree: int = INTERIOR_DEGREE) -> np.ndarray:
     return np.linalg.solve(poly.element_mass_matrix(tri, degree), rhs)
 
 
-def _project_edge(edge, u) -> np.ndarray:
-    midpoint = getattr(edge, "midpoint")
-    p1, p2, length = edge.p1, edge.p2, edge.length
+@lru_cache(maxsize=None)
+def _weighted_interior_basis() -> np.ndarray:
+    """The P2 basis at the reference triangle's quadrature points times
+    their weights (q, 6).  The affine-mapped basis takes the same values
+    at the mapped points of every element."""
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
+    return basis.eval(rule.points) * rule.weights[:, None]
+
+
+def interior_moments(points: np.ndarray, u) -> np.ndarray:
+    """Moments (E, 6) of ``u`` against the P2 basis of each triangle
+    ``points`` (E, 3, 2), divided by the triangle's 2|T|."""
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts = poly.map_to_triangles(rule, points)
+    return u(pts[..., 0], pts[..., 1]) @ _weighted_interior_basis()
+
+
+@lru_cache(maxsize=None)
+def _edge_projector() -> np.ndarray:
+    """Matrix (2, m) from values at the segment rule's points to P1(e)
+    coefficients; the edge length cancels, so it serves every edge."""
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    t = rule.points
-    pts = midpoint + t[:, None] * (p2 - p1)
-    w = rule.weights * length
-    vals = _EDGE_BASIS.eval(t)
-    rhs = vals.T @ (w * u(pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(poly.edge_mass_matrix(length, EDGE_DEGREE), rhs)
+    weighted = _EDGE_BASIS.eval(rule.points) * rule.weights[:, None]
+    return np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), weighted.T)
 
 
-def project_Qb(edge, u) -> np.ndarray:
-    """L2 projection of a trace function onto P1(e)."""
-    return _project_edge(edge, u)
+def _project_edges(segments: np.ndarray, u) -> np.ndarray:
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    p1, p2 = segments[:, 0, None], segments[:, 1, None]
+    pts = 0.5 * (p1 + p2) + rule.points[:, None] * (p2 - p1)
+    return u(pts[..., 0], pts[..., 1]) @ _edge_projector().T
 
 
-def project_Qg(edge, g) -> np.ndarray:
-    """L2 projection of a conormal-flux function onto P1(e).
+def project_Qb(segments: np.ndarray, u) -> np.ndarray:
+    """L2 projections (F, 2) of a trace function onto P1(e) of each edge
+    ``segments`` (F, 2, 2), given by its endpoints p1, p2."""
+    return _project_edges(segments, u)
 
-    ``g`` is the scalar flux along the edge's own (global) normal.
+
+def project_Qg(segments: np.ndarray, g) -> np.ndarray:
+    """L2 projections (F, 2) of a conormal-flux function onto P1(e).
+
+    ``g`` is the scalar flux along each edge's own (global) normal.
     """
-    return _project_edge(edge, g)
+    return _project_edges(segments, g)
 
 
 def project_calQh(geom_or_tri, u) -> float:
@@ -390,26 +357,26 @@ def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:
     ``kappa`` is either a single 2x2 matrix or an array (n_elements, 2, 2);
     on interior edges where kappa jumps, the flux uses the coefficient of
     the lower-indexed adjacent element (the side the global normal points
-    from).  ``grad_u(x, y)`` returns a pair of arrays.
+    from).  ``u`` and ``grad_u(x, y)``, which returns a pair, are evaluated
+    on arrays of points, one row per element or edge.
     """
     kappa = np.asarray(kappa, dtype=float)
-    per_element = kappa.ndim == 3
+    if kappa.ndim == 3:
+        kappa = kappa[mesh.edge_elements[:, 0]]
+    k = np.broadcast_to(kappa, (mesh.n_edges, 2, 2))[:, :, :, None]
+    nx, ny = mesh.edge_normals[:, :, None].transpose(1, 0, 2)
+
+    def flux(x, y):
+        gx, gy = grad_u(x, y)
+        return nx * (k[:, 0, 0] * gx + k[:, 0, 1] * gy) + ny * (k[:, 1, 0] * gx + k[:, 1, 1] * gy)
 
     dofmap = DofMap.for_mesh(mesh)
     out = WeakFunction.zeros(dofmap)
-    for i in range(mesh.n_elements):
-        tri = poly.make_triangle(mesh.vertices[list(mesh.elements[i].vertices)])
-        out.coeffs[dofmap.element_block(i)] = project_Q0(tri, u)
-    for e, edge in enumerate(mesh.edges):
-        k_e = kappa[edge.elements[0]] if per_element else kappa
-        normal = edge.normal
-
-        def flux(x, y):
-            gx, gy = grad_u(x, y)
-            return normal[0] * (k_e[0, 0] * gx + k_e[0, 1] * gy) + normal[1] * (
-                k_e[1, 0] * gx + k_e[1, 1] * gy
-            )
-
-        out.coeffs[dofmap.edge_vb(e)] = project_Qb(edge, u)
-        out.coeffs[dofmap.edge_vg(e)] = project_Qg(edge, flux)
+    interior = out.coeffs[: N_INTERIOR * mesh.n_elements].reshape(-1, N_INTERIOR)
+    mass = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
+    interior[:] = np.linalg.solve(mass, interior_moments(mesh.element_points(), u).T).T
+    edges = out.coeffs[N_INTERIOR * mesh.n_elements :].reshape(-1, 4)
+    segments = mesh.edge_points()
+    edges[:, :2] = project_Qb(segments, u)
+    edges[:, 2:] = project_Qg(segments, flux)
     return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from util import quadratic_problem, random_triangle, unit_square_mesh
+from util import LocalWeakFunction, quadratic_problem, random_triangle, unit_square_mesh
 
 from wg4 import assembly, poly, weakops
 from wg4.assembly import (
@@ -16,7 +16,7 @@ from wg4.assembly import (
 )
 from wg4.harness import case_sine
 from wg4.solve import solve_spd
-from wg4.weakops import DofMap, LocalWeakFunction
+from wg4.weakops import DofMap
 
 
 def lifted_constant(c: float) -> np.ndarray:
@@ -71,7 +71,7 @@ def test_local_system_symmetric_psd():
 
 
 def test_local_load_constant_source(geom):
-    load = local_load(geom, lambda x, y: np.ones_like(x))
+    load = local_load(geom.tri.vertices[None], lambda x, y: np.ones_like(x))[0]
     # Leading basis function is identically 1, so its load is |T|.
     assert load[0] == pytest.approx(geom.tri.area, rel=1e-13)
 
@@ -96,7 +96,7 @@ def test_region_sampling_at_centroids():
     # The inclusion covers exactly one sub-square at n=8: two triangles.
     assert len(inside) == 2
     for i in inside:
-        cx, cy = mesh.elements[i].centroid
+        cx, cy = mesh.centroids[i]
         assert 0.25 <= cx <= 0.375 and 0.25 <= cy <= 0.375
 
 
@@ -216,3 +216,19 @@ def test_solved_system_residual_below_tolerance():
     assert report.residual <= 1e-10
     direct = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
     assert direct <= 1e-10
+
+
+def test_coefficient_field_names_first_bad_element():
+    mesh = unit_square_mesh(16)
+    kappa = np.broadcast_to(np.eye(2), (mesh.n_elements, 2, 2)).copy()
+    mu = np.zeros(mesh.n_elements)
+    kappa[300] = kappa[137] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match=r"^kappa\[137\]: not positive definite$"):
+        CoefficientField(kappa=kappa, mu=mu)
+    kappa[42] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=r"^kappa\[42\]: not symmetric$"):
+        CoefficientField(kappa=kappa, mu=mu)
+    kappa[:] = np.eye(2)
+    mu[7] = -0.1
+    with pytest.raises(ValueError, match=r"^mu\[7\]: must be nonnegative"):
+        CoefficientField(kappa=kappa, mu=mu)

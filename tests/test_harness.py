@@ -88,18 +88,16 @@ def test_boundary_patch_indicator_edges():
     mesh = entry.make_mesh(8)
     spec = entry.problem(mesh)
     carrying = []
-    for edge in mesh.edges:
-        if not edge.boundary:
-            continue
-        value = float(spec.xi(edge.midpoint[0], edge.midpoint[1]))
+    for midpoint in mesh.edge_points(mesh.boundary).mean(axis=1):
+        value = float(spec.xi(midpoint[0], midpoint[1]))
         if value != 0.0:
-            carrying.append(edge)
+            carrying.append(midpoint)
             assert value == 1.0
-            assert spec.nu(edge.midpoint[0], edge.midpoint[1]) == -1.0
+            assert spec.nu(midpoint[0], midpoint[1]) == -1.0
     # two central edges per side for even n
     assert len(carrying) == 8
-    for edge in carrying:
-        x, y = edge.midpoint
+    for midpoint in carrying:
+        x, y = midpoint
         t = x if abs(y) < 1e-12 or abs(y - 1) < 1e-12 else y
         assert abs(t - 0.5) < 1.0 / mesh.n
 
@@ -258,8 +256,8 @@ def test_solve_case_region_override():
                     kappa=np.eye(2), mu=0.5)
     mesh, spec, u_h, report = solve_case(entry, 8, SolverConfig(), regions=[region])
     assert report.residual <= 1e-10
-    inside = [i for i, el in enumerate(mesh.elements)
-              if (el.centroid[0] - 25) ** 2 + (el.centroid[1] - 15) ** 2 <= 16.0]
+    inside = [i for i, (cx, cy) in enumerate(mesh.centroids)
+              if (cx - 25) ** 2 + (cy - 15) ** 2 <= 16.0]
     assert inside
     for i in inside:
         assert spec.coeff.mu[i] == 0.5
@@ -288,3 +286,27 @@ def test_dirac_solution_symmetric_under_diagonal_reflection():
     field = values.reshape(grid, grid)
     scale = np.abs(field).max()
     assert np.abs(field - field.T).max() <= 1e-8 * scale
+
+
+def test_overlapping_region_override_matches_from_regions():
+    # Two overlapping regions, the later winning: solve_case's override and
+    # CoefficientField.from_regions must give the same field.  The
+    # gaussian-source case's own blocks carry the background values.
+    from wg4.assembly import Region
+
+    regions = [
+        Region(shape="disk", center=(25.0, 25.0), radius=12.0,
+               kappa=np.diag([2.0, 1.0]), mu=0.5),
+        Region(shape="rect", bounds=(20.0, 20.0, 40.0, 40.0),
+               kappa=np.array([[1.0, 0.2], [0.2, 1.0]]), mu=0.1),
+    ]
+    mesh, spec, _, _ = solve_case(catalog_entry("gaussian-source"), 8, regions=regions)
+    expected = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, regions)
+    assert np.array_equal(spec.coeff.kappa, expected.kappa)
+    assert np.array_equal(spec.coeff.mu, expected.mu)
+    in_disk = regions[0].contains(*mesh.centroids.T)
+    in_rect = regions[1].contains(*mesh.centroids.T)
+    assert (in_disk & in_rect).any() and (in_disk & ~in_rect).any()
+    assert np.all(spec.coeff.mu[in_rect] == 0.1)
+    assert np.all(spec.coeff.mu[in_disk & ~in_rect] == 0.5)
+    assert np.all(spec.coeff.mu[~in_disk & ~in_rect] == ABSORPTION)

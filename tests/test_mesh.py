@@ -44,31 +44,34 @@ def test_area_sum_and_element_geometry(domain, n):
     mesh = build_structured_mesh(domain, n)
     x0, y0, x1, y1 = domain
     total = (x1 - x0) * (y1 - y0)
-    assert abs(sum(e.area for e in mesh.elements) - total) <= 1e-13 * total
+    assert abs(sum(mesh.areas) - total) <= 1e-13 * total
     expected_area = total / (2 * n * n)
-    for elem in mesh.elements:
-        assert elem.area == pytest.approx(expected_area, rel=1e-13)
-        pts = mesh.vertices[list(elem.vertices)]
+    diameters = mesh.edge_lengths[mesh.element_edges].max(axis=1)
+    for area, verts, diameter in zip(mesh.areas, mesh.element_vertices, diameters):
+        assert area == pytest.approx(expected_area, rel=1e-13)
+        pts = mesh.vertices[verts]
         sides = [np.linalg.norm(pts[(k + 1) % 3] - pts[k]) for k in range(3)]
-        assert elem.diameter == pytest.approx(max(sides), rel=1e-14)
+        assert diameter == pytest.approx(max(sides), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_normals_and_orientation_signs(n):
     mesh = build_structured_mesh(UNIT, n)
-    for elem in mesh.elements:
-        norms = np.linalg.norm(elem.normals, axis=1)
-        assert np.abs(norms - 1.0).max() <= 1e-14
+    for verts, edges, signs in zip(mesh.element_vertices, mesh.element_edges,
+                                   mesh.element_signs):
+        pts = mesh.vertices[verts]
         for k in range(3):
-            edge = mesh.edges[elem.edges[k]]
-            assert np.allclose(elem.normals[k], elem.signs[k] * edge.normal, atol=1e-14)
-    for eid, edge in enumerate(mesh.edges):
-        if edge.boundary:
+            d = pts[(k + 1) % 3] - pts[k]
+            normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)  # outward, CCW
+            assert abs(np.linalg.norm(mesh.edge_normals[edges[k]]) - 1.0) <= 1e-14
+            assert np.allclose(normal, signs[k] * mesh.edge_normals[edges[k]], atol=1e-14)
+    for eid in range(mesh.n_edges):
+        if mesh.boundary[eid]:
             continue
         signs = []
-        for ei in edge.elements:
-            k = mesh.elements[ei].edges.index(eid)
-            signs.append(mesh.elements[ei].signs[k])
+        for ei in mesh.edge_elements[eid]:
+            k = list(mesh.element_edges[ei]).index(eid)
+            signs.append(mesh.element_signs[ei, k])
         assert signs[0] == -signs[1]
 
 
@@ -78,8 +81,8 @@ def test_classify_boundary_counts(n, boundary, interior):
     flags = classify_boundary(mesh)
     assert flags.sum() == boundary == 4 * n
     assert (~flags).sum() == interior == 3 * n * n - 2 * n
-    for edge, flag in zip(mesh.edges, flags):
-        assert flag == (len(edge.elements) == 1)
+    for adjacent, flag in zip(mesh.edge_elements, flags):
+        assert flag == (len(adjacent[adjacent >= 0]) == 1)
 
 
 def test_negative_slope_diagonal():
@@ -87,7 +90,7 @@ def test_negative_slope_diagonal():
     # bottom-right corners.
     n = 3
     mesh = build_structured_mesh(UNIT, n)
-    pairs = {edge.vertices for edge in mesh.edges}
+    pairs = {tuple(verts) for verts in mesh.edge_vertices.tolist()}
     for j in range(n):
         for i in range(n):
             tl = (j + 1) * (n + 1) + i
@@ -97,12 +100,11 @@ def test_negative_slope_diagonal():
 
 def test_boundary_edge_normals_point_outward():
     mesh = build_structured_mesh(UNIT, 2)
-    for edge in mesh.edges:
-        if not edge.boundary:
-            continue
+    midpoints = mesh.edge_points().mean(axis=1)
+    for e in np.flatnonzero(mesh.boundary):
         # Outward means pointing away from the domain center.
-        to_center = np.array([0.5, 0.5]) - edge.midpoint
-        assert float(edge.normal @ to_center) < 0
+        to_center = np.array([0.5, 0.5]) - midpoints[e]
+        assert float(mesh.edge_normals[e] @ to_center) < 0
 
 
 def test_invalid_inputs_rejected():
@@ -133,5 +135,31 @@ def test_construction_is_deterministic():
     a = build_structured_mesh(UNIT, 4)
     b = build_structured_mesh(UNIT, 4)
     assert np.array_equal(a.vertices, b.vertices)
-    assert all(x.vertices == y.vertices and x.edges == y.edges and x.signs == y.signs
-               for x, y in zip(a.elements, b.elements))
+    assert all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("element_vertices", "element_edges", "element_signs"))
+
+
+def test_validate_names_culprit_under_optimized_python():
+    # The mesh checks raise explicitly, so ``python -O`` keeps them.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wg4
+
+    code = (
+        "import dataclasses\n"
+        "from wg4.mesh import build_structured_mesh, _validate\n"
+        "mesh = build_structured_mesh((0.0, 0.0, 1.0, 1.0), 4)\n"
+        "signs = mesh.element_signs.copy()\n"
+        "signs[5, 1] *= -1\n"
+        "try:\n"
+        "    _validate(dataclasses.replace(mesh, element_signs=signs))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(wg4.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "element 5: edge orientation sign is inconsistent"

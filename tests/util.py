@@ -7,6 +7,8 @@ stencils; it is independent of every code path under test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from wg4 import poly, weakops
@@ -46,8 +48,8 @@ def l2_q0_residual(mesh: Mesh, u) -> float:
     projection's own rule."""
     rule = poly.triangle_quadrature(12)
     total = 0.0
-    for elem in mesh.elements:
-        tri = poly.make_triangle(mesh.vertices[list(elem.vertices)])
+    for verts in mesh.element_vertices:
+        tri = poly.make_triangle(mesh.vertices[verts])
         coeffs = weakops.project_Q0(tri, u)
         basis = poly.ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
         pts, w = poly.map_to_triangle(rule, tri)
@@ -138,13 +140,66 @@ def monomial_fields():
     return cases
 
 
-def local_projection(geom, u, grad_u, kappa) -> weakops.LocalWeakFunction:
+@dataclass
+class LocalWeakFunction:
+    """Coefficients of one element-local triple {v0, vb, vg}, in the order
+    of the 18 local dofs.
+
+    vg rows are stored in the global-normal convention of each edge.
+    """
+
+    c0: np.ndarray  # (6,)
+    cb: np.ndarray  # (3, 2)
+    cg: np.ndarray  # (3, 2)
+
+    @classmethod
+    def zeros(cls) -> "LocalWeakFunction":
+        return cls(np.zeros(6), np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @classmethod
+    def from_vector(cls, vec: np.ndarray) -> "LocalWeakFunction":
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (weakops.N_LOCAL,):
+            raise ValueError(f"expected length-{weakops.N_LOCAL} vector, got {vec.shape}")
+        edges = vec[6:].reshape(3, 4)
+        return cls(c0=vec[:6].copy(), cb=edges[:, :2].copy(), cg=edges[:, 2:].copy())
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([self.c0, np.hstack([self.cb, self.cg]).ravel()])
+
+
+def local_of(wf: weakops.WeakFunction, mesh: Mesh, index: int) -> LocalWeakFunction:
+    """The local triple of element ``index`` of a global weak function."""
+    return LocalWeakFunction.from_vector(wf.coeffs[wf.dofmap.local_dofs(mesh)[index]])
+
+
+def scatter_local(wf: weakops.WeakFunction, mesh: Mesh, index: int,
+                  local: LocalWeakFunction) -> None:
+    wf.coeffs[wf.dofmap.local_dofs(mesh)[index]] = local.to_vector()
+
+
+def weak_laplacian_kappa(geom, local: LocalWeakFunction) -> float:
+    """Weak second-order elliptic operator of one local triple (a constant)."""
+    return float(weakops.weak_laplacian_matrix(geom) @ local.to_vector())
+
+
+def weak_gradient(geom, local: LocalWeakFunction) -> np.ndarray:
+    """Weak gradient coefficients (6,) of one local triple."""
+    return weakops.weak_gradient_matrix(geom) @ local.to_vector()
+
+
+def segment(view) -> np.ndarray:
+    """One edge view as a one-edge batch (1, 2, 2) of its endpoints."""
+    return np.stack([view.p1, view.p2])[None]
+
+
+def local_projection(geom, u, grad_u, kappa) -> LocalWeakFunction:
     """Element-local analogue of the global projection into the weak space."""
     kappa = np.asarray(kappa, dtype=float)
-    local = weakops.LocalWeakFunction.zeros()
+    local = LocalWeakFunction.zeros()
     local.c0 = weakops.project_Q0(geom, u)
     for k, view in enumerate(geom.edges):
-        local.cb[k] = weakops.project_Qb(view, u)
+        local.cb[k] = weakops.project_Qb(segment(view), u)[0]
         normal = view.sigma * view.normal  # global normal of this edge
 
         def flux(x, y, normal=normal):
@@ -153,9 +208,53 @@ def local_projection(geom, u, grad_u, kappa) -> weakops.LocalWeakFunction:
                 kappa[1, 0] * gx + kappa[1, 1] * gy
             )
 
-        local.cg[k] = weakops.project_Qg(view, flux)
+        local.cg[k] = weakops.project_Qg(segment(view), flux)[0]
     return local
 
 
 def unit_square_mesh(n: int) -> Mesh:
     return build_structured_mesh((0.0, 0.0, 1.0, 1.0), n)
+
+
+# ---------------------------------------------------------------------------
+# per-element references for the batched kernels
+# ---------------------------------------------------------------------------
+
+
+def element_load(geom, f) -> np.ndarray:
+    """Load vector (6,) of ``f`` on one element, by quadrature on the
+    physical triangle."""
+    basis = poly.ElementBasis.for_triangle(geom.tri, weakops.INTERIOR_DEGREE)
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts, w = poly.map_to_triangle(rule, geom.tri)
+    return basis.eval(pts).T @ (w * f(pts[:, 0], pts[:, 1]))
+
+
+def edge_projection(p1, p2, g) -> np.ndarray:
+    """P1(e) coefficients of ``g`` on the edge p1 -> p2, by quadrature on
+    that edge and its own Gram matrix."""
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    length = float(np.linalg.norm(p2 - p1))
+    pts = 0.5 * (p1 + p2) + rule.points[:, None] * (p2 - p1)
+    vals = poly.EdgeBasis(weakops.EDGE_DEGREE).eval(rule.points)
+    rhs = vals.T @ (rule.weights * length * g(pts[:, 0], pts[:, 1]))
+    return np.linalg.solve(poly.edge_mass_matrix(length, weakops.EDGE_DEGREE), rhs)
+
+
+def error_sums(mesh: Mesh, e: np.ndarray) -> tuple[float, float, float]:
+    """l2_e0, eb_edge and eg_edge of an error vector, summed element by
+    element with each element's and edge's own Gram matrices."""
+    base = weakops.N_INTERIOR * mesh.n_elements
+    l2 = eb = eg = 0.0
+    for i, (verts, edges) in enumerate(zip(mesh.element_vertices, mesh.element_edges)):
+        tri = poly.make_triangle(mesh.vertices[verts])
+        d0 = e[6 * i : 6 * i + 6]
+        l2 += float(d0 @ poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE) @ d0)
+        h = poly.mesh_size(tri)
+        for eid in edges:
+            emass = poly.edge_mass_matrix(mesh.edge_lengths[eid], weakops.EDGE_DEGREE)
+            block = e[base + 4 * eid : base + 4 * eid + 4]
+            db, dg = block[:2], block[2:]
+            eb += h * float(db @ emass @ db)
+            eg += h * float(dg @ emass @ dg)
+    return float(np.sqrt(l2)), float(np.sqrt(eb)), float(np.sqrt(eg))
