@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import jacobian_determinants
+
 __all__ = [
     "Mesh",
     "build_structured_mesh",
@@ -135,8 +137,7 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     dots = np.einsum("eki,eki->ek", normals, edge_normals[element_edges])
     element_signs = np.where(dots > 0.0, 1, -1).astype(np.int8)
 
-    d01, d02 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
-    areas = 0.5 * (d01[:, 0] * d02[:, 1] - d01[:, 1] * d02[:, 0])
+    areas = 0.5 * jacobian_determinants(points)
     if (areas <= 0.0).any():
         bad = int(np.flatnonzero(areas <= 0.0)[0])
         raise ValueError(f"element {bad} has non-positive area {areas[bad]}")

@@ -68,12 +68,18 @@ class Triangle:
     diameter: float  # longest side
 
 
+def jacobian_determinants(points: np.ndarray) -> np.ndarray:
+    """det J = 2|T| (E,) of the affine maps J = [v1 - v0, v2 - v0] from the
+    reference triangle onto the triangles ``points`` (E, 3, 2)."""
+    d1, d2 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
 def make_triangle(vertices: np.ndarray) -> Triangle:
     pts = np.asarray(vertices, dtype=float)
     if pts.shape != (3, 2):
         raise ValueError(f"expected (3, 2) vertex array, got {pts.shape}")
-    d1, d2 = pts[1] - pts[0], pts[2] - pts[0]
-    area = 0.5 * float(d1[0] * d2[1] - d1[1] * d2[0])
+    area = 0.5 * float(jacobian_determinants(pts[None])[0])
     if area <= 0.0:
         raise ValueError(f"triangle area must be positive (CCW vertices), got {area}")
     sides = [float(np.linalg.norm(pts[(k + 1) % 3] - pts[k])) for k in range(3)]
@@ -143,13 +149,6 @@ def map_to_triangles(rule: QuadratureRule, points: np.ndarray) -> np.ndarray:
     each triangle's 2|T|."""
     v0 = points[:, :1]
     return v0 + rule.points @ (points[:, 1:] - v0)
-
-
-def jacobian_determinants(points: np.ndarray) -> np.ndarray:
-    """det J = 2|T| (E,) of the affine maps J = [v1 - v0, v2 - v0] from the
-    reference triangle onto the triangles ``points`` (E, 3, 2)."""
-    d1, d2 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
-    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
 def inverse_jacobians(points: np.ndarray) -> np.ndarray:

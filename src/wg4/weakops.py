@@ -280,7 +280,9 @@ def _weighted_interior_basis() -> np.ndarray:
     at the mapped points of every element."""
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
     basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
-    return basis.eval(rule.points) * rule.weights[:, None]
+    table = basis.eval(rule.points) * rule.weights[:, None]
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def interior_moments(points: np.ndarray, u) -> np.ndarray:
@@ -297,7 +299,9 @@ def _edge_projector() -> np.ndarray:
     coefficients; the edge length cancels, so it serves every edge."""
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     weighted = _EDGE_BASIS.eval(rule.points) * rule.weights[:, None]
-    return np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), weighted.T)
+    projector = np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), weighted.T)
+    projector.flags.writeable = False  # shared by every caller
+    return projector
 
 
 def _project_edges(segments: np.ndarray, u) -> np.ndarray:
