@@ -64,8 +64,7 @@ _SCHEMA: dict[str, dict[str, bool]] = {
     "mesh-dump": {"n": True, "out": False, "domain": False},
 }
 
-_SOLVER_KEYS = {"method": False, "tolerance": False, "max_iterations": False,
-                "preconditioner": False}
+_SOLVER_KEYS = {"tolerance": False}
 
 
 def _type_error(path: str, expected: str, value) -> ConfigError:
@@ -105,14 +104,8 @@ def _parse_solver(obj, path: str) -> SolverConfig:
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
     kwargs = {}
-    if "method" in obj:
-        kwargs["method"] = _as_str(obj["method"], f"{path}.method")
     if "tolerance" in obj:
         kwargs["tolerance"] = _as_number(obj["tolerance"], f"{path}.tolerance")
-    if "max_iterations" in obj:
-        kwargs["max_iterations"] = _as_int(obj["max_iterations"], f"{path}.max_iterations")
-    if "preconditioner" in obj:
-        kwargs["preconditioner"] = _as_str(obj["preconditioner"], f"{path}.preconditioner")
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -254,10 +247,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
-    lines = ["x,y,u0"]
-    for (x, y), v in zip(points, values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([points, values]).ravel().tolist()
+    return "x,y,u0\n" + ("%.5e,%.5e,%.5e\n" * len(values)) % tuple(rows)
 
 
 def _run_field_command(cfg: RunConfig) -> None:

@@ -1,12 +1,16 @@
 """Sparse SPD solves with a controlled residual.
 
-The default path is a direct sparse factorization with iterative
-refinement; the system conditioning grows like h^-4, which makes plain
-conjugate gradients fragile on fine meshes.  CG with an optional
-diagonal preconditioner remains available for memory-constrained runs.
+The global system is factored once by SuperLU in symmetric mode: the
+minimum-degree ordering of A^T + A is applied to rows and columns alike,
+and the pivots are taken from the diagonal.  No pivoting is needed
+because the matrix is symmetric positive definite, so every diagonal
+pivot of a symmetric permutation is positive (Li, ACM TOMS 31, 2005;
+Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  The
+iterative refinement and the backward-error test below guard the result
+should rounding make a pivot small.
 
-A direct solve stops as soon as the relative residual ||A x - b|| / ||b||
-meets the tolerance.  In float64 that residual cannot drop below about
+A solve stops as soon as the relative residual ||A x - b|| / ||b|| meets
+the tolerance.  In float64 that residual cannot drop below about
 eps * ||A|| ||x|| / ||b||, which grows like h^-4, so on fine meshes the
 target can lie out of reach of any solver.  When refinement ends above
 it, the solve is still accepted if x has a normwise backward error
@@ -14,7 +18,6 @@ it, the solve is still accepted if x has a normwise backward error
 (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
 Algorithms, sec. 7.1): x is then the exact solution of a system within
 that relative distance of the one posed.  Otherwise SolverError is raised.
-CG must meet the relative-residual tolerance itself.
 """
 
 from __future__ import annotations
@@ -38,22 +41,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "direct"  # "direct" | "cg"
-    # relative residual target; a direct solve that cannot reach it is
-    # accepted on a normwise backward error within the same bound
+    # relative residual target; a solve that cannot reach it is accepted
+    # on a normwise backward error within the same bound
     tolerance: float = 1e-10
-    max_iterations: int | None = None  # default: 20 * dof count
-    preconditioner: str = "none"  # "none" | "diagonal" (cg only)
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.preconditioner not in ("none", "diagonal"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -70,10 +64,10 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
     """Solve ``system`` (an AssembledSystem or (matrix, rhs) pair).
 
     Returns (free-dof vector, SolveReport).  The relative residual
-    ||A x - b|| / ||b|| is at or below the configured tolerance, or, for a
-    direct solve whose refinement cannot reach it, the normwise backward
-    error of x is, and the report's ``backward_error`` says so.  Failure
-    raises SolverError carrying the residual history.
+    ||A x - b|| / ||b|| is at or below the configured tolerance, or, when
+    refinement cannot reach it, the normwise backward error of x is, and
+    the report's ``backward_error`` says so.  Failure raises SolverError
+    carrying the residual history.
     """
     if hasattr(system, "matrix"):
         matrix, rhs = system.matrix, system.rhs
@@ -86,14 +80,13 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(iterations=0, residual=0.0)
 
-    if config.method == "direct":
-        return _solve_direct(matrix, rhs, bnorm, config)
-    return _solve_cg(matrix, rhs, bnorm, config)
-
-
-def _solve_direct(matrix, rhs, bnorm, config):
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except Exception as exc:  # singular or structurally broken factorization
         raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
     x = lu.solve(rhs)
@@ -131,30 +124,3 @@ def _backward_error(matrix, rhs, x, r) -> float:
     anorm = float(abs(matrix).sum(axis=1).max())
     denom = anorm * float(np.abs(x).max()) + float(np.abs(rhs).max())
     return float(np.abs(r).max()) / denom
-
-
-def _solve_cg(matrix, rhs, bnorm, config):
-    maxiter = config.max_iterations or 20 * matrix.shape[0]
-    precond = None
-    if config.preconditioner == "diagonal":
-        diag = matrix.diagonal()
-        if (diag <= 0).any():
-            raise SolverError("nonpositive diagonal entry; matrix is not SPD")
-        precond = spla.LinearOperator(matrix.shape, matvec=lambda v: v / diag)
-
-    history: list[float] = []
-
-    def callback(xk):
-        history.append(float(np.linalg.norm(rhs - matrix @ xk)) / bnorm)
-
-    x, info = spla.cg(
-        matrix, rhs, rtol=config.tolerance, atol=0.0, maxiter=maxiter, M=precond, callback=callback
-    )
-    rel = float(np.linalg.norm(rhs - matrix @ x)) / bnorm
-    if info != 0 or rel > config.tolerance:
-        raise SolverError(
-            f"cg failed to reach tolerance {config.tolerance:.3e} within "
-            f"{maxiter} iterations (residual {rel:.3e})",
-            history,
-        )
-    return x, SolveReport(iterations=len(history), residual=rel, residual_history=history)

@@ -67,6 +67,11 @@ def test_negative_mu_rejected():
     (json.dumps({"command": "solve", "case": "sine", "n": 4,
                  "solver": {"method": "gmres"}}), "$.solver"),
     (json.dumps({"command": "solve", "case": "sine", "n": 4,
+                 "solver": {"max_iterations": 2}}), "$.solver.max_iterations: unknown key"),
+    (json.dumps({"command": "solve", "case": "sine", "n": 4,
+                 "solver": {"preconditioner": "diagonal"}}),
+     "$.solver.preconditioner: unknown key"),
+    (json.dumps({"command": "solve", "case": "sine", "n": 4,
                  "source": [1, 2]}), "$.source"),
     (json.dumps({"command": "ft-demo", "scenario": "sine", "n": 4}),
      "$.scenario"),
@@ -138,7 +143,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "command": "solve", "case": "sine", "n": 4,
-        "solver": {"method": "cg", "max_iterations": 2},
+        "solver": {"tolerance": 1e-300},
     }))
     code = main(["solve", "--config", str(config)])
     captured = capsys.readouterr()
