@@ -27,6 +27,19 @@ boundary projections are batched over all elements or edges.
 Dirichlet and Neumann data enter as essential constraints: every vb/vg
 block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
+
+An assembled system has two parts.  The operator depends only on the
+mesh and the coefficient field: the DofMap, the free-dof mask, the full
+and the reduced matrix, the class matrices, and the SuperLU factorization
+of the reduced matrix, which ``solve.solve_spd`` fills in on first use.
+The load depends on the problem's data: the interior load vector, the
+boundary Qb/Qg values and the reduced right-hand side.  Tomography solves
+one problem per source on one medium, so the last operator assembled is
+kept in one process-wide slot, keyed on the mesh's domain and subdivision
+count and on exact equality of kappa and mu.  ``assemble`` and
+``triple_bar_norm`` reuse it while the key matches; a miss empties the
+slot before assembling, so at most one factorization is alive.  The
+slot's arrays are shared by every caller and are read-only.
 """
 
 from __future__ import annotations
@@ -54,11 +67,14 @@ __all__ = [
     "Region",
     "CoefficientField",
     "ProblemSpec",
+    "Operator",
     "AssembledSystem",
     "AssemblyError",
     "local_system",
     "local_load",
     "assemble",
+    "reusable_mesh",
+    "empty_slot",
     "triple_bar_norm",
 ]
 
@@ -181,14 +197,54 @@ class ProblemSpec:
         return self.exact_u is not None and self.exact_grad is not None
 
 
-@dataclass
-class AssembledSystem:
-    matrix: sp.csr_matrix  # free x free, symmetric positive definite
-    rhs: np.ndarray
+@dataclass(eq=False)
+class Operator:
+    """The part of an assembled system fixed by the mesh and the
+    coefficient field; see the module docstring."""
+
+    mesh: Mesh
+    kappa: np.ndarray  # the coefficient field it was assembled for
+    mu: np.ndarray
     dofmap: DofMap
     free: np.ndarray  # boolean mask over all dofs
-    boundary_values: np.ndarray  # full-length, nonzero only on boundary dofs
     full_matrix: sp.csr_matrix  # all dofs, no constraints applied
+    matrix: sp.csr_matrix  # free x free, symmetric positive definite
+    class_matrices: np.ndarray  # (C, 18, 18), one per element class
+    classes: np.ndarray  # (E,), each element's class
+    lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
+
+    def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
+        return (
+            self.mesh.domain == mesh.domain
+            and self.mesh.n == mesh.n
+            and np.array_equal(self.kappa, coeff.kappa)
+            and np.array_equal(self.mu, coeff.mu)
+        )
+
+
+@dataclass
+class AssembledSystem:
+    """One problem's system: the operator and the problem's load."""
+
+    operator: Operator
+    rhs: np.ndarray  # (b - full_matrix @ boundary_values)[free]
+    boundary_values: np.ndarray  # full-length, nonzero only on boundary dofs
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self.operator.matrix
+
+    @property
+    def full_matrix(self) -> sp.csr_matrix:
+        return self.operator.full_matrix
+
+    @property
+    def dofmap(self) -> DofMap:
+        return self.operator.dofmap
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.operator.free
 
     def expand(self, x_free: np.ndarray) -> WeakFunction:
         """Recombine a free-dof solution with the boundary values."""
@@ -285,17 +341,57 @@ def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np
     return np.stack(mats), classes
 
 
-def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
-    """Assemble the full system and eliminate boundary dofs symmetrically."""
+#: The last operator assembled; see the module docstring.
+_slot: Operator | None = None
+
+
+def reusable_mesh(domain, n: int) -> Mesh | None:
+    """The slot's mesh if it was built on ``domain`` with ``n`` subdivisions."""
+    if _slot is not None and _slot.mesh.domain == tuple(domain) and _slot.mesh.n == n:
+        return _slot.mesh
+    return None
+
+
+def empty_slot() -> None:
+    """Drop the slot's operator, and with it its factorization."""
+    global _slot
+    _slot = None
+
+
+def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
+    """The operator of (mesh, coeff): the slot's if it matches, otherwise
+    a new one, which takes the slot."""
+    global _slot
+    if _slot is not None and _slot.matches(mesh, coeff):
+        return _slot
+    _slot = None  # free the old factorization before building the next
     dofmap = DofMap.for_mesh(mesh)
     size = dofmap.size
     idx = dofmap.local_dofs(mesh)
-    mats, classes = _class_matrices(mesh, spec.coeff)
+    mats, classes = _class_matrices(mesh, coeff)
     rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     del rows, cols  # 2 x 324 indices per element; free them before the slicing below
+    free = ~dofmap.boundary_mask(mesh)
+    matrix = full[free][:, free].tocsr()
+    op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), dofmap=dofmap,
+                  free=free, full_matrix=full, matrix=matrix, class_matrices=mats,
+                  classes=classes)
+    shared = (op.kappa, op.mu, free, mats, classes,
+              full.data, full.indices, full.indptr, matrix.data, matrix.indices, matrix.indptr)
+    for array in shared:
+        array.flags.writeable = False
+    _slot = op
+    return op
 
+
+def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
+    """The system of ``spec`` on ``mesh`` with boundary dofs eliminated
+    symmetrically: the operator of (mesh, spec.coeff), from the slot when
+    it matches, and the load of the problem's data."""
+    op = _operator(mesh, spec.coeff)
+    size = op.dofmap.size
     b = np.zeros(size)
     b[: N_INTERIOR * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
 
@@ -308,21 +404,14 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     if not np.isfinite(boundary_values).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    free = ~dofmap.boundary_mask(mesh)
-    rhs = (b - full @ boundary_values)[free]
-    matrix = full[free][:, free].tocsr()
-    return AssembledSystem(
-        matrix=matrix,
-        rhs=rhs,
-        dofmap=dofmap,
-        free=free,
-        boundary_values=boundary_values,
-        full_matrix=full,
-    )
+    rhs = (b - op.full_matrix @ boundary_values)[op.free]
+    return AssembledSystem(operator=op, rhs=rhs, boundary_values=boundary_values)
 
 
 def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
-    """Discrete energy norm: square root of the assembled quadratic form.
+    """Discrete energy norm: square root of the assembled quadratic form,
+    summed class by class with the slot's class matrices when the slot
+    holds the operator of (mesh, coeff).
 
     ``w`` is a WeakFunction or a full-length coefficient vector (boundary
     blocks included; they are zero for error functions).
@@ -332,7 +421,10 @@ def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     if coeffs.shape != (dofmap.size,):
         raise ValueError(f"expected coefficient vector of length {dofmap.size}")
     local = coeffs[dofmap.local_dofs(mesh)]
-    mats, classes = _class_matrices(mesh, coeff)
+    if _slot is not None and _slot.matches(mesh, coeff):
+        mats, classes = _slot.class_matrices, _slot.classes
+    else:
+        mats, classes = _class_matrices(mesh, coeff)
     total = 0.0
     for c, mat in enumerate(mats):
         members = local[classes == c]

@@ -4,6 +4,12 @@ Two manufactured cases with known exact solutions drive the convergence
 studies; three forward-model scenarios mimic fluorescence-tomography
 setups (localized boundary data over a strongly discontinuous diffusion
 coefficient, and interior Gaussian light sources).
+
+``solve_case`` reuses the operator slot of ``wg4.assembly``: a call on
+the mesh and coefficient field of the operator in the slot takes its
+mesh, matrices and factorization, and computes only the coefficient
+checks, the load and the solve.  A series of Gaussian sources on one
+medium, as in tomography, thus assembles and factors once.
 """
 
 from __future__ import annotations
@@ -323,17 +329,26 @@ def solve_case(
     config: SolverConfig = SolverConfig(),
     regions: Sequence[Region] | None = None,
 ) -> tuple[Mesh, ProblemSpec, WeakFunction, SolveReport]:
-    """Build, assemble and solve one scenario at subdivision count n.
+    """Build, assemble and solve one scenario at subdivision count n,
+    reusing the operator slot's mesh, matrices and factorization where
+    they match (see the module docstring).
 
     ``regions`` optionally overrides coefficient regions on top of the
     case's own field (the inclusion hook of the Gaussian scenario).
     """
-    mesh = entry.make_mesh(n)
+    mesh = assembly.reusable_mesh(entry.domain, n)
+    if mesh is None:
+        mesh = entry.make_mesh(n)
     spec = entry.problem(mesh)
     if regions:
         spec = dataclasses.replace(spec, coeff=spec.coeff.with_regions(mesh, regions))
     system = assembly.assemble(mesh, spec)
-    x_free, report = solve_mod.solve_spd(system, config)
+    try:
+        x_free, report = solve_mod.solve_spd(system, config)
+    except solve_mod.SolverError:
+        if system.operator.lu is None:  # the factorization failed; keep no operator without one
+            assembly.empty_slot()
+        raise
     return mesh, spec, system.expand(x_free), report
 
 

@@ -23,7 +23,8 @@ A mesh is a struct of arrays, built without per-entity Python loops:
 * ``areas`` (E,) and ``centroids`` (E, 2).
 
 Edges are numbered in order of first appearance, scanning elements in
-order and each element's local edges in order.
+order and each element's local edges in order.  The arrays are read-only:
+a mesh is shared by every solve that reuses it.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
         areas=areas,
         centroids=points.mean(axis=1),
     )
+    for array in vars(mesh).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False  # shared by every solve on this mesh
     _validate(mesh)
     return mesh
 

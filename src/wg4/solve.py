@@ -1,13 +1,14 @@
 """Sparse SPD solves with a controlled residual.
 
-The global system is factored once by SuperLU in symmetric mode: the
+The global system is factored by SuperLU in symmetric mode: the
 minimum-degree ordering of A^T + A is applied to rows and columns alike,
 and the pivots are taken from the diagonal.  No pivoting is needed
 because the matrix is symmetric positive definite, so every diagonal
 pivot of a symmetric permutation is positive (Li, ACM TOMS 31, 2005;
 Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  The
 iterative refinement and the backward-error test below guard the result
-should rounding make a pivot small.
+should rounding make a pivot small.  Since A is symmetric, its CSR arrays
+go to SuperLU uncopied, as the CSC form of A^T = A.
 
 A solve stops as soon as the relative residual ||A x - b|| / ||b|| meets
 the tolerance.  In float64 that residual cannot drop below about
@@ -18,6 +19,12 @@ it, the solve is still accepted if x has a normwise backward error
 (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
 Algorithms, sec. 7.1): x is then the exact solution of a system within
 that relative distance of the one posed.  Otherwise SolverError is raised.
+
+An assembled system's matrix belongs to its operator (see
+``wg4.assembly``), which the systems of later problems on the same mesh
+and coefficients share.  The factorization is kept on the operator: the
+first solve makes it, and every later solve on the operator only runs the
+triangular solves, the refinement and the acceptance tests above.
 """
 
 from __future__ import annotations
@@ -61,18 +68,18 @@ class SolveReport:
 
 
 def solve_spd(system, config: SolverConfig = SolverConfig()):
-    """Solve ``system`` (an AssembledSystem or (matrix, rhs) pair).
+    """Solve ``system`` (an AssembledSystem or (matrix, rhs) pair) for a
+    symmetric positive definite matrix.
 
     Returns (free-dof vector, SolveReport).  The relative residual
     ||A x - b|| / ||b|| is at or below the configured tolerance, or, when
     refinement cannot reach it, the normwise backward error of x is, and
     the report's ``backward_error`` says so.  Failure raises SolverError
-    carrying the residual history.
+    carrying the residual history.  An AssembledSystem's factorization is
+    read from its operator, or made and stored there on first use.
     """
-    if hasattr(system, "matrix"):
-        matrix, rhs = system.matrix, system.rhs
-    else:
-        matrix, rhs = system
+    operator = getattr(system, "operator", None)
+    matrix, rhs = (operator.matrix, system.rhs) if operator is not None else system
     matrix = sp.csr_matrix(matrix)
     rhs = np.asarray(rhs, dtype=float)
 
@@ -80,15 +87,19 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(iterations=0, residual=0.0)
 
-    try:
-        lu = spla.splu(
-            matrix.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except Exception as exc:  # singular or structurally broken factorization
-        raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
+    lu = operator.lu if operator is not None else None
+    if lu is None:
+        try:
+            lu = spla.splu(
+                sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except Exception as exc:  # singular or structurally broken factorization
+            raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
+        if operator is not None:
+            operator.lu = lu
     x = lu.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):

@@ -14,7 +14,7 @@ from wg4.assembly import (
     local_system,
     triple_bar_norm,
 )
-from wg4.harness import case_sine
+from wg4.harness import case_sine, catalog_entry
 from wg4.solve import solve_spd
 from wg4.weakops import DofMap
 
@@ -232,3 +232,15 @@ def test_coefficient_field_names_first_bad_element():
     mu[7] = -0.1
     with pytest.raises(ValueError, match=r"^mu\[7\]: must be nonnegative"):
         CoefficientField(kappa=kappa, mu=mu)
+
+
+@pytest.mark.parametrize("case,n", [("sine", 16), ("boundary-indicator", 16),
+                                    ("gaussian-source", 8)])
+def test_assembled_matrices_exactly_symmetric(case, n):
+    # solve_spd hands the CSR arrays to SuperLU as the CSC form of A^T,
+    # which is A only when the symmetry is exact
+    entry = catalog_entry(case)
+    mesh = entry.make_mesh(n)
+    system = assemble(mesh, entry.problem(mesh))
+    assert (system.matrix != system.matrix.T).nnz == 0
+    assert (system.full_matrix != system.full_matrix.T).nnz == 0

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from wg4.cli import main
+from wg4 import assembly
+from wg4.cli import main, parse_config, run
+from wg4.harness import DEFAULT_SOURCE, SECOND_SOURCE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,7 +51,7 @@ def _last_place(cell: str) -> float:
     return 10.0 ** (int(exponent) - decimals)
 
 
-def test_ft_demo_field_within_last_digit(tmp_path):
+def _assert_field_matches_golden(text: str) -> None:
     """The gaussian-source field at n=8, cell by cell, within one unit in
     the last printed digit.
 
@@ -57,10 +59,7 @@ def test_ft_demo_field_within_last_digit(tmp_path):
     order (a batched load or projection adds the same terms in another
     order), so the last printed digit of a cell may move by one.
     """
-    out = tmp_path / "field.csv"
-    argv = ["ft-demo", "--scenario", "gaussian-source", "--n", "8", "--grid", "11"]
-    assert main(argv + ["--out", str(out)]) == 0
-    got = out.read_text().strip().split("\n")
+    got = text.strip().split("\n")
     want = (GOLDEN / "ft-demo-gaussian-n8-grid11.csv").read_text().strip().split("\n")
     assert got[0] == want[0] == "x,y,u0"
     assert len(got) == len(want) == 11 * 11 + 1
@@ -69,3 +68,28 @@ def test_ft_demo_field_within_last_digit(tmp_path):
             assert abs(float(gc) - float(wc)) <= _last_place(wc) * (1.0 + 1e-9), (
                 f"row {row} column {col}: {gc} against golden {wc}"
             )
+
+
+def test_ft_demo_field_within_last_digit(tmp_path):
+    out = tmp_path / "field.csv"
+    argv = ["ft-demo", "--scenario", "gaussian-source", "--n", "8", "--grid", "11"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _assert_field_matches_golden(out.read_text())
+
+
+def test_ft_demo_sources_in_one_process(tmp_path):
+    """The default source, a second source, then the default source again
+    in one process: the last run reuses the operator of the first and
+    must write the same bytes."""
+    assembly.empty_slot()
+    fields = []
+    for k, source in enumerate([DEFAULT_SOURCE, SECOND_SOURCE, DEFAULT_SOURCE]):
+        out = tmp_path / f"field-{k}.csv"
+        cfg = parse_config(json.dumps({
+            "command": "ft-demo", "scenario": "gaussian-source", "n": 8, "grid": 11,
+            "source": list(source), "out": str(out),
+        }))
+        assert run(cfg) == 0
+        fields.append(out.read_bytes())
+    assert fields[0] == fields[2] != fields[1]
+    _assert_field_matches_golden(fields[0].decode())

@@ -6,7 +6,7 @@ import pytest
 from util import fd_fourth_order_operator, unit_square_mesh
 
 from wg4 import harness, weakops
-from wg4.assembly import CoefficientField, ProblemSpec
+from wg4.assembly import CoefficientField, ProblemSpec, assemble
 from wg4.errors import error_report
 from wg4.harness import (
     CATALOG,
@@ -310,3 +310,17 @@ def test_overlapping_region_override_matches_from_regions():
     assert np.all(spec.coeff.mu[in_rect] == 0.1)
     assert np.all(spec.coeff.mu[in_disk & ~in_rect] == 0.5)
     assert np.all(spec.coeff.mu[~in_disk & ~in_rect] == ABSORPTION)
+
+
+def test_shared_arrays_are_read_only():
+    # the mesh and the operator are shared by every later solve on them
+    mesh, spec, _, _ = solve_case(catalog_entry("sine"), 4)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[0, 0] = 0.5
+    for name, array in vars(mesh).items():
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable, name
+    system = assemble(mesh, spec)
+    for matrix in (system.matrix, system.full_matrix):
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            assert not array.flags.writeable

@@ -6,8 +6,16 @@ import scipy.sparse.linalg as spla
 from util import unit_square_mesh
 
 import wg4.solve
-from wg4.assembly import assemble
-from wg4.harness import case_sine, catalog_entry, solve_case
+from wg4 import assembly
+from wg4.assembly import Region, assemble
+from wg4.harness import (
+    ABSORPTION,
+    SECOND_SOURCE,
+    case_ft_gaussian,
+    case_sine,
+    catalog_entry,
+    solve_case,
+)
 from wg4.solve import SolveReport, SolverConfig, SolverError, solve_spd
 
 
@@ -62,17 +70,81 @@ class _RecordingLinalg:
         return getattr(spla, name)
 
 
-def test_factorization_is_symmetric(monkeypatch):
-    mesh = unit_square_mesh(16)
-    system = assemble(mesh, case_sine().problem(mesh))
+@pytest.fixture
+def recorder(monkeypatch):
+    """A recording stand-in for scipy.sparse.linalg, with the operator
+    slot emptied first."""
+    assembly.empty_slot()
     recorder = _RecordingLinalg()
     monkeypatch.setattr(wg4.solve, "spla", recorder)
+    return recorder
+
+
+def test_factorization_is_symmetric(recorder):
+    mesh = unit_square_mesh(16)
+    system = assemble(mesh, case_sine().problem(mesh))
     _, report = solve_spd(system)
     (lu,) = recorder.factors
     # one symmetric permutation of rows and columns: no row pivoting
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert lu.nnz <= spla.splu(system.matrix.tocsc()).nnz / 2
     assert report.residual <= 1e-10
+    # the CSR arrays handed over as CSC factor exactly like a CSC copy
+    copy = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_c, copy.perm_c)
+    for got, want in ((lu.L, copy.L), (lu.U, copy.U)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_second_source_reuses_the_factorization(recorder):
+    solve_case(case_ft_gaussian(), 8)
+    _, _, warm, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
+    assert len(recorder.factors) == 1
+    assembly.empty_slot()
+    _, _, cold, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
+    assert len(recorder.factors) == 2
+    assert np.array_equal(warm.coeffs, cold.coeffs)
+
+
+@pytest.mark.parametrize("change", ["kappa", "n", "domain"])
+def test_changed_operator_key_refactors(recorder, change):
+    mesh, spec, _, _ = solve_case(catalog_entry("gaussian-source"), 8)
+    if change == "kappa":
+        region = Region(shape="disk", center=(25.0, 15.0), radius=4.0,
+                        kappa=2.0 * np.eye(2), mu=ABSORPTION)
+        solve_case(catalog_entry("gaussian-source"), 8, regions=[region])
+    elif change == "n":
+        solve_case(catalog_entry("gaussian-source"), 16)
+    else:
+        # the sine case has the same coefficient values on the unit square
+        other_mesh, other, _, _ = solve_case(case_sine(), 8)
+        assert other_mesh.domain != mesh.domain
+        assert np.array_equal(other.coeff.kappa, spec.coeff.kappa)
+        assert np.array_equal(other.coeff.mu, spec.coeff.mu)
+    assert len(recorder.factors) == 2
+
+
+def test_unmet_tolerance_keeps_the_operator(recorder):
+    entry = catalog_entry("gaussian-source")
+    with pytest.raises(SolverError):
+        solve_case(entry, 8, SolverConfig(tolerance=1e-300))
+    _, _, _, report = solve_case(entry, 8)
+    assert len(recorder.factors) == 1
+    assert report.residual <= 1e-10
+
+
+def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no factorization")
+
+    monkeypatch.setattr(recorder, "splu", fail)
+    entry = catalog_entry("gaussian-source")
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_case(entry, 8)
+    assert assembly.reusable_mesh(entry.domain, 8) is None
 
 
 def test_high_contrast_solve_without_pivoting():
