@@ -16,7 +16,7 @@ from .assembly import (
 )
 from .errors import ErrorReport, convergence_orders, error_report
 from .harness import CATALOG, run_convergence, sample_field, solve_case
-from .mesh import Mesh, build_structured_mesh, classify_boundary
+from .mesh import Mesh, build_structured_mesh
 from .solve import SolverConfig, SolverError, solve_spd
 from .weakops import DofMap, WeakFunction, project_Qh
 
@@ -35,7 +35,6 @@ __all__ = [
     "WeakFunction",
     "assemble",
     "build_structured_mesh",
-    "classify_boundary",
     "convergence_orders",
     "error_report",
     "project_Qh",

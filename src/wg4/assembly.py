@@ -18,10 +18,14 @@ the jump factor keeps the scheme exact for globally quadratic solutions,
 which the raw trace difference would break by penalizing the quadratic
 Legendre moment the edge space cannot represent.
 
-Element matrices are computed once per class of elements that share
+Element matrices come from one call of the array kernel
+``local_system`` on a batch of triangles, with every integral taken from
+reference-triangle tables under the affine map (see ``wg4.weakops``).
+The batch holds one representative of each class of elements that share
 their local geometry (centroid-relative vertices, each edge's p1 -> p2
-orientation and sigma sign) and their kappa and mu; on a structured mesh
-with uniform coefficients there are five such classes.  Loads and
+orientation and sigma sign) and their kappa and mu: on a structured mesh
+with uniform coefficients there are five such classes, and with
+per-element coefficients every element is its own class.  Loads and
 boundary projections are batched over all elements or edges.
 
 Dirichlet and Neumann data enter as essential constraints: every vb/vg
@@ -29,17 +33,18 @@ block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the DofMap, the free-dof mask, the full
-and the reduced matrix, the class matrices, and the SuperLU factorization
-of the reduced matrix, which ``solve.solve_spd`` fills in on first use.
-The load depends on the problem's data: the interior load vector, the
-boundary Qb/Qg values and the reduced right-hand side.  Tomography solves
-one problem per source on one medium, so the last operator assembled is
-kept in one process-wide slot, keyed on the mesh's domain and subdivision
-count and on exact equality of kappa and mu.  ``assemble`` and
-``triple_bar_norm`` reuse it while the key matches; a miss empties the
-slot before assembling, so at most one factorization is alive.  The
-slot's arrays are shared by every caller and are read-only.
+mesh and the coefficient field: the DofMap, the free-dof mask, the
+reduced matrix, its coupling block to the boundary dofs, the class
+matrices, and the SuperLU factorization of the reduced matrix, which
+``solve.solve_spd`` fills in on first use.  The load depends on the
+problem's data: the interior load vector, the boundary Qb/Qg values and
+the reduced right-hand side, lifted by the coupling block.  Tomography
+solves one problem per source on one medium, so the last operator
+assembled is kept in one process-wide slot, keyed on the mesh's domain
+and subdivision count and on exact equality of kappa and mu.
+``assemble`` and ``triple_bar_norm`` reuse it while the key matches; a
+miss empties the slot before assembling, so at most one factorization is
+alive.  The slot's arrays are shared by every caller and are read-only.
 """
 
 from __future__ import annotations
@@ -51,17 +56,7 @@ import scipy.sparse as sp
 
 from . import poly, weakops
 from .mesh import Mesh
-from .poly import ElementBasis
-from .weakops import (
-    N_INTERIOR,
-    N_LOCAL,
-    DofMap,
-    ElementGeometry,
-    WeakFunction,
-    _EDGE_BASIS,
-    _vb_slice,
-    _vg_slice,
-)
+from .weakops import N_INTERIOR, N_LOCAL, DofMap, WeakFunction
 
 __all__ = [
     "Region",
@@ -163,18 +158,25 @@ class CoefficientField:
     ) -> "CoefficientField":
         """Background values overridden per region, sampled at element
         centroids; later regions win."""
-        return cls.uniform(mesh, kappa, mu).with_regions(mesh, regions)
+        kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.n_elements, 2, 2))
+        return _overridden(mesh, kappa, np.full(mesh.n_elements, float(mu)), regions)
 
     def with_regions(self, mesh: Mesh, regions) -> "CoefficientField":
         """A copy with each region's values at the elements whose centroid
         it contains; later regions win."""
-        kappa, mu = self.kappa.copy(), self.mu.copy()
-        cx, cy = mesh.centroids.T
-        for region in regions:
-            inside = region.contains(cx, cy)
-            kappa[inside] = region.kappa
-            mu[inside] = region.mu
-        return CoefficientField(kappa=kappa, mu=mu)
+        return _overridden(mesh, self.kappa, self.mu, regions)
+
+
+def _overridden(mesh: Mesh, kappa: np.ndarray, mu: np.ndarray, regions) -> CoefficientField:
+    """The field of copies of ``kappa`` and ``mu`` with each region's
+    values at the elements whose centroid it contains; later regions win."""
+    kappa, mu = kappa.copy(), mu.copy()
+    cx, cy = mesh.centroids.T
+    for region in regions:
+        inside = region.contains(cx, cy)
+        kappa[inside] = region.kappa
+        mu[inside] = region.mu
+    return CoefficientField(kappa=kappa, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ class Operator:
     mu: np.ndarray
     dofmap: DofMap
     free: np.ndarray  # boolean mask over all dofs
-    full_matrix: sp.csr_matrix  # all dofs, no constraints applied
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
+    coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
     class_matrices: np.ndarray  # (C, 18, 18), one per element class
     classes: np.ndarray  # (E,), each element's class
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
@@ -227,16 +229,12 @@ class AssembledSystem:
     """One problem's system: the operator and the problem's load."""
 
     operator: Operator
-    rhs: np.ndarray  # (b - full_matrix @ boundary_values)[free]
+    rhs: np.ndarray  # b[free] - coupling @ boundary_values[~free]
     boundary_values: np.ndarray  # full-length, nonzero only on boundary dofs
 
     @property
     def matrix(self) -> sp.csr_matrix:
         return self.operator.matrix
-
-    @property
-    def full_matrix(self) -> sp.csr_matrix:
-        return self.operator.full_matrix
 
     @property
     def dofmap(self) -> DofMap:
@@ -253,54 +251,46 @@ class AssembledSystem:
         return WeakFunction(coeffs=coeffs, dofmap=self.dofmap)
 
 
-def _trace_projector(view: weakops.EdgeView, basis0: ElementBasis) -> np.ndarray:
-    """Matrix (2 x 6) mapping interior coefficients to the P1(e) projection
-    of their trace on this edge."""
-    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    pts, w, t = view.quad_points(rule)
-    mixed = (_EDGE_BASIS.eval(t) * w[:, None]).T @ basis0.eval(pts)
-    return np.linalg.solve(poly.edge_mass_matrix(view.length, weakops.EDGE_DEGREE), mixed)
+def local_system(points: np.ndarray, signs: np.ndarray, flipped: np.ndarray,
+                 kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Symmetric positive semidefinite 18 x 18 element matrices (C, 18, 18)
+    of the triangles ``points`` (C, 3, 2), with edge ``signs`` and
+    ``flipped`` flags (C, 3) as in ``wg4.weakops`` and coefficients
+    ``kappa`` (C, 2, 2) and ``mu`` (C,)."""
+    det = poly.jacobian_determinants(points)
+    if (det <= 0).any():
+        raise AssemblyError(f"element {np.flatnonzero(det <= 0)[0]} of the batch is degenerate")
+    lengths, normals = weakops._sides(points)
+    h = lengths.min(axis=1)
+    scale = det[:, None, None]
 
+    ew = weakops.weak_laplacian_matrix(points, signs)
+    A = 0.5 * scale * ew[:, :, None] * ew[:, None, :]
+    G = weakops.weak_gradient_matrix(points, flipped)
+    mass1 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.GRADIENT_DEGREE)
+    kmass = scale * (kappa[:, :, None, :, None] * mass1[:, None, :]).reshape(-1, 6, 6)
+    A += 2.0 * mu[:, None, None] * G.transpose(0, 2, 1) @ kmass @ G
+    mass0 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.INTERIOR_DEGREE)
+    A[:, :N_INTERIOR, :N_INTERIOR] += (mu * mu)[:, None, None] * scale * mass0
 
-def local_system(geom: ElementGeometry, kappa: np.ndarray, mu: float) -> np.ndarray:
-    """Symmetric positive semidefinite 18 x 18 element matrix."""
-    tri = geom.tri
-    if tri.area <= 0:
-        raise AssemblyError("degenerate element")
-    kappa = np.asarray(kappa, dtype=float)
-    h = poly.mesh_size(tri)
-
-    ew = weakops.weak_laplacian_matrix(geom)
-    A = tri.area * np.outer(ew, ew)
-
-    if mu != 0.0:
-        G = weakops.weak_gradient_matrix(geom)
-        kmass = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE, weight=kappa)
-        A += 2.0 * mu * G.T @ kmass @ G
-        mass0 = poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE)
-        A[:N_INTERIOR, :N_INTERIOR] += mu * mu * mass0
-
-    basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
-    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    for k, view in enumerate(geom.edges):
-        pts, w, t = view.quad_points(rule)
-        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
-
-        # flux penalty rows: kappa grad v0 . n_out - sigma * vg
-        grads = basis0.grad(pts)  # (m, 6, 2)
-        flux = np.einsum("qic,c->qi", grads @ kappa.T, view.normal)
-        rows = np.zeros((len(t), N_LOCAL))
-        rows[:, :N_INTERIOR] = flux
-        rows[:, _vg_slice(k)] = -view.sigma * trace_b
-        A += (rows * (w / h)[:, None]).T @ rows
-
-        # jump penalty rows: P1(e) projection of the v0 trace - vb
-        rows = np.zeros((len(t), N_LOCAL))
-        rows[:, :N_INTERIOR] = trace_b @ _trace_projector(view, basis0)
-        rows[:, _vb_slice(k)] = -trace_b
-        A += (rows * (w / h**3)[:, None]).T @ rows
-
-    return 0.5 * (A + A.T)
+    # Penalty rows at every edge point, each on its own edge's dofs:
+    # flux, kappa grad v0 . n_out - sigma * vg, and jump, the P1(e)
+    # projection of the v0 trace - vb.
+    w, trace_b = weakops._segment_rule()
+    trace0, grads0, _ = weakops._edge_traces()
+    own = np.eye(3)[:, None, :, None] * trace_b[:, None, :]  # (3, m, 3, 2)
+    zero = np.zeros((len(points), *own.shape))
+    conormal = np.einsum("cab,cdb,ckd->cka", poly.inverse_jacobians(points), kappa, normals)
+    flux = np.einsum("ckqia,cka->ckqi", weakops._on_edges(grads0, flipped), conormal)
+    jump = weakops._on_edges(trace_b @ weakops._edge_projector() @ trace0, flipped)
+    for rows, weight in (
+        (weakops._local_rows(flux, zero, -signs[:, :, None, None, None] * own), 1.0 / h),
+        (weakops._local_rows(jump, np.broadcast_to(-own, zero.shape), zero), h**-3.0),
+    ):
+        rows = rows.reshape(len(points), -1, N_LOCAL)
+        weights = (weight[:, None, None] * lengths[:, :, None] * w).reshape(len(points), -1)
+        A += (rows * weights[:, :, None]).transpose(0, 2, 1) @ rows
+    return 0.5 * (A + A.transpose(0, 2, 1))
 
 
 def local_load(points: np.ndarray, f) -> np.ndarray:
@@ -309,7 +299,8 @@ def local_load(points: np.ndarray, f) -> np.ndarray:
     return poly.jacobian_determinants(points)[:, None] * weakops.interior_moments(points, f)
 
 
-def _element_classes(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
+def _element_classes(mesh: Mesh, coeff: CoefficientField,
+                     flipped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One representative element per class of elements sharing their
     local geometry and coefficients, and each element's class.
 
@@ -319,10 +310,9 @@ def _element_classes(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, n
     """
     x0, y0, x1, y1 = mesh.domain
     rel = mesh.element_points() - mesh.centroids[:, None, :]
-    verts = mesh.element_vertices
     rows = np.hstack([
         np.round(rel.reshape(-1, 6) / max(x1 - x0, y1 - y0), 12),
-        verts < np.roll(verts, -1, axis=1),  # p1 is local vertex k
+        ~flipped,  # p1 is local vertex k
         mesh.element_signs,
         coeff.kappa.reshape(-1, 4),
         coeff.mu[:, None],
@@ -332,13 +322,14 @@ def _element_classes(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, n
 
 
 def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
-    """Element matrices (C, 18, 18), one per class, and each element's class."""
-    first, classes = _element_classes(mesh, coeff)
-    mats = [
-        local_system(weakops.element_geometry(mesh, i), coeff.kappa[i], float(coeff.mu[i]))
-        for i in first
-    ]
-    return np.stack(mats), classes
+    """Element matrices (C, 18, 18), one per class, from one ``local_system``
+    call on the class representatives, and each element's class."""
+    verts = mesh.element_vertices
+    flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
+    first, classes = _element_classes(mesh, coeff, flipped)
+    mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
+                        coeff.kappa[first], coeff.mu[first])
+    return mats, classes
 
 
 #: The last operator assembled; see the module docstring.
@@ -374,12 +365,14 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     del rows, cols  # 2 x 324 indices per element; free them before the slicing below
     free = ~dofmap.boundary_mask(mesh)
-    matrix = full[free][:, free].tocsr()
+    free_rows = full[free]
+    del full
+    matrix, coupling = free_rows[:, free].tocsr(), free_rows[:, ~free].tocsr()
     op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), dofmap=dofmap,
-                  free=free, full_matrix=full, matrix=matrix, class_matrices=mats,
+                  free=free, matrix=matrix, coupling=coupling, class_matrices=mats,
                   classes=classes)
-    shared = (op.kappa, op.mu, free, mats, classes,
-              full.data, full.indices, full.indptr, matrix.data, matrix.indices, matrix.indptr)
+    shared = (op.kappa, op.mu, free, mats, classes, matrix.data, matrix.indices, matrix.indptr,
+              coupling.data, coupling.indices, coupling.indptr)
     for array in shared:
         array.flags.writeable = False
     _slot = op
@@ -404,7 +397,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     if not np.isfinite(boundary_values).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    rhs = (b - op.full_matrix @ boundary_values)[op.free]
+    rhs = b[op.free] - op.coupling @ boundary_values[~op.free]
     return AssembledSystem(operator=op, rhs=rhs, boundary_values=boundary_values)
 
 

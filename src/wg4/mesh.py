@@ -38,7 +38,6 @@ from .poly import jacobian_determinants
 __all__ = [
     "Mesh",
     "build_structured_mesh",
-    "classify_boundary",
     "mesh_to_csv",
 ]
 
@@ -167,8 +166,8 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
 
 
 def _validate(mesh: Mesh) -> None:
-    """Check counts, adjacency and orientation signs; raise RuntimeError
-    naming the first inconsistent entity."""
+    """Check counts, adjacency, orientation signs and boundary flags; raise
+    RuntimeError naming the first inconsistent entity."""
     n = mesh.n
     counts = {
         "elements": (mesh.n_elements, 2 * n * n),
@@ -191,14 +190,7 @@ def _validate(mesh: Mesh) -> None:
             f"edge {bad[0]}: adjacent elements {tuple(mesh.edge_elements[bad[0]])} "
             f"disagree with boundary flag {bool(mesh.boundary[bad[0]])}"
         )
-
-
-def classify_boundary(mesh: Mesh) -> np.ndarray:
-    """Boolean flag per edge; True when the edge lies on the domain boundary.
-
-    Also cross-checks the adjacency-derived flags against the rectangle
-    geometry (every boundary edge must sit on one of the four sides).
-    """
+    # Every boundary edge must sit on one of the rectangle's four sides.
     x0, y0, x1, y1 = mesh.domain
     edges = np.flatnonzero(mesh.boundary)
     ends = mesh.edge_points(edges)
@@ -210,7 +202,6 @@ def classify_boundary(mesh: Mesh) -> np.ndarray:
         raise RuntimeError(
             f"edge {e} {tuple(mesh.edge_vertices[e])} flagged boundary but off the rectangle"
         )
-    return mesh.boundary.copy()
 
 
 def mesh_to_csv(mesh: Mesh) -> str:

@@ -90,18 +90,6 @@ def make_triangle(vertices: np.ndarray) -> Triangle:
 REFERENCE_TRIANGLE = make_triangle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
-def mesh_size(tri: Triangle) -> float:
-    """Local mesh-size scale: the shortest side of the triangle.
-
-    On the structured meshes used here this equals the sub-square side
-    length 1/n for every element; it is the length scale entering the
-    penalty weights and the edge-weighted error norms.
-    """
-    return min(
-        float(np.linalg.norm(tri.vertices[(k + 1) % 3] - tri.vertices[k])) for k in range(3)
-    )
-
-
 @lru_cache(maxsize=None)
 def triangle_quadrature(degree: int) -> QuadratureRule:
     """Conical-product Gauss rule on the reference triangle.

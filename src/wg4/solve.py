@@ -68,26 +68,23 @@ class SolveReport:
 
 
 def solve_spd(system, config: SolverConfig = SolverConfig()):
-    """Solve ``system`` (an AssembledSystem or (matrix, rhs) pair) for a
-    symmetric positive definite matrix.
+    """Solve an AssembledSystem, whose matrix is symmetric positive definite.
 
     Returns (free-dof vector, SolveReport).  The relative residual
     ||A x - b|| / ||b|| is at or below the configured tolerance, or, when
     refinement cannot reach it, the normwise backward error of x is, and
     the report's ``backward_error`` says so.  Failure raises SolverError
-    carrying the residual history.  An AssembledSystem's factorization is
-    read from its operator, or made and stored there on first use.
+    carrying the residual history.  The factorization is read from the
+    system's operator, or made and stored there on first use.
     """
-    operator = getattr(system, "operator", None)
-    matrix, rhs = (operator.matrix, system.rhs) if operator is not None else system
-    matrix = sp.csr_matrix(matrix)
-    rhs = np.asarray(rhs, dtype=float)
+    operator = system.operator
+    matrix, rhs = operator.matrix, system.rhs
 
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(iterations=0, residual=0.0)
 
-    lu = operator.lu if operator is not None else None
+    lu = operator.lu
     if lu is None:
         try:
             lu = spla.splu(
@@ -98,8 +95,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
             )
         except Exception as exc:  # singular or structurally broken factorization
             raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
-        if operator is not None:
-            operator.lu = lu
+        operator.lu = lu
     x = lu.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):

@@ -17,8 +17,17 @@ Two element-local operators act on these triples:
       (grad_w v, psi)_T = (grad v0, psi)_T - <v0 - vb, psi . n>_dT
   for every psi in [P1(T)]^2, with n the element-outward unit normal.
 
-Both are linear in the 18 local coefficients and are exposed as operator
-matrices.
+Both are linear in the 18 local coefficients.  Each is one array kernel
+that returns the operator matrices of a batch of C triangles, given by
+their vertices (C, 3, 2), the signs sigma (C, 3) of their local edges and
+flags ``flipped`` (C, 3), set when edge k is parameterized p1 -> p2 from
+local vertex k + 1 to k instead of from k to k + 1.  Edge lengths and
+outward normals follow from the vertices.  Every integral comes from
+tables on the reference triangle under the affine map x = v0 + J X: the
+affine-mapped bases take the reference values at the mapped points,
+their gradients map by J^-T, and their traces on a local edge depend only
+on the edge and its orientation.  Loads and projections are batched the
+same way over all elements or edges.
 """
 
 from __future__ import annotations
@@ -29,27 +38,20 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import Mesh
-from .poly import EdgeBasis, ElementBasis, Triangle
+from .mesh import Mesh, _outward_normals
+from .poly import EdgeBasis, ElementBasis
 
 __all__ = [
     "INTERIOR_DEGREE",
     "EDGE_DEGREE",
     "N_LOCAL",
-    "EdgeView",
-    "ElementGeometry",
     "DofMap",
     "WeakFunction",
-    "element_geometry",
-    "standalone_element",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
     "interior_moments",
-    "project_Q0",
     "project_Qb",
     "project_Qg",
-    "project_calQh",
-    "project_calQ1",
     "project_Qh",
 ]
 
@@ -61,88 +63,6 @@ N_PER_EDGE = 2 * (EDGE_DEGREE + 1)
 N_LOCAL = N_INTERIOR + 3 * N_PER_EDGE  # 18
 
 _EDGE_BASIS = EdgeBasis(EDGE_DEGREE)
-
-
-def _vb_slice(k: int) -> slice:
-    return slice(N_INTERIOR + 4 * k, N_INTERIOR + 4 * k + 2)
-
-
-def _vg_slice(k: int) -> slice:
-    return slice(N_INTERIOR + 4 * k + 2, N_INTERIOR + 4 * k + 4)
-
-
-@dataclass(frozen=True)
-class EdgeView:
-    """One edge as seen from an element.
-
-    ``p1 -> p2`` is the edge's global parameterization (shared by both
-    sides), ``normal`` the element-outward unit normal and ``sigma`` the
-    sign relating the stored vg coefficients to the outward trace.
-    """
-
-    p1: np.ndarray
-    p2: np.ndarray
-    length: float
-    midpoint: np.ndarray
-    normal: np.ndarray
-    sigma: int
-
-    def quad_points(self, rule: poly.QuadratureRule):
-        """Physical points, weights and arc-length parameters on this edge."""
-        t = rule.points
-        pts = self.midpoint + t[:, None] * (self.p2 - self.p1)
-        return pts, rule.weights * self.length, t
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    tri: Triangle
-    edges: tuple[EdgeView, EdgeView, EdgeView]
-
-
-def element_geometry(mesh: Mesh, index: int) -> ElementGeometry:
-    """Geometry of one mesh element, for the single-element kernels."""
-    tri = poly.make_triangle(mesh.element_points(index))
-    ends = mesh.edge_points(mesh.element_edges[index])
-    views = []
-    for k, e in enumerate(mesh.element_edges[index]):
-        sigma = int(mesh.element_signs[index, k])
-        views.append(
-            EdgeView(
-                p1=ends[k, 0],
-                p2=ends[k, 1],
-                length=float(mesh.edge_lengths[e]),
-                midpoint=0.5 * (ends[k, 0] + ends[k, 1]),
-                normal=sigma * mesh.edge_normals[e],
-                sigma=sigma,
-            )
-        )
-    return ElementGeometry(tri=tri, edges=tuple(views))
-
-
-def standalone_element(vertices: np.ndarray) -> ElementGeometry:
-    """Geometry for a single free-standing triangle (tests, local studies).
-
-    Edges are parameterized in local counterclockwise order and all sigma
-    signs are +1, i.e. global normals coincide with outward normals.
-    """
-    tri = poly.make_triangle(vertices)
-    views = []
-    for k in range(3):
-        p1, p2 = tri.vertices[k], tri.vertices[(k + 1) % 3]
-        d = p2 - p1
-        length = float(np.linalg.norm(d))
-        views.append(
-            EdgeView(
-                p1=p1,
-                p2=p2,
-                length=length,
-                midpoint=0.5 * (p1 + p2),
-                normal=np.array([d[1], -d[0]]) / length,
-                sigma=1,
-            )
-        )
-    return ElementGeometry(tri=tri, edges=tuple(views))
 
 
 @dataclass(frozen=True)
@@ -162,17 +82,6 @@ class DofMap:
     @property
     def size(self) -> int:
         return N_INTERIOR * self.n_elements + 4 * self.n_edges
-
-    def element_block(self, i: int) -> np.ndarray:
-        return np.arange(N_INTERIOR * i, N_INTERIOR * (i + 1))
-
-    def edge_vb(self, e: int) -> np.ndarray:
-        base = N_INTERIOR * self.n_elements + 4 * e
-        return np.arange(base, base + 2)
-
-    def edge_vg(self, e: int) -> np.ndarray:
-        base = N_INTERIOR * self.n_elements + 4 * e
-        return np.arange(base + 2, base + 4)
 
     def local_dofs(self, mesh: Mesh) -> np.ndarray:
         """Global indices (E, 18) of every element's local dofs, in
@@ -206,71 +115,109 @@ class WeakFunction:
 # ---------------------------------------------------------------------------
 
 
-def weak_laplacian_matrix(geom: ElementGeometry) -> np.ndarray:
-    """Row vector r (length 18) with Ew v = r @ coeffs, Ew v in P0(T).
+def _local_rows(interior: np.ndarray, vb: np.ndarray, vg: np.ndarray) -> np.ndarray:
+    """Rows (..., 18) in local dof order from an interior part (..., 6) and
+    per-edge vb and vg parts (..., 3, 2) of the same leading shape."""
+    edges = np.concatenate([vb, vg], axis=-1)
+    return np.concatenate([interior, edges.reshape(*edges.shape[:-2], 3 * N_PER_EDGE)], axis=-1)
+
+
+def _sides(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths (C, 3) and outward unit normals (C, 3, 2) of the sides from
+    local vertex k to k + 1 of the triangles ``points`` (C, 3, 2)."""
+    return np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1), _outward_normals(points)
+
+
+def _segment_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Weights (m,) of the segment rule and the edge basis (m, 2) at its points."""
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    return rule.weights, _EDGE_BASIS.eval(rule.points)
+
+
+@lru_cache(maxsize=None)
+def _edge_traces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P2 values (3, 2, m, 6), P2 gradients (3, 2, m, 6, 2) and P1 values
+    (3, 2, m, 3) of the reference bases at the segment rule's points on
+    local edge k, indexed [k, flipped]."""
+    t = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS).points
+    ref = poly.REFERENCE_TRIANGLE.vertices
+    start = np.stack([ref, np.roll(ref, -1, axis=0)], axis=1)  # [k, flipped]
+    end = start[:, ::-1]
+    pts = 0.5 * (start + end)[:, :, None] + t[:, None] * (end - start)[:, :, None]
+    p2_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
+    p1_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
+    flat = pts.reshape(-1, 2)
+    tables = (p2_basis.eval(flat), p2_basis.grad(flat), p1_basis.eval(flat))
+    tables = tuple(table.reshape(*pts.shape[:3], *table.shape[1:]) for table in tables)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _on_edges(table: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """The rows (C, 3, ...) of a table indexed [k, flipped] that each
+    triangle's edges ``flipped`` (C, 3) select."""
+    return table[np.arange(3), np.asarray(flipped, dtype=np.intp)]
+
+
+@lru_cache(maxsize=None)
+def _gradient_moments() -> np.ndarray:
+    """Moments (2, 3, 6) of the reference P1 basis against each component
+    of the reference P2 gradients over the reference triangle."""
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    p2_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
+    p1_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
+    moments = np.einsum("q,qa,qib->bai", rule.weights, p1_basis.eval(rule.points),
+                        p2_basis.grad(rule.points))
+    moments.flags.writeable = False  # shared by every caller
+    return moments
+
+
+def weak_laplacian_matrix(points: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Rows (C, 18) with Ew v = row @ coeffs, Ew v in P0(T), one per
+    triangle ``points`` (C, 3, 2) with edge signs ``signs`` (C, 3).
 
     Only the flux traces enter: testing against constants kills both the
     interior term and the vb term, leaving the boundary integral of the
     outward flux trace divided by |T|.
     """
-    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    row = np.zeros(N_LOCAL)
-    for k, view in enumerate(geom.edges):
-        _, w, t = view.quad_points(rule)
-        row[_vg_slice(k)] = view.sigma * (w @ _EDGE_BASIS.eval(t))
-    return row / geom.tri.area
+    w, trace_b = _segment_rule()
+    lengths, _ = _sides(points)
+    vg = (signs * lengths)[..., None] * (w @ trace_b)
+    rows = _local_rows(np.zeros((len(points), N_INTERIOR)), np.zeros_like(vg), vg)
+    return rows / (0.5 * poly.jacobian_determinants(points))[:, None]
 
 
-def weak_gradient_matrix(geom: ElementGeometry) -> np.ndarray:
-    """Matrix G (6 x 18) with grad_w v = G @ coeffs in [P1(T)]^2.
+def weak_gradient_matrix(points: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """Matrices G (C, 6, 18) with grad_w v = G @ coeffs in [P1(T)]^2, one
+    per triangle ``points`` (C, 3, 2) with edge orientations ``flipped``
+    (C, 3).
 
     Coefficient ordering: x-component coefficients (3) then y-component
     coefficients (3), both in the affine-mapped P1 monomial basis of
     ``poly.ElementBasis``.
     """
-    tri = geom.tri
-    basis0 = ElementBasis.for_triangle(tri, INTERIOR_DEGREE)
-    basis1 = ElementBasis.for_triangle(tri, GRADIENT_DEGREE)
-    mass_vec = poly.element_mass_matrix(tri, GRADIENT_DEGREE, weight=np.eye(2))
-
-    rhs = np.zeros((2 * basis1.dim, N_LOCAL))
-    tri_rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(tri_rule, tri)
-    grads0 = basis0.grad(pts)  # (m, 6, 2)
-    vals1 = basis1.eval(pts)  # (m, 3)
-    # (grad v0, psi)_T
-    rhs[: basis1.dim, :N_INTERIOR] = np.einsum("q,qa,qi->ai", w, vals1, grads0[:, :, 0])
-    rhs[basis1.dim :, :N_INTERIOR] = np.einsum("q,qa,qi->ai", w, vals1, grads0[:, :, 1])
-
-    edge_rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    for k, view in enumerate(geom.edges):
-        pts_e, w_e, t = view.quad_points(edge_rule)
-        trace0 = basis0.eval(pts_e)  # (m, 6)
-        trace1 = basis1.eval(pts_e)  # (m, 3)
-        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
-        for comp in range(2):
-            nc = view.normal[comp]
-            block = slice(comp * basis1.dim, (comp + 1) * basis1.dim)
-            # -<v0 - vb, psi . n>_dT
-            rhs[block, :N_INTERIOR] -= nc * np.einsum("q,qa,qi->ai", w_e, trace1, trace0)
-            rhs[block, _vb_slice(k)] += nc * np.einsum("q,qa,qj->aj", w_e, trace1, trace_b)
-    return np.linalg.solve(mass_vec, rhs)
+    det = poly.jacobian_determinants(points)
+    lengths, normals = _sides(points)
+    # (grad v0, psi)_T, with the gradients mapped by J^-T
+    interior = det[:, None, None, None] * np.einsum(
+        "cbd,bai->cdai", poly.inverse_jacobians(points), _gradient_moments())
+    # -<v0 - vb, psi . n>_dT, with n |e| per side and component
+    w, trace_b = _segment_rule()
+    trace0, _, trace1 = _edge_traces()
+    scaled = lengths[..., None] * normals
+    mixed0 = _on_edges(np.einsum("q,koqa,koqi->koai", w, trace1, trace0), flipped)
+    mixed_b = _on_edges(np.einsum("q,koqa,qj->koaj", w, trace1, trace_b), flipped)
+    interior -= np.einsum("ckd,ckai->cdai", scaled, mixed0)
+    vb = np.einsum("ckd,ckaj->cdakj", scaled, mixed_b)
+    rhs = _local_rows(interior, vb, np.zeros_like(vb))  # (C, 2, 3, 18)
+    mass = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
+    return (np.linalg.solve(mass, rhs) / det[:, None, None, None]).reshape(-1, 6, N_LOCAL)
 
 
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-
-def project_Q0(geom_or_tri, u, degree: int = INTERIOR_DEGREE) -> np.ndarray:
-    """L2 projection of ``u`` onto P_degree(T); returns basis coefficients."""
-    tri = geom_or_tri.tri if isinstance(geom_or_tri, ElementGeometry) else geom_or_tri
-    basis = ElementBasis.for_triangle(tri, degree)
-    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
-    vals = basis.eval(pts)
-    rhs = vals.T @ (w * u(pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(poly.element_mass_matrix(tri, degree), rhs)
 
 
 @lru_cache(maxsize=None)
@@ -297,9 +244,8 @@ def interior_moments(points: np.ndarray, u) -> np.ndarray:
 def _edge_projector() -> np.ndarray:
     """Matrix (2, m) from values at the segment rule's points to P1(e)
     coefficients; the edge length cancels, so it serves every edge."""
-    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    weighted = _EDGE_BASIS.eval(rule.points) * rule.weights[:, None]
-    projector = np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), weighted.T)
+    w, trace_b = _segment_rule()
+    projector = np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), (trace_b * w[:, None]).T)
     projector.flags.writeable = False  # shared by every caller
     return projector
 
@@ -323,32 +269,6 @@ def project_Qg(segments: np.ndarray, g) -> np.ndarray:
     ``g`` is the scalar flux along each edge's own (global) normal.
     """
     return _project_edges(segments, g)
-
-
-def project_calQh(geom_or_tri, u) -> float:
-    """L2 projection onto P0(T): the mean value of ``u`` over the element."""
-    tri = geom_or_tri.tri if isinstance(geom_or_tri, ElementGeometry) else geom_or_tri
-    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
-    return float(w @ u(pts[:, 0], pts[:, 1])) / tri.area
-
-
-def project_calQ1(geom_or_tri, field) -> np.ndarray:
-    """Componentwise L2 projection of a vector field onto [P1(T)]^2.
-
-    ``field(x, y)`` must return a pair (fx, fy) of arrays.  Coefficients
-    come back in the weak-gradient ordering (x block then y block).
-    """
-    tri = geom_or_tri.tri if isinstance(geom_or_tri, ElementGeometry) else geom_or_tri
-    basis = ElementBasis.for_triangle(tri, GRADIENT_DEGREE)
-    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
-    vals = basis.eval(pts)
-    fx, fy = field(pts[:, 0], pts[:, 1])
-    mass = poly.element_mass_matrix(tri, GRADIENT_DEGREE)
-    cx = np.linalg.solve(mass, vals.T @ (w * fx))
-    cy = np.linalg.solve(mass, vals.T @ (w * fy))
-    return np.concatenate([cx, cy])
 
 
 def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from util import l2_q0_residual, monomial_fields, local_projection, quadratic_problem, \
-    random_triangle, unit_square_mesh
+from util import Element, l2_q0_residual, monomial_fields, local_projection, project_calQ1, \
+    quadratic_problem, random_triangle, unit_square_mesh
 
 from wg4 import assembly, weakops
 from wg4.errors import convergence_orders, error_report
@@ -147,15 +147,15 @@ def test_criterion_4_commutativity_suite():
         kappas = (np.eye(2), np.diag([3.0, 0.5]))
         fields = monomial_fields()
         for _ in range(50):
-            geom = weakops.standalone_element(random_triangle(rng))
-            ew_row = weakops.weak_laplacian_matrix(geom)
-            grad_mat = weakops.weak_gradient_matrix(geom)
+            geom = Element.standalone(random_triangle(rng))
+            ew_row = geom.ew()
+            grad_mat = geom.gw()
             for kappa in kappas:
                 for (_, u, grad, elliptic) in fields:
                     local = local_projection(geom, u, grad, kappa).to_vector()
                     ew_err = abs(float(ew_row @ local) - elliptic(kappa))
                     grad_err = np.abs(
-                        grad_mat @ local - weakops.project_calQ1(geom, grad)
+                        grad_mat @ local - project_calQ1(geom.tri, grad)
                     ).max()
                     worst = max(worst, ew_err, grad_err)
         elapsed = time.perf_counter() - start

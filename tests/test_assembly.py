@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from util import LocalWeakFunction, quadratic_problem, random_triangle, unit_square_mesh
+from util import (
+    Element,
+    LocalWeakFunction,
+    full_matrix,
+    quadratic_problem,
+    random_triangle,
+    unit_square_mesh,
+)
 
 from wg4 import assembly, poly, weakops
 from wg4.assembly import (
@@ -11,7 +18,6 @@ from wg4.assembly import (
     Region,
     assemble,
     local_load,
-    local_system,
     triple_bar_norm,
 )
 from wg4.harness import case_sine, catalog_entry
@@ -30,17 +36,17 @@ def lifted_constant(c: float) -> np.ndarray:
 
 @pytest.fixture
 def geom():
-    return weakops.standalone_element(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    return Element.standalone(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_constants_in_kernel_without_reaction(geom):
-    mat = local_system(geom, np.eye(2), mu=0.0)
+    mat = geom.system(np.eye(2), mu=0.0)
     vec = lifted_constant(3.7)
     assert np.abs(mat @ vec).max() <= 1e-12 * np.abs(mat).max()
 
 
 def test_constant_energy_is_reaction_mass(geom):
-    mat = local_system(geom, np.eye(2), mu=1.0)
+    mat = geom.system(np.eye(2), mu=1.0)
     c = 2.5
     vec = lifted_constant(c)
     # Only the mu^2 (v0, v0) term survives on constants.
@@ -49,9 +55,9 @@ def test_constant_energy_is_reaction_mass(geom):
 
 def test_reaction_terms_scale_as_documented(geom):
     kappa = np.array([[2.0, 0.3], [0.3, 1.0]])
-    a0 = local_system(geom, kappa, mu=0.0)
-    a1 = local_system(geom, kappa, mu=1.0)
-    g = weakops.weak_gradient_matrix(geom)
+    a0 = geom.system(kappa, mu=0.0)
+    a1 = geom.system(kappa, mu=1.0)
+    g = geom.gw()
     kmass = poly.element_mass_matrix(geom.tri, 1, weight=kappa)
     mass0 = poly.element_mass_matrix(geom.tri, 2)
     diff = a1 - a0 - 2.0 * g.T @ kmass @ g
@@ -63,15 +69,15 @@ def test_reaction_terms_scale_as_documented(geom):
 def test_local_system_symmetric_psd():
     rng = np.random.default_rng(23)
     for _ in range(5):
-        geom = weakops.standalone_element(random_triangle(rng))
-        mat = local_system(geom, np.diag([3.0, 0.5]), mu=0.4)
+        geom = Element.standalone(random_triangle(rng))
+        mat = geom.system(np.diag([3.0, 0.5]), mu=0.4)
         assert np.array_equal(mat, mat.T)
         vec = rng.normal(size=18)
         assert float(vec @ mat @ vec) >= -1e-12 * np.abs(mat).max()
 
 
 def test_local_load_constant_source(geom):
-    load = local_load(geom.tri.vertices[None], lambda x, y: np.ones_like(x))[0]
+    load = local_load(geom.points, lambda x, y: np.ones_like(x))[0]
     # Leading basis function is identically 1, so its load is |T|.
     assert load[0] == pytest.approx(geom.tri.area, rel=1e-13)
 
@@ -204,7 +210,7 @@ def test_triple_bar_norm_matches_full_quadratic_form():
     w = rng.normal(size=dofmap.size)
     w[dofmap.boundary_mask(mesh)] = 0.0
     norm = triple_bar_norm(mesh, spec.coeff, w)
-    quad = float(w @ (system.full_matrix @ w))
+    quad = float(w @ (full_matrix(system.operator) @ w))
     assert norm**2 == pytest.approx(quad, rel=1e-10)
 
 
@@ -243,4 +249,22 @@ def test_assembled_matrices_exactly_symmetric(case, n):
     mesh = entry.make_mesh(n)
     system = assemble(mesh, entry.problem(mesh))
     assert (system.matrix != system.matrix.T).nnz == 0
-    assert (system.full_matrix != system.full_matrix.T).nnz == 0
+    full = full_matrix(system.operator)
+    assert (full != full.T).nnz == 0
+    free = system.free
+    assert (full[free][:, ~free] != system.operator.coupling).nnz == 0
+
+
+@pytest.mark.parametrize("case", ["sine", "boundary-dirac"])
+def test_boundary_lift_equals_full_matrix_product(case):
+    # the coupling block lifts the boundary values with the same nonzero
+    # terms, in the same order, as the product with the full matrix
+    entry = catalog_entry(case)
+    mesh = entry.make_mesh(8)
+    spec = entry.problem(mesh)
+    system = assemble(mesh, spec)
+    b = np.zeros(system.dofmap.size)
+    b[: 6 * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
+    lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.free]
+    assert np.abs(system.boundary_values).max() > 0
+    assert np.array_equal(system.rhs, lifted)

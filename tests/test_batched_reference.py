@@ -1,17 +1,30 @@
 """The batched kernels against per-element references.
 
-On an n=4 mesh with a two-region coefficient field, every batched
-quantity must agree with its element-by-element (or edge-by-edge)
-counterpart to 1e-13 relative.
+On n=4 meshes with two-region and per-element coefficient fields, every
+batched quantity must agree with its element-by-element (or
+edge-by-edge) counterpart to 1e-13 relative.
 """
 
 import numpy as np
 import pytest
 
-from util import edge_projection, element_load, error_sums, unit_square_mesh
+from util import (
+    Element,
+    edge_projection,
+    element_load,
+    error_sums,
+    project_Q0,
+    random_triangle,
+    reference_geometry,
+    reference_local_system,
+    reference_weak_gradient,
+    reference_weak_laplacian,
+    unit_square_mesh,
+)
 
-from wg4 import poly, weakops
+from wg4 import assembly, poly, weakops
 from wg4.assembly import CoefficientField, ProblemSpec, Region, local_load
+from wg4.mesh import build_structured_mesh
 from wg4.errors import error_report
 from wg4.harness import case_sine
 
@@ -43,7 +56,7 @@ def setup():
 def test_project_qh_interior_blocks_match_project_q0(setup):
     mesh, spec, projected = setup
     got = projected.coeffs[: 6 * mesh.n_elements].reshape(-1, 6)
-    want = np.array([weakops.project_Q0(poly.make_triangle(mesh.vertices[v]), spec.exact_u)
+    want = np.array([project_Q0(poly.make_triangle(mesh.vertices[v]), spec.exact_u)
                      for v in mesh.element_vertices])
     assert _close(got, want)
 
@@ -72,7 +85,7 @@ def test_project_qh_edge_blocks_match_per_edge_projection(setup):
 def test_loads_match_per_element_quadrature(setup):
     mesh, spec, _ = setup
     got = local_load(mesh.element_points(), spec.f)
-    want = np.array([element_load(weakops.standalone_element(mesh.vertices[v]), spec.f)
+    want = np.array([element_load(poly.make_triangle(mesh.vertices[v]), spec.f)
                      for v in mesh.element_vertices])
     assert _close(got, want)
 
@@ -89,3 +102,75 @@ def test_error_report_sums_match_per_element_loop(setup):
     assert report.l2_e0 == pytest.approx(l2, rel=RTOL)
     assert report.eb_edge == pytest.approx(eb, rel=RTOL)
     assert report.eg_edge == pytest.approx(eg, rel=RTOL)
+
+
+def _random_field(mesh, rng) -> CoefficientField:
+    """Per-element SPD kappa with off-diagonal entries, and mu with zeros."""
+    factor = rng.normal(size=(mesh.n_elements, 2, 2))
+    kappa = factor @ factor.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    mu = rng.uniform(0.0, 1.0, mesh.n_elements)
+    mu[::3] = 0.0
+    return CoefficientField(kappa=kappa, mu=mu)
+
+
+@pytest.mark.parametrize("domain", [(0.0, 0.0, 1.0, 1.0), (-1.0, 2.0, 3.0, 5.0)])
+@pytest.mark.parametrize("field", ["per-element", "uniform"])
+def test_class_matrices_match_reference_kernel(domain, field):
+    mesh = build_structured_mesh(domain, 4)
+    if field == "uniform":
+        coeff = CoefficientField.uniform(mesh, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4)
+    else:
+        coeff = _random_field(mesh, np.random.default_rng(41))
+    mats, classes = assembly._class_matrices(mesh, coeff)
+    assert len(mats) == (5 if field == "uniform" else mesh.n_elements)
+    for i in range(mesh.n_elements):
+        geom = reference_geometry(Element.of_mesh(mesh, i))
+        want = reference_local_system(geom, coeff.kappa[i], float(coeff.mu[i]))
+        assert _close(mats[classes[i]], want), i
+
+
+def test_weak_operators_match_reference_kernel():
+    mesh = build_structured_mesh((-1.0, 2.0, 3.0, 5.0), 4)
+    verts = mesh.element_vertices
+    flipped = verts > np.roll(verts, -1, axis=1)
+    assert flipped.any() and (~flipped).any()
+    ew = weakops.weak_laplacian_matrix(mesh.element_points(), mesh.element_signs)
+    gw = weakops.weak_gradient_matrix(mesh.element_points(), flipped)
+    for i in range(mesh.n_elements):
+        geom = reference_geometry(Element.of_mesh(mesh, i))
+        assert _close(ew[i], reference_weak_laplacian(geom))
+        assert _close(gw[i], reference_weak_gradient(geom))
+
+
+def test_local_system_matches_reference_on_random_triangles():
+    # Random shapes, signs and orientations in one batch; h is the
+    # shortest side, which differs from the other two here.
+    rng = np.random.default_rng(43)
+    count = 12
+    points = np.array([random_triangle(rng) for _ in range(count)])
+    signs = rng.choice([-1.0, 1.0], size=(count, 3))
+    flipped = rng.random((count, 3)) < 0.5
+    factor = rng.normal(size=(count, 2, 2))
+    kappa = factor @ factor.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    mu = np.where(np.arange(count) % 4 == 0, 0.0, rng.uniform(0.1, 2.0, count))
+    mats = assembly.local_system(points, signs, flipped, kappa, mu)
+    for i in range(count):
+        geom = reference_geometry(Element(points[[i]], signs[[i]], flipped[[i]]))
+        assert _close(mats[i], reference_local_system(geom, kappa[i], mu[i])), i
+
+
+def test_per_element_field_needs_one_kernel_call(monkeypatch):
+    mesh = unit_square_mesh(8)
+    coeff = _random_field(mesh, np.random.default_rng(47))
+    calls = []
+    kernel = assembly.local_system
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(assembly, "local_system", counted)
+    assembly.empty_slot()
+    zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
+    assembly.assemble(mesh, ProblemSpec(f=zero, xi=zero, nu=zero, coeff=coeff))
+    assert calls == [mesh.n_elements]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from util import fd_fourth_order_operator, unit_square_mesh
+from util import element_block, fd_fourth_order_operator, unit_square_mesh
 
 from wg4 import harness, weakops
 from wg4.assembly import CoefficientField, ProblemSpec, assemble
@@ -233,7 +233,7 @@ def test_sample_field_constant_solution():
     c = 1.75
     wf = WeakFunction.zeros(dofmap)
     for i in range(mesh.n_elements):
-        wf.coeffs[dofmap.element_block(i)[0]] = c
+        wf.coeffs[element_block(i)[0]] = c
     points, values = sample_field(mesh, wf, 5)
     assert points.shape == (25, 2)
     assert np.abs(values - c).max() <= 1e-14
@@ -321,6 +321,6 @@ def test_shared_arrays_are_read_only():
         if isinstance(array, np.ndarray):
             assert not array.flags.writeable, name
     system = assemble(mesh, spec)
-    for matrix in (system.matrix, system.full_matrix):
+    for matrix in (system.matrix, system.operator.coupling):
         for array in (matrix.data, matrix.indices, matrix.indptr):
             assert not array.flags.writeable

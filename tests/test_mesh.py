@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wg4.mesh import build_structured_mesh, classify_boundary, mesh_to_csv
+from wg4.mesh import _validate, build_structured_mesh, mesh_to_csv
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -23,7 +25,7 @@ def test_entity_counts(n, elements, edges, vertices):
 def test_large_mesh_element_count():
     mesh = build_structured_mesh(UNIT, 64)
     assert mesh.n_elements == 8192
-    assert classify_boundary(mesh).sum() == 256
+    assert mesh.boundary.sum() == 256
 
 
 @settings(max_examples=16, deadline=None)
@@ -76,13 +78,19 @@ def test_normals_and_orientation_signs(n):
 
 
 @pytest.mark.parametrize("n,boundary,interior", [(1, 4, 1), (2, 8, 8), (4, 16, 40)])
-def test_classify_boundary_counts(n, boundary, interior):
+def test_boundary_flag_counts(n, boundary, interior):
     mesh = build_structured_mesh(UNIT, n)
-    flags = classify_boundary(mesh)
+    flags = mesh.boundary
     assert flags.sum() == boundary == 4 * n
     assert (~flags).sum() == interior == 3 * n * n - 2 * n
     for adjacent, flag in zip(mesh.edge_elements, flags):
         assert flag == (len(adjacent[adjacent >= 0]) == 1)
+    # the flags are cross-checked against the rectangle's sides
+    e = int(np.flatnonzero(~flags)[0])
+    adjacent, boundary = mesh.edge_elements.copy(), flags.copy()
+    adjacent[e, 1], boundary[e] = -1, True
+    with pytest.raises(RuntimeError, match=f"^edge {e} .* off the rectangle$"):
+        _validate(dataclasses.replace(mesh, edge_elements=adjacent, boundary=boundary))
 
 
 def test_negative_slope_diagonal():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from util import unit_square_mesh
+from util import matrix_system, unit_square_mesh
 
 import wg4.solve
 from wg4 import assembly
@@ -28,7 +28,7 @@ def test_config_validation():
 
 def test_zero_rhs_gives_zero_solution():
     a = sp.identity(5, format="csr")
-    x, report = solve_spd((a, np.zeros(5)))
+    x, report = solve_spd(matrix_system(a, np.zeros(5)))
     assert np.all(x == 0.0)
     assert report.iterations == 0 and report.residual == 0.0
 
@@ -36,7 +36,7 @@ def test_zero_rhs_gives_zero_solution():
 def test_identity_system():
     a = sp.identity(4, format="csr")
     b = np.array([1.0, 0.0, 0.0, 0.0])
-    x, report = solve_spd((a, b))
+    x, report = solve_spd(matrix_system(a, b))
     assert np.allclose(x, b, atol=1e-12)
     assert report.residual <= 1e-10
     assert report.backward_error is None  # only a stalled solve needs it
@@ -156,7 +156,7 @@ def test_high_contrast_solve_without_pivoting():
 def test_singular_matrix_reported():
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
-        solve_spd((a, np.array([1.0, 2.0])))
+        solve_spd(matrix_system(a, np.array([1.0, 2.0])))
 
 
 def test_report_fields():
@@ -169,7 +169,7 @@ def fourth_difference_system(m=500):
     """1D fourth-difference system: the relative residual of a direct solve
     stalls near 7e-8 in float64 while its backward error is about 1e-16."""
     a = sp.diags([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2], shape=(m, m), format="csr")
-    return a, np.full(m, 1.0 / m**4)
+    return matrix_system(a, np.full(m, 1.0 / m**4))
 
 
 def test_direct_solve_accepted_on_backward_error():

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from util import (
+    Element,
     LocalWeakFunction,
+    edge_vg,
     local_of,
     local_projection,
     monomial_fields,
+    project_calQ1,
+    project_calQh,
+    project_Q0,
     random_triangle,
     scatter_local,
-    segment,
     unit_square_mesh,
     weak_gradient,
     weak_laplacian_kappa,
@@ -24,7 +28,7 @@ UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 @pytest.fixture
 def right_geom():
-    return weakops.standalone_element(UNIT_RIGHT)
+    return Element.standalone(UNIT_RIGHT)
 
 
 def test_weak_laplacian_of_unit_outward_flux(right_geom):
@@ -46,9 +50,9 @@ def test_weak_laplacian_ignores_interior_and_trace_blocks(right_geom):
 
 def test_weak_gradient_of_lifted_linear(right_geom):
     local = LocalWeakFunction.zeros()
-    local.c0 = weakops.project_Q0(right_geom, lambda x, y: x)
-    for k, view in enumerate(right_geom.edges):
-        local.cb[k] = weakops.project_Qb(segment(view), lambda x, y: x)[0]
+    local.c0 = project_Q0(right_geom.tri, lambda x, y: x)
+    for k in range(3):
+        local.cb[k] = weakops.project_Qb(right_geom.segment(k), lambda x, y: x)[0]
     coeffs = weak_gradient(right_geom, local)
     basis1 = poly.ElementBasis.for_triangle(right_geom.tri, 1)
     pts = np.array([[0.1, 0.1], [0.5, 0.2], [0.2, 0.6]])
@@ -65,9 +69,9 @@ def test_weak_operators_vanish_on_zero(right_geom):
 
 def test_weak_operators_linear_in_coefficients():
     rng = np.random.default_rng(11)
-    geom = weakops.standalone_element(random_triangle(rng))
-    ew = weakops.weak_laplacian_matrix(geom)
-    gw = weakops.weak_gradient_matrix(geom)
+    geom = Element.standalone(random_triangle(rng))
+    ew = geom.ew()
+    gw = geom.gw()
     u = rng.normal(size=18)
     v = rng.normal(size=18)
     a, b = rng.normal(size=2)
@@ -85,14 +89,14 @@ def test_commutativity_on_random_elements(kappa):
     # monomial the interior space contains.
     rng = np.random.default_rng(5)
     for _ in range(10):
-        geom = weakops.standalone_element(random_triangle(rng))
+        geom = Element.standalone(random_triangle(rng))
         for (_, u, grad, elliptic) in monomial_fields():
             local = local_projection(geom, u, grad, kappa)
             got_ew = weak_laplacian_kappa(geom, local)
             expected = elliptic(kappa)  # already constant = its P0 projection
             assert abs(got_ew - expected) <= 1e-12
             got_grad = weak_gradient(geom, local)
-            expected_grad = weakops.project_calQ1(geom, grad)
+            expected_grad = project_calQ1(geom.tri, grad)
             assert np.abs(got_grad - expected_grad).max() <= 1e-12
 
 
@@ -111,7 +115,7 @@ def test_weak_gradient_of_projected_bilinear(right_geom):
         right_geom, lambda x, y: x * y, lambda x, y: (y, x), np.eye(2)
     )
     got = weak_gradient(right_geom, local)
-    expected = weakops.project_calQ1(right_geom, lambda x, y: (y, x))
+    expected = project_calQ1(right_geom.tri, lambda x, y: (y, x))
     assert np.abs(got - expected).max() <= 1e-13
 
 
@@ -119,15 +123,11 @@ def test_orientation_flip_invariance():
     # Flipping an edge's global normal flips sigma; negating the stored
     # flux coefficients must leave the operator values unchanged.
     rng = np.random.default_rng(19)
-    geom = weakops.standalone_element(random_triangle(rng))
-    flipped_edges = list(geom.edges)
+    geom = Element.standalone(random_triangle(rng))
     k = 1
-    v = flipped_edges[k]
-    flipped_edges[k] = weakops.EdgeView(
-        p1=v.p1, p2=v.p2, length=v.length, midpoint=v.midpoint, normal=v.normal,
-        sigma=-v.sigma,
-    )
-    flipped = weakops.ElementGeometry(tri=geom.tri, edges=tuple(flipped_edges))
+    signs = geom.signs.copy()
+    signs[0, k] = -signs[0, k]
+    flipped = Element(geom.points, signs, geom.flipped)
 
     vec = rng.normal(size=18)
     local = LocalWeakFunction.from_vector(vec)
@@ -142,10 +142,8 @@ def test_orientation_flip_invariance():
         weak_gradient(geom, local),
         atol=1e-13,
     )
-    from wg4.assembly import local_system
-
-    a = local_system(geom, np.eye(2), 0.7)
-    b = local_system(flipped, np.eye(2), 0.7)
+    a = geom.system(np.eye(2), 0.7)
+    b = flipped.system(np.eye(2), 0.7)
     qa = float(local.to_vector() @ a @ local.to_vector())
     qb = float(local_flipped.to_vector() @ b @ local_flipped.to_vector())
     assert qb == pytest.approx(qa, rel=1e-13)
@@ -155,7 +153,7 @@ def test_project_q0_reproduces_members(right_geom):
     def u(x, y):
         return x * x + y
 
-    coeffs = weakops.project_Q0(right_geom, u)
+    coeffs = project_Q0(right_geom.tri, u)
     basis = poly.ElementBasis.for_triangle(right_geom.tri, 2)
     rule = poly.triangle_quadrature(8)
     pts, _ = poly.map_to_triangle(rule, right_geom.tri)
@@ -168,7 +166,7 @@ def test_projection_orthogonality(right_geom):
     def u(x, y):
         return np.exp(x) * np.sin(3 * y)
 
-    coeffs = weakops.project_Q0(right_geom, u)
+    coeffs = project_Q0(right_geom.tri, u)
     basis = poly.ElementBasis.for_triangle(right_geom.tri, 2)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
     pts, w = poly.map_to_triangle(rule, right_geom.tri)
@@ -178,13 +176,13 @@ def test_projection_orthogonality(right_geom):
 
 
 def test_project_qg_constant(right_geom):
-    coeffs = weakops.project_Qg(segment(right_geom.edges[0]),
+    coeffs = weakops.project_Qg(right_geom.segment(0),
                                 lambda x, y: 4.25 * np.ones_like(x))[0]
     assert coeffs == pytest.approx([4.25, 0.0], abs=1e-13)
 
 
 def test_project_calqh_mean_value(right_geom):
-    got = weakops.project_calQh(right_geom, lambda x, y: x)
+    got = project_calQh(right_geom.tri, lambda x, y: x)
     assert got == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
@@ -229,7 +227,7 @@ def test_project_qh_zero_and_flux_convention():
     bottom = [e for e in range(mesh.n_edges)
               if mesh.boundary[e] and abs(midpoints[e, 1]) < 1e-12]
     assert len(bottom) == 1
-    assert np.abs(proj.coeffs[dofmap.edge_vg(bottom[0])]).max() <= 1e-13
+    assert np.abs(proj.coeffs[edge_vg(dofmap, bottom[0])]).max() <= 1e-13
 
 
 def test_projection_error_decays_at_third_order():

@@ -3,18 +3,26 @@
 The finite-difference oracle approximates the full fourth-order operator
 by applying the second-order operator twice with fourth-order central
 stencils; it is independent of every code path under test.
+
+``Element`` runs the batched element kernels on a batch of one triangle.
+The per-element kernel with its edge-by-edge loops, the way the library
+computed element matrices before the batched kernels, is kept at the end
+as the reference that ``test_batched_reference.py`` compares against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from wg4 import poly, weakops
 from wg4.mesh import Mesh
-from wg4.assembly import CoefficientField, ProblemSpec
+from wg4.assembly import CoefficientField, ProblemSpec, local_system
 from wg4.mesh import build_structured_mesh
+from wg4.poly import ElementBasis, Triangle
 
 FD_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -43,6 +51,51 @@ def fd_fourth_order_operator(u, kappa_diag, mu: float, x: float, y: float,
     return -fd_laplacian_diag(once, kx, ky, x, y, step) + mu * once(x, y)
 
 
+def project_Q0(tri: Triangle, u, degree: int = weakops.INTERIOR_DEGREE) -> np.ndarray:
+    """L2 projection of ``u`` onto P_degree(T); returns basis coefficients."""
+    basis = ElementBasis.for_triangle(tri, degree)
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts, w = poly.map_to_triangle(rule, tri)
+    vals = basis.eval(pts)
+    rhs = vals.T @ (w * u(pts[:, 0], pts[:, 1]))
+    return np.linalg.solve(poly.element_mass_matrix(tri, degree), rhs)
+
+
+def project_calQh(tri: Triangle, u) -> float:
+    """L2 projection onto P0(T): the mean value of ``u`` over the element."""
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts, w = poly.map_to_triangle(rule, tri)
+    return float(w @ u(pts[:, 0], pts[:, 1])) / tri.area
+
+
+def project_calQ1(tri: Triangle, field) -> np.ndarray:
+    """Componentwise L2 projection of a vector field onto [P1(T)]^2.
+
+    ``field(x, y)`` must return a pair (fx, fy) of arrays.  Coefficients
+    come back in the weak-gradient ordering (x block then y block).
+    """
+    basis = ElementBasis.for_triangle(tri, weakops.GRADIENT_DEGREE)
+    rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts, w = poly.map_to_triangle(rule, tri)
+    vals = basis.eval(pts)
+    fx, fy = field(pts[:, 0], pts[:, 1])
+    mass = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE)
+    cx = np.linalg.solve(mass, vals.T @ (w * fx))
+    cy = np.linalg.solve(mass, vals.T @ (w * fy))
+    return np.concatenate([cx, cy])
+
+
+def element_block(i: int) -> np.ndarray:
+    """Global indices of element i's interior dofs."""
+    return np.arange(weakops.N_INTERIOR * i, weakops.N_INTERIOR * (i + 1))
+
+
+def edge_vg(dofmap: weakops.DofMap, e: int) -> np.ndarray:
+    """Global indices of edge e's flux-trace dofs."""
+    base = weakops.N_INTERIOR * dofmap.n_elements + 4 * e
+    return np.arange(base + 2, base + 4)
+
+
 def l2_q0_residual(mesh: Mesh, u) -> float:
     """Brute-force || u - Q0 u ||_L2 via a quadrature finer than the
     projection's own rule."""
@@ -50,7 +103,7 @@ def l2_q0_residual(mesh: Mesh, u) -> float:
     total = 0.0
     for verts in mesh.element_vertices:
         tri = poly.make_triangle(mesh.vertices[verts])
-        coeffs = weakops.project_Q0(tri, u)
+        coeffs = project_Q0(tri, u)
         basis = poly.ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
         pts, w = poly.map_to_triangle(rule, tri)
         diff = u(pts[:, 0], pts[:, 1]) - basis.eval(pts) @ coeffs
@@ -178,29 +231,75 @@ def scatter_local(wf: weakops.WeakFunction, mesh: Mesh, index: int,
     wf.coeffs[wf.dofmap.local_dofs(mesh)[index]] = local.to_vector()
 
 
-def weak_laplacian_kappa(geom, local: LocalWeakFunction) -> float:
+@dataclass(frozen=True)
+class Element:
+    """One triangle as a batch of one for the element kernels: vertices
+    (1, 3, 2), edge signs (1, 3) and orientation flags (1, 3)."""
+
+    points: np.ndarray
+    signs: np.ndarray
+    flipped: np.ndarray
+
+    @classmethod
+    def standalone(cls, vertices) -> "Element":
+        """A free-standing counterclockwise triangle.  Edges are
+        parameterized in local counterclockwise order and all sigma signs
+        are +1, i.e. global normals coincide with outward normals."""
+        points = np.asarray(vertices, dtype=float)[None]
+        return cls(points, np.ones((1, 3)), np.zeros((1, 3), dtype=bool))
+
+    @classmethod
+    def of_mesh(cls, mesh: Mesh, index: int) -> "Element":
+        verts = mesh.element_vertices[index]
+        flipped = verts > np.roll(verts, -1)
+        return cls(mesh.element_points([index]), mesh.element_signs[[index]], flipped[None])
+
+    @property
+    def tri(self) -> Triangle:
+        return poly.make_triangle(self.points[0])
+
+    def ew(self) -> np.ndarray:
+        """Weak second-order operator row (18,)."""
+        return weakops.weak_laplacian_matrix(self.points, self.signs)[0]
+
+    def gw(self) -> np.ndarray:
+        """Weak gradient matrix (6, 18)."""
+        return weakops.weak_gradient_matrix(self.points, self.flipped)[0]
+
+    def system(self, kappa, mu: float) -> np.ndarray:
+        """Element matrix (18, 18)."""
+        kappa = np.asarray(kappa, dtype=float)[None]
+        return local_system(self.points, self.signs, self.flipped, kappa, np.array([mu]))[0]
+
+    def segment(self, k: int) -> np.ndarray:
+        """Edge k as a one-edge batch (1, 2, 2) of its endpoints p1, p2."""
+        ends = self.points[0, [k, (k + 1) % 3]]
+        return (ends[::-1] if self.flipped[0, k] else ends)[None]
+
+    def global_normal(self, k: int) -> np.ndarray:
+        """The unit normal edge k's vg coefficients refer to."""
+        d = self.points[0, (k + 1) % 3] - self.points[0, k]
+        return self.signs[0, k] * np.array([d[1], -d[0]]) / np.linalg.norm(d)
+
+
+def weak_laplacian_kappa(elem: Element, local: LocalWeakFunction) -> float:
     """Weak second-order elliptic operator of one local triple (a constant)."""
-    return float(weakops.weak_laplacian_matrix(geom) @ local.to_vector())
+    return float(elem.ew() @ local.to_vector())
 
 
-def weak_gradient(geom, local: LocalWeakFunction) -> np.ndarray:
+def weak_gradient(elem: Element, local: LocalWeakFunction) -> np.ndarray:
     """Weak gradient coefficients (6,) of one local triple."""
-    return weakops.weak_gradient_matrix(geom) @ local.to_vector()
+    return elem.gw() @ local.to_vector()
 
 
-def segment(view) -> np.ndarray:
-    """One edge view as a one-edge batch (1, 2, 2) of its endpoints."""
-    return np.stack([view.p1, view.p2])[None]
-
-
-def local_projection(geom, u, grad_u, kappa) -> LocalWeakFunction:
+def local_projection(elem: Element, u, grad_u, kappa) -> LocalWeakFunction:
     """Element-local analogue of the global projection into the weak space."""
     kappa = np.asarray(kappa, dtype=float)
     local = LocalWeakFunction.zeros()
-    local.c0 = weakops.project_Q0(geom, u)
-    for k, view in enumerate(geom.edges):
-        local.cb[k] = weakops.project_Qb(segment(view), u)[0]
-        normal = view.sigma * view.normal  # global normal of this edge
+    local.c0 = project_Q0(elem.tri, u)
+    for k in range(3):
+        local.cb[k] = weakops.project_Qb(elem.segment(k), u)[0]
+        normal = elem.global_normal(k)
 
         def flux(x, y, normal=normal):
             gx, gy = grad_u(x, y)
@@ -208,8 +307,27 @@ def local_projection(geom, u, grad_u, kappa) -> LocalWeakFunction:
                 kappa[1, 0] * gx + kappa[1, 1] * gy
             )
 
-        local.cg[k] = weakops.project_Qg(segment(view), flux)[0]
+        local.cg[k] = weakops.project_Qg(elem.segment(k), flux)[0]
     return local
+
+
+def matrix_system(matrix, rhs) -> SimpleNamespace:
+    """A bare matrix and right-hand side in the shape ``solve_spd`` takes:
+    a system with an operator that holds the matrix and no factorization."""
+    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None)
+    return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
+
+
+def full_matrix(operator) -> sp.csr_matrix:
+    """The operator's matrix over all dofs, boundary rows and columns
+    included, assembled from its class matrices."""
+    mesh = operator.mesh
+    idx = operator.dofmap.local_dofs(mesh)
+    rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
+    cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
+    values = operator.class_matrices[operator.classes].ravel()
+    size = operator.dofmap.size
+    return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
 
 
 def unit_square_mesh(n: int) -> Mesh:
@@ -221,12 +339,12 @@ def unit_square_mesh(n: int) -> Mesh:
 # ---------------------------------------------------------------------------
 
 
-def element_load(geom, f) -> np.ndarray:
+def element_load(tri: Triangle, f) -> np.ndarray:
     """Load vector (6,) of ``f`` on one element, by quadrature on the
     physical triangle."""
-    basis = poly.ElementBasis.for_triangle(geom.tri, weakops.INTERIOR_DEGREE)
+    basis = poly.ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, geom.tri)
+    pts, w = poly.map_to_triangle(rule, tri)
     return basis.eval(pts).T @ (w * f(pts[:, 0], pts[:, 1]))
 
 
@@ -250,7 +368,7 @@ def error_sums(mesh: Mesh, e: np.ndarray) -> tuple[float, float, float]:
         tri = poly.make_triangle(mesh.vertices[verts])
         d0 = e[6 * i : 6 * i + 6]
         l2 += float(d0 @ poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE) @ d0)
-        h = poly.mesh_size(tri)
+        h = min(mesh.edge_lengths[edges])
         for eid in edges:
             emass = poly.edge_mass_matrix(mesh.edge_lengths[eid], weakops.EDGE_DEGREE)
             block = e[base + 4 * eid : base + 4 * eid + 4]
@@ -258,3 +376,152 @@ def error_sums(mesh: Mesh, e: np.ndarray) -> tuple[float, float, float]:
             eb += h * float(db @ emass @ db)
             eg += h * float(dg @ emass @ dg)
     return float(np.sqrt(l2)), float(np.sqrt(eb)), float(np.sqrt(eg))
+
+
+# ---------------------------------------------------------------------------
+# the per-element reference kernel
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EdgeView:
+    """One edge as seen from an element.
+
+    ``p1 -> p2`` is the edge's global parameterization (shared by both
+    sides), ``normal`` the element-outward unit normal and ``sigma`` the
+    sign relating the stored vg coefficients to the outward trace.
+    """
+
+    p1: np.ndarray
+    p2: np.ndarray
+    length: float
+    midpoint: np.ndarray
+    normal: np.ndarray
+    sigma: int
+
+    def quad_points(self, rule: poly.QuadratureRule):
+        """Physical points, weights and arc-length parameters on this edge."""
+        t = rule.points
+        pts = self.midpoint + t[:, None] * (self.p2 - self.p1)
+        return pts, rule.weights * self.length, t
+
+
+@dataclass(frozen=True)
+class ElementGeometry:
+    tri: Triangle
+    edges: tuple[EdgeView, EdgeView, EdgeView]
+
+
+def reference_geometry(elem: Element) -> ElementGeometry:
+    """The per-element geometry of a batch-of-one element."""
+    views = []
+    for k in range(3):
+        p1, p2 = elem.segment(k)[0]
+        d = elem.points[0, (k + 1) % 3] - elem.points[0, k]
+        length = float(np.linalg.norm(d))
+        views.append(EdgeView(p1=p1, p2=p2, length=length, midpoint=0.5 * (p1 + p2),
+                              normal=np.array([d[1], -d[0]]) / length,
+                              sigma=int(elem.signs[0, k])))
+    return ElementGeometry(tri=elem.tri, edges=tuple(views))
+
+
+_EDGE_BASIS = poly.EdgeBasis(weakops.EDGE_DEGREE)
+
+
+def _vb_slice(k: int) -> slice:
+    return slice(6 + 4 * k, 6 + 4 * k + 2)
+
+
+def _vg_slice(k: int) -> slice:
+    return slice(6 + 4 * k + 2, 6 + 4 * k + 4)
+
+
+def reference_weak_laplacian(geom: ElementGeometry) -> np.ndarray:
+    """Row (18,) of the weak second-order operator, edge by edge."""
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    row = np.zeros(weakops.N_LOCAL)
+    for k, view in enumerate(geom.edges):
+        _, w, t = view.quad_points(rule)
+        row[_vg_slice(k)] = view.sigma * (w @ _EDGE_BASIS.eval(t))
+    return row / geom.tri.area
+
+
+def reference_weak_gradient(geom: ElementGeometry) -> np.ndarray:
+    """Matrix (6, 18) of the weak gradient, by quadrature on the physical
+    triangle and edge by edge."""
+    tri = geom.tri
+    basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
+    basis1 = ElementBasis.for_triangle(tri, weakops.GRADIENT_DEGREE)
+    mass_vec = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE, weight=np.eye(2))
+
+    rhs = np.zeros((2 * basis1.dim, weakops.N_LOCAL))
+    tri_rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
+    pts, w = poly.map_to_triangle(tri_rule, tri)
+    grads0 = basis0.grad(pts)  # (m, 6, 2)
+    vals1 = basis1.eval(pts)  # (m, 3)
+    # (grad v0, psi)_T
+    rhs[: basis1.dim, :6] = np.einsum("q,qa,qi->ai", w, vals1, grads0[:, :, 0])
+    rhs[basis1.dim :, :6] = np.einsum("q,qa,qi->ai", w, vals1, grads0[:, :, 1])
+
+    edge_rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    for k, view in enumerate(geom.edges):
+        pts_e, w_e, t = view.quad_points(edge_rule)
+        trace0 = basis0.eval(pts_e)  # (m, 6)
+        trace1 = basis1.eval(pts_e)  # (m, 3)
+        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
+        for comp in range(2):
+            nc = view.normal[comp]
+            block = slice(comp * basis1.dim, (comp + 1) * basis1.dim)
+            # -<v0 - vb, psi . n>_dT
+            rhs[block, :6] -= nc * np.einsum("q,qa,qi->ai", w_e, trace1, trace0)
+            rhs[block, _vb_slice(k)] += nc * np.einsum("q,qa,qj->aj", w_e, trace1, trace_b)
+    return np.linalg.solve(mass_vec, rhs)
+
+
+def _trace_projector(view: EdgeView, basis0: ElementBasis) -> np.ndarray:
+    """Matrix (2 x 6) mapping interior coefficients to the P1(e) projection
+    of their trace on this edge."""
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    pts, w, t = view.quad_points(rule)
+    mixed = (_EDGE_BASIS.eval(t) * w[:, None]).T @ basis0.eval(pts)
+    return np.linalg.solve(poly.edge_mass_matrix(view.length, weakops.EDGE_DEGREE), mixed)
+
+
+def reference_local_system(geom: ElementGeometry, kappa, mu: float) -> np.ndarray:
+    """Element matrix (18, 18), by quadrature on the physical triangle and
+    edge by edge, with h the shortest side."""
+    tri = geom.tri
+    kappa = np.asarray(kappa, dtype=float)
+    h = min(view.length for view in geom.edges)
+
+    ew = reference_weak_laplacian(geom)
+    A = tri.area * np.outer(ew, ew)
+
+    if mu != 0.0:
+        G = reference_weak_gradient(geom)
+        kmass = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE, weight=kappa)
+        A += 2.0 * mu * G.T @ kmass @ G
+        mass0 = poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE)
+        A[:6, :6] += mu * mu * mass0
+
+    basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    for k, view in enumerate(geom.edges):
+        pts, w, t = view.quad_points(rule)
+        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
+
+        # flux penalty rows: kappa grad v0 . n_out - sigma * vg
+        grads = basis0.grad(pts)  # (m, 6, 2)
+        flux = np.einsum("qic,c->qi", grads @ kappa.T, view.normal)
+        rows = np.zeros((len(t), weakops.N_LOCAL))
+        rows[:, :6] = flux
+        rows[:, _vg_slice(k)] = -view.sigma * trace_b
+        A += (rows * (w / h)[:, None]).T @ rows
+
+        # jump penalty rows: P1(e) projection of the v0 trace - vb
+        rows = np.zeros((len(t), weakops.N_LOCAL))
+        rows[:, :6] = trace_b @ _trace_projector(view, basis0)
+        rows[:, _vb_slice(k)] = -trace_b
+        A += (rows * (w / h**3)[:, None]).T @ rows
+
+    return 0.5 * (A + A.T)
