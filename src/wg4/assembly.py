@@ -93,14 +93,19 @@ class Region:
         if self.shape == "rect":
             if self.bounds is None:
                 raise ValueError("rect region requires bounds")
+            x0, y0, x1, y1 = self.bounds
+            if not (np.isfinite(self.bounds).all() and x0 < x1 and y0 < y1):
+                raise ValueError(f"bounds must be finite, x0 < x1, y0 < y1; got {self.bounds}")
         elif self.shape == "disk":
             if self.center is None or self.radius is None:
                 raise ValueError("disk region requires center and radius")
+            if not (np.isfinite([*self.center, self.radius]).all() and self.radius > 0):
+                raise ValueError("disk center must be finite and radius finite and positive")
         else:
             raise ValueError(f"unknown region shape {self.shape!r}")
         _check_spd(np.asarray(self.kappa, dtype=float))
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
 
     def contains(self, x, y):
         """Whether the points (x, y), scalars or arrays, lie in the region."""
@@ -267,10 +272,10 @@ def local_system(points: np.ndarray, signs: np.ndarray, flipped: np.ndarray,
     ew = weakops.weak_laplacian_matrix(points, signs)
     A = 0.5 * scale * ew[:, :, None] * ew[:, None, :]
     G = weakops.weak_gradient_matrix(points, flipped)
-    mass1 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.GRADIENT_DEGREE)
+    mass1 = poly.reference_mass(weakops.GRADIENT_DEGREE)
     kmass = scale * (kappa[:, :, None, :, None] * mass1[:, None, :]).reshape(-1, 6, 6)
     A += 2.0 * mu[:, None, None] * G.transpose(0, 2, 1) @ kmass @ G
-    mass0 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.INTERIOR_DEGREE)
+    mass0 = poly.reference_mass(weakops.INTERIOR_DEGREE)
     A[:, :N_INTERIOR, :N_INTERIOR] += (mu * mu)[:, None, None] * scale * mass0
 
     # Penalty rows at every edge point, each on its own edge's dofs:

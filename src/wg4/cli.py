@@ -82,6 +82,8 @@ def _as_int(value, path: str, minimum: int = 1) -> int:
 def _as_number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise _type_error(path, "a number", value)
+    if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int too large for a float
+        raise _type_error(path, "a finite number", value)
     return float(value)
 
 
@@ -366,26 +368,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         source = None
         if args.source:
             try:
-                x, y = (float(v) for v in args.source.split(","))
+                values = [float(v) for v in args.source.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"--source: {exc}") from exc
-            source = (x, y)
-        if args.n < 1:
-            raise ConfigError("--n: must be >= 1")
-        if args.grid < 2:
-            raise ConfigError("--grid: must be >= 2")
+            source = _as_point(values, "--source")
         cfg = RunConfig(
             command="ft-demo",
             case=args.scenario,
-            n=args.n,
-            grid=args.grid,
+            n=_as_int(args.n, "--n"),
+            grid=_as_int(args.grid, "--grid", minimum=2),
             source=source,
             out=args.out,
         )
     else:  # mesh-dump
-        if args.n < 1:
-            raise ConfigError("--n: must be >= 1")
-        cfg = RunConfig(command="mesh-dump", n=args.n, out=args.out)
+        cfg = RunConfig(command="mesh-dump", n=_as_int(args.n, "--n"), out=args.out)
     _validate_semantics(cfg)
     return cfg
 

@@ -60,7 +60,7 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
     # An element's Gram matrix is 2|T| times the reference triangle's, an
     # edge's |e| times the unit edge's.
     d0 = e[: weakops.N_INTERIOR * mesh.n_elements].reshape(mesh.n_elements, -1)
-    mass0 = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, weakops.INTERIOR_DEGREE)
+    mass0 = poly.reference_mass(weakops.INTERIOR_DEGREE)
     l2_sq = float(np.sum(2.0 * mesh.areas * np.einsum("ei,ij,ej->e", d0, mass0, d0)))
 
     # Each edge counts once per adjacent element T, weighted by h_T, the
@@ -69,7 +69,7 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
     weight = np.bincount(mesh.element_edges.ravel(), weights=np.repeat(h_t, 3),
                          minlength=mesh.n_edges) * mesh.edge_lengths
     edge_blocks = e[weakops.N_INTERIOR * mesh.n_elements :].reshape(mesh.n_edges, 2, 2)
-    emass = poly.edge_mass_matrix(1.0, weakops.EDGE_DEGREE)
+    emass = poly.edge_mass(weakops.EDGE_DEGREE)
     eb_sq, eg_sq = weight @ np.einsum("eki,ij,ekj->ek", edge_blocks, emass, edge_blocks)
 
     return ErrorReport(

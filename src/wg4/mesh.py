@@ -95,8 +95,8 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     x0, y0, x1, y1 = (float(v) for v in domain)
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"degenerate rectangle {domain!r}")
+    if not (np.isfinite([x0, y0, x1, y1]).all() and x1 > x0 and y1 > y0):
+        raise ValueError(f"degenerate or non-finite rectangle {domain!r}")
 
     gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
     vertices = np.column_stack([gx.ravel(), gy.ravel()])

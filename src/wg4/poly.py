@@ -1,13 +1,18 @@
-"""Polynomial bases and quadrature on triangles and segments.
+"""The reference element: quadrature, affine maps and reference tables.
 
-Element bases are affine-mapped monomials X^a Y^b in the local
-coordinates (X, Y) = J^-1 (x - xc), where J = [v1 - v0, v2 - v0] maps the
-reference triangle onto the element and xc is its centroid.  Every
-element's Gram matrix is then 2|T| times the reference triangle's, so its
-condition number depends neither on the mesh size nor on the element's
-shape (about 36 for P1 and 1.9e3 for P2).  Edge bases are powers of
-the arc-length coordinate t in [-1/2, 1/2] about the edge midpoint, so
-both elements sharing an edge evaluate identical trace functions.
+Every element is the image of the reference triangle (0,0), (1,0), (0,1)
+under the affine map x = v0 + J X with J = [v1 - v0, v2 - v0].  Its P_k
+basis is the monomials X^a Y^b of the centred reference coordinates
+X - (1/3, 1/3), so on every element the basis takes the reference values
+at the mapped points, its gradients map by J^-T, and its Gram matrix is
+2|T| times the reference one, whose condition number depends neither on
+the mesh size nor on the element's shape (about 36 for P1 and 1.9e3 for
+P2).  Edge bases are powers of the arc-length coordinate t in
+[-1/2, 1/2] about the edge midpoint, so both elements sharing an edge
+evaluate identical trace functions, and an edge's Gram matrix is |e|
+times the unit edge's.  The quadrature rules and the reference Gram
+matrices are built once and shared by every caller, so their arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -19,21 +24,20 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = [
-    "Triangle",
-    "REFERENCE_TRIANGLE",
-    "ElementBasis",
-    "EdgeBasis",
+    "REFERENCE_VERTICES",
     "QuadratureRule",
-    "make_triangle",
     "triangle_quadrature",
     "gauss_segment_quadrature",
-    "map_to_triangle",
     "map_to_triangles",
     "jacobian_determinants",
     "inverse_jacobians",
     "monomials",
-    "element_mass_matrix",
-    "edge_mass_matrix",
+    "monomial_gradients",
+    "reference_basis",
+    "reference_gradients",
+    "reference_mass",
+    "edge_basis",
+    "edge_mass",
 ]
 
 MAX_TRIANGLE_DEGREE = 20
@@ -43,6 +47,11 @@ MAX_SEGMENT_POINTS = 16
 #: source of run-to-run variation.
 DEFAULT_TRIANGLE_DEGREE = 8
 DEFAULT_SEGMENT_POINTS = 5
+
+#: The reference triangle of every affine map, and its centroid.
+REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+REFERENCE_VERTICES.flags.writeable = False
+_CENTROID = REFERENCE_VERTICES.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -57,15 +66,8 @@ class QuadratureRule:
     weights: np.ndarray
     degree: int
 
-
-@dataclass(frozen=True)
-class Triangle:
-    """Geometry of one triangle: CCW vertices plus derived quantities."""
-
-    vertices: np.ndarray  # (3, 2)
-    area: float
-    centroid: np.ndarray
-    diameter: float  # longest side
+    def __post_init__(self):
+        self.points.flags.writeable = self.weights.flags.writeable = False  # cached rules
 
 
 def jacobian_determinants(points: np.ndarray) -> np.ndarray:
@@ -73,21 +75,6 @@ def jacobian_determinants(points: np.ndarray) -> np.ndarray:
     reference triangle onto the triangles ``points`` (E, 3, 2)."""
     d1, d2 = points[:, 1] - points[:, 0], points[:, 2] - points[:, 0]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def make_triangle(vertices: np.ndarray) -> Triangle:
-    pts = np.asarray(vertices, dtype=float)
-    if pts.shape != (3, 2):
-        raise ValueError(f"expected (3, 2) vertex array, got {pts.shape}")
-    area = 0.5 * float(jacobian_determinants(pts[None])[0])
-    if area <= 0.0:
-        raise ValueError(f"triangle area must be positive (CCW vertices), got {area}")
-    sides = [float(np.linalg.norm(pts[(k + 1) % 3] - pts[k])) for k in range(3)]
-    return Triangle(vertices=pts, area=area, centroid=pts.mean(axis=0), diameter=max(sides))
-
-
-#: The reference triangle (0,0), (1,0), (0,1) of every affine map.
-REFERENCE_TRIANGLE = make_triangle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 @lru_cache(maxsize=None)
@@ -126,11 +113,6 @@ def gauss_segment_quadrature(npoints: int) -> QuadratureRule:
     return QuadratureRule(points=0.5 * x, weights=0.5 * w, degree=2 * npoints - 1)
 
 
-def map_to_triangle(rule: QuadratureRule, tri: Triangle) -> tuple[np.ndarray, np.ndarray]:
-    """Map a reference rule to physical points and weights on ``tri``."""
-    return map_to_triangles(rule, tri.vertices[None])[0], rule.weights * (2.0 * tri.area)
-
-
 def map_to_triangles(rule: QuadratureRule, points: np.ndarray) -> np.ndarray:
     """Physical points (E, q, 2) of a reference rule on each of the
     triangles ``points`` (E, 3, 2); the weights are ``rule.weights`` times
@@ -152,104 +134,54 @@ def _exponents(degree: int) -> tuple[tuple[int, int], ...]:
 
 
 def monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^a y^b for a + b <= degree, in ``ElementBasis`` order along a new
-    last axis."""
+    """x^a y^b for a + b <= degree, ordered by total degree and then by
+    rising b, along a new last axis: the order of every P_k basis."""
     return np.stack([x**a * y**b for a, b in _exponents(degree)], axis=-1)
 
 
-@dataclass(frozen=True)
-class ElementBasis:
-    """Monomial basis X^a Y^b for P_degree on a triangle, in the local
-    coordinates (X, Y) = J^-1 (x - centroid) of the affine map J from the
-    reference triangle.  Its Gram matrix is 2|T| times the reference one,
-    so its conditioning does not depend on the triangle's size or shape."""
-
-    degree: int
-    center: np.ndarray
-    inverse_jacobian: np.ndarray  # J^-1, maps x - center to (X, Y)
-    exponents: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def for_triangle(cls, tri: Triangle, degree: int) -> "ElementBasis":
-        return cls(
-            degree=degree,
-            center=tri.centroid,
-            inverse_jacobian=inverse_jacobians(tri.vertices[None])[0],
-            exponents=_exponents(degree),
-        )
-
-    @property
-    def dim(self) -> int:
-        return (self.degree + 1) * (self.degree + 2) // 2
-
-    def _local(self, pts: np.ndarray) -> np.ndarray:
-        """Local coordinates (X, Y) of ``pts`` as rows of a (2, npoints) array."""
-        return self.inverse_jacobian @ (np.atleast_2d(pts) - self.center).T
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        return monomials(self.degree, *self._local(pts))
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        """Gradients at ``pts``; shape (npoints, dim, 2)."""
-        x, y = self._local(pts)
-        out = np.zeros((len(x), self.dim, 2))
-        for i, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                out[:, i, 0] = a * x ** (a - 1) * y**b
-            if b > 0:
-                out[:, i, 1] = b * x**a * y ** (b - 1)
-        # chain rule: grad_x = J^-T grad_X, applied to row vectors
-        return out @ self.inverse_jacobian
+def monomial_gradients(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradients of ``monomials``, with shape (..., dim, 2)."""
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([a * x ** (a - 1) * y**b if a else zero,
+                               b * x**a * y ** (b - 1) if b else zero], axis=-1)
+                     for a, b in _exponents(degree)], axis=-2)
 
 
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Powers of the normalized arc-length coordinate t in [-1/2, 1/2]."""
-
-    degree: int
-
-    @property
-    def dim(self) -> int:
-        return self.degree + 1
-
-    def eval(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(t)
-        return np.stack([t**k for k in range(self.degree + 1)], axis=1)
+def reference_basis(degree: int, points: np.ndarray) -> np.ndarray:
+    """The reference P_degree basis (..., dim) at reference ``points`` (..., 2)."""
+    return monomials(degree, *np.moveaxis(points - _CENTROID, -1, 0))
 
 
-def element_mass_matrix(tri: Triangle, degree: int, weight=None) -> np.ndarray:
-    """Gram matrix of the P_degree basis on ``tri``.
+def reference_gradients(degree: int, points: np.ndarray) -> np.ndarray:
+    """Reference gradients (..., dim, 2) of the same basis; on an element
+    they map by J^-T."""
+    return monomial_gradients(degree, *np.moveaxis(points - _CENTROID, -1, 0))
 
-    ``weight`` may be a positive scalar or, for the vector-valued basis
-    [P_degree]^2 ordered (x-block, y-block), a 2x2 SPD matrix; the result
-    is then the kappa-weighted vector mass matrix of size 2*dim.
-    """
-    if tri.area <= 0.0:
-        raise ValueError("degenerate element")
-    basis = ElementBasis.for_triangle(tri, degree)
+
+def _shared_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    gram = (values * weights[:, None]).T @ values
+    gram = 0.5 * (gram + gram.T)
+    gram.flags.writeable = False  # shared by every caller
+    return gram
+
+
+@lru_cache(maxsize=None)
+def reference_mass(degree: int) -> np.ndarray:
+    """Gram matrix of the reference P_degree basis over the reference
+    triangle; an element's is 2|T| times it."""
     rule = triangle_quadrature(max(DEFAULT_TRIANGLE_DEGREE, 2 * degree))
-    pts, w = map_to_triangle(rule, tri)
-    vals = basis.eval(pts)
-    mass = (vals * w[:, None]).T @ vals
-    mass = 0.5 * (mass + mass.T)
-    if weight is None:
-        return mass
-    weight = np.asarray(weight, dtype=float)
-    if weight.ndim == 0:
-        return float(weight) * mass
-    if weight.shape == (2, 2):
-        return np.kron(weight, mass)
-    raise ValueError(f"weight must be a scalar or 2x2 matrix, got shape {weight.shape}")
+    return _shared_gram(reference_basis(degree, rule.points), rule.weights)
 
 
-def edge_mass_matrix(edge, degree: int) -> np.ndarray:
-    """Gram matrix of the edge basis; ``edge`` is anything with ``.length``
-    (or a bare length)."""
-    length = float(getattr(edge, "length", edge))
-    if length <= 0.0:
-        raise ValueError("degenerate edge")
-    basis = EdgeBasis(degree)
+def edge_basis(degree: int, t: np.ndarray) -> np.ndarray:
+    """Powers t^k, k <= degree, of the arc-length coordinate t in
+    [-1/2, 1/2], along a new last axis."""
+    return np.stack([t**k for k in range(degree + 1)], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def edge_mass(degree: int) -> np.ndarray:
+    """Gram matrix of the edge basis on the unit edge; an edge's is |e|
+    times it."""
     rule = gauss_segment_quadrature(max(DEFAULT_SEGMENT_POINTS, degree + 1))
-    vals = basis.eval(rule.points)
-    mass = length * (vals * rule.weights[:, None]).T @ vals
-    return 0.5 * (mass + mass.T)
+    return _shared_gram(edge_basis(degree, rule.points), rule.weights)

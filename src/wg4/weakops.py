@@ -39,7 +39,6 @@ import numpy as np
 
 from . import poly
 from .mesh import Mesh, _outward_normals
-from .poly import EdgeBasis, ElementBasis
 
 __all__ = [
     "INTERIOR_DEGREE",
@@ -62,8 +61,6 @@ N_INTERIOR = 6
 N_PER_EDGE = 2 * (EDGE_DEGREE + 1)
 N_LOCAL = N_INTERIOR + 3 * N_PER_EDGE  # 18
 
-_EDGE_BASIS = EdgeBasis(EDGE_DEGREE)
-
 
 @dataclass(frozen=True)
 class DofMap:
@@ -84,8 +81,8 @@ class DofMap:
         return N_INTERIOR * self.n_elements + 4 * self.n_edges
 
     def local_dofs(self, mesh: Mesh) -> np.ndarray:
-        """Global indices (E, 18) of every element's local dofs, in
-        LocalWeakFunction order."""
+        """Global indices (E, 18) of every element's local dofs: the 6
+        interior dofs, then vb (2) and vg (2) of each local edge."""
         base = N_INTERIOR * self.n_elements
         interior = np.arange(base).reshape(-1, N_INTERIOR)
         edges = base + 4 * mesh.element_edges[:, :, None] + np.arange(4)
@@ -131,7 +128,7 @@ def _sides(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _segment_rule() -> tuple[np.ndarray, np.ndarray]:
     """Weights (m,) of the segment rule and the edge basis (m, 2) at its points."""
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
-    return rule.weights, _EDGE_BASIS.eval(rule.points)
+    return rule.weights, poly.edge_basis(EDGE_DEGREE, rule.points)
 
 
 @lru_cache(maxsize=None)
@@ -140,15 +137,13 @@ def _edge_traces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (3, 2, m, 3) of the reference bases at the segment rule's points on
     local edge k, indexed [k, flipped]."""
     t = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS).points
-    ref = poly.REFERENCE_TRIANGLE.vertices
+    ref = poly.REFERENCE_VERTICES
     start = np.stack([ref, np.roll(ref, -1, axis=0)], axis=1)  # [k, flipped]
     end = start[:, ::-1]
     pts = 0.5 * (start + end)[:, :, None] + t[:, None] * (end - start)[:, :, None]
-    p2_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
-    p1_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
-    flat = pts.reshape(-1, 2)
-    tables = (p2_basis.eval(flat), p2_basis.grad(flat), p1_basis.eval(flat))
-    tables = tuple(table.reshape(*pts.shape[:3], *table.shape[1:]) for table in tables)
+    tables = (poly.reference_basis(INTERIOR_DEGREE, pts),
+              poly.reference_gradients(INTERIOR_DEGREE, pts),
+              poly.reference_basis(GRADIENT_DEGREE, pts))
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
@@ -165,10 +160,9 @@ def _gradient_moments() -> np.ndarray:
     """Moments (2, 3, 6) of the reference P1 basis against each component
     of the reference P2 gradients over the reference triangle."""
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    p2_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
-    p1_basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
-    moments = np.einsum("q,qa,qib->bai", rule.weights, p1_basis.eval(rule.points),
-                        p2_basis.grad(rule.points))
+    moments = np.einsum("q,qa,qib->bai", rule.weights,
+                        poly.reference_basis(GRADIENT_DEGREE, rule.points),
+                        poly.reference_gradients(INTERIOR_DEGREE, rule.points))
     moments.flags.writeable = False  # shared by every caller
     return moments
 
@@ -194,8 +188,7 @@ def weak_gradient_matrix(points: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     (C, 3).
 
     Coefficient ordering: x-component coefficients (3) then y-component
-    coefficients (3), both in the affine-mapped P1 monomial basis of
-    ``poly.ElementBasis``.
+    coefficients (3), both in the affine-mapped P1 basis of ``wg4.poly``.
     """
     det = poly.jacobian_determinants(points)
     lengths, normals = _sides(points)
@@ -211,7 +204,7 @@ def weak_gradient_matrix(points: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     interior -= np.einsum("ckd,ckai->cdai", scaled, mixed0)
     vb = np.einsum("ckd,ckaj->cdakj", scaled, mixed_b)
     rhs = _local_rows(interior, vb, np.zeros_like(vb))  # (C, 2, 3, 18)
-    mass = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, GRADIENT_DEGREE)
+    mass = poly.reference_mass(GRADIENT_DEGREE)
     return (np.linalg.solve(mass, rhs) / det[:, None, None, None]).reshape(-1, 6, N_LOCAL)
 
 
@@ -226,8 +219,7 @@ def _weighted_interior_basis() -> np.ndarray:
     their weights (q, 6).  The affine-mapped basis takes the same values
     at the mapped points of every element."""
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    basis = ElementBasis.for_triangle(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
-    table = basis.eval(rule.points) * rule.weights[:, None]
+    table = poly.reference_basis(INTERIOR_DEGREE, rule.points) * rule.weights[:, None]
     table.flags.writeable = False  # shared by every caller
     return table
 
@@ -245,7 +237,7 @@ def _edge_projector() -> np.ndarray:
     """Matrix (2, m) from values at the segment rule's points to P1(e)
     coefficients; the edge length cancels, so it serves every edge."""
     w, trace_b = _segment_rule()
-    projector = np.linalg.solve(poly.edge_mass_matrix(1.0, EDGE_DEGREE), (trace_b * w[:, None]).T)
+    projector = np.linalg.solve(poly.edge_mass(EDGE_DEGREE), (trace_b * w[:, None]).T)
     projector.flags.writeable = False  # shared by every caller
     return projector
 
@@ -297,7 +289,7 @@ def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:
     dofmap = DofMap.for_mesh(mesh)
     out = WeakFunction.zeros(dofmap)
     interior = out.coeffs[: N_INTERIOR * mesh.n_elements].reshape(-1, N_INTERIOR)
-    mass = poly.element_mass_matrix(poly.REFERENCE_TRIANGLE, INTERIOR_DEGREE)
+    mass = poly.reference_mass(INTERIOR_DEGREE)
     interior[:] = np.linalg.solve(mass, interior_moments(mesh.element_points(), u).T).T
     edges = out.coeffs[N_INTERIOR * mesh.n_elements :].reshape(-1, 4)
     segments = mesh.edge_points()

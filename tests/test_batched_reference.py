@@ -13,6 +13,7 @@ from util import (
     edge_projection,
     element_load,
     error_sums,
+    make_triangle,
     project_Q0,
     random_triangle,
     reference_geometry,
@@ -22,7 +23,7 @@ from util import (
     unit_square_mesh,
 )
 
-from wg4 import assembly, poly, weakops
+from wg4 import assembly, weakops
 from wg4.assembly import CoefficientField, ProblemSpec, Region, local_load
 from wg4.mesh import build_structured_mesh
 from wg4.errors import error_report
@@ -56,7 +57,7 @@ def setup():
 def test_project_qh_interior_blocks_match_project_q0(setup):
     mesh, spec, projected = setup
     got = projected.coeffs[: 6 * mesh.n_elements].reshape(-1, 6)
-    want = np.array([project_Q0(poly.make_triangle(mesh.vertices[v]), spec.exact_u)
+    want = np.array([project_Q0(make_triangle(mesh.vertices[v]), spec.exact_u)
                      for v in mesh.element_vertices])
     assert _close(got, want)
 
@@ -85,7 +86,7 @@ def test_project_qh_edge_blocks_match_per_edge_projection(setup):
 def test_loads_match_per_element_quadrature(setup):
     mesh, spec, _ = setup
     got = local_load(mesh.element_points(), spec.f)
-    want = np.array([element_load(poly.make_triangle(mesh.vertices[v]), spec.f)
+    want = np.array([element_load(make_triangle(mesh.vertices[v]), spec.f)
                      for v in mesh.element_vertices])
     assert _close(got, want)
 

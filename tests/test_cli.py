@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wg4 import cli
+from wg4.assembly import Region
 from wg4.cli import ConfigError, main, parse_config
 from wg4.harness import CATALOG
 
@@ -49,6 +50,24 @@ def test_negative_mu_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("region,fragment", [
+    ({"shape": "rect", "bounds": [0, 0, 1, 1], "mu": float("nan")}, "mu"),
+    ({"shape": "disk", "center": [25, 15], "radius": -4, "mu": 0.0}, "radius"),
+    ({"shape": "disk", "center": [float("nan"), 15], "radius": 4, "mu": 0.0}, "center"),
+    ({"shape": "rect", "bounds": [30, 30, 10, 10], "mu": 0.0}, "bounds"),
+])
+def test_bad_region_values_rejected(region, fragment):
+    text = json.dumps({"command": "solve", "case": "gaussian-source", "n": 8,
+                       "regions": [{**region, "kappa": [[1, 0], [0, 1]]}]})
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value).startswith("$.regions[0]") and fragment in str(err.value)
+    # the region checks its own values, also when built without the CLI
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in region.items()}
+    with pytest.raises(ValueError, match=fragment):
+        Region(kappa=np.eye(2), **values)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("{not json", "malformed JSON"),
     (json.dumps({"command": "warp"}), "$.command"),
@@ -77,6 +96,23 @@ def test_negative_mu_rejected():
      "$.scenario"),
     (json.dumps({"command": "mesh-dump", "n": 2, "domain": [0, 0, 1]}),
      "$.domain"),
+    (json.dumps({"command": "mesh-dump", "n": 2, "domain": [0, 0, float("inf"), 1]}),
+     "$.domain[2]: expected a finite number"),
+    ('{"command": "mesh-dump", "n": 2, "domain": [0, 0, 1' + "0" * 400 + ', 1]}',
+     "$.domain[2]: expected a finite number"),
+    (json.dumps({"command": "ft-demo", "scenario": "gaussian-source", "n": 8,
+                 "source": [float("nan"), 0]}), "$.source[0]: expected a finite number"),
+    (json.dumps({"command": "solve", "case": "gaussian-source", "n": 8,
+                 "regions": [{"shape": "disk", "center": [25, float("-inf")], "radius": 4,
+                              "kappa": [[1, 0], [0, 1]], "mu": 0.0}]}),
+     "$.regions[0].center[1]: expected a finite number"),
+    (json.dumps({"command": "solve", "case": "gaussian-source", "n": 8,
+                 "regions": [{"shape": "disk", "center": [25, 15], "radius": 4,
+                              "kappa": [[float("nan"), 0], [0, 1]], "mu": 0.0}]}),
+     "$.regions[0].kappa[0][0]: expected a finite number"),
+    (json.dumps({"command": "solve", "case": "sine", "n": 4,
+                 "solver": {"tolerance": float("nan")}}),
+     "$.solver.tolerance: expected a finite number"),
 ])
 def test_invalid_configs_rejected(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -165,11 +201,16 @@ def test_help_lists_every_case(capsys):
         assert name in out
 
 
-def test_bad_source_flag(capsys):
+@pytest.mark.parametrize("source,fragment", [
+    ("1;2", "--source"),
+    ("nan,0", "--source[0]: expected a finite number"),
+    ("inf,0", "--source[0]: expected a finite number"),
+])
+def test_bad_source_flag(source, fragment, capsys):
     code = main(["ft-demo", "--scenario", "gaussian-source", "--n", "4",
-                 "--source", "1;2"])
+                 "--source", source])
     assert code == 2
-    assert "--source" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
 
 
 def test_gaussian_demo_with_source(tmp_path):

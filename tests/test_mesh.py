@@ -122,6 +122,9 @@ def test_invalid_inputs_rejected():
         build_structured_mesh((0.0, 0.0, 0.0, 1.0), 2)
     with pytest.raises(ValueError):
         build_structured_mesh((1.0, 0.0, 0.0, 1.0), 2)
+    for domain in ((0.0, 0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0, 1.0), (0.0, np.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_structured_mesh(domain, 2)
 
 
 def test_mesh_dump_sections_and_counts():

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wg4 import poly
+from util import ElementBasis, edge_mass_matrix, element_mass_matrix, make_triangle, random_triangle
+
+from wg4 import poly, weakops
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+#: The thinnest of the acceptance suite's random triangles; its P2 Gram
+#: matrix had condition number 3.7e7 in diameter-scaled monomials.
+THIN = np.array([[-0.789, 0.131], [-0.991, -0.070], [0.951, 0.599]])
 
 
 def reference_moment(a: int, b: int) -> float:
@@ -44,13 +49,15 @@ def test_quadrature_moments_property(a, b):
 
 
 def test_mapped_rule_exactness():
-    tri = poly.make_triangle(np.array([[1.0, 1.0], [3.0, 2.0], [1.5, 4.0]]))
+    points = np.array([[[1.0, 1.0], [3.0, 2.0], [1.5, 4.0]]])
     rule = poly.triangle_quadrature(2)
-    pts, w = poly.map_to_triangle(rule, tri)
-    assert float(w.sum()) == pytest.approx(tri.area, rel=1e-13)
+    pts = poly.map_to_triangles(rule, points)[0]
+    w = rule.weights * poly.jacobian_determinants(points)[0]
+    area, centroid = 2.75, points[0].mean(axis=0)
+    assert float(w.sum()) == pytest.approx(area, rel=1e-13)
     # linear moments via the centroid formula
-    assert float(w @ pts[:, 0]) == pytest.approx(tri.area * tri.centroid[0], rel=1e-13)
-    assert float(w @ pts[:, 1]) == pytest.approx(tri.area * tri.centroid[1], rel=1e-13)
+    assert float(w @ pts[:, 0]) == pytest.approx(area * centroid[0], rel=1e-13)
+    assert float(w @ pts[:, 1]) == pytest.approx(area * centroid[1], rel=1e-13)
 
 
 def test_segment_rule():
@@ -74,91 +81,97 @@ def test_unsupported_rules_rejected():
 
 @pytest.mark.parametrize("degree,dim", [(0, 1), (1, 3), (2, 6)])
 def test_basis_dimension(degree, dim):
-    tri = poly.make_triangle(UNIT_RIGHT)
-    basis = poly.ElementBasis.for_triangle(tri, degree)
-    assert basis.dim == dim
-    assert basis.eval(tri.vertices).shape == (3, dim)
+    assert poly.reference_basis(degree, poly.REFERENCE_VERTICES).shape == (3, dim)
+    assert poly.reference_gradients(degree, poly.REFERENCE_VERTICES).shape == (3, dim, 2)
+    assert poly.reference_mass(degree).shape == (dim, dim)
 
 
 def test_basis_bounded_at_vertices():
-    tri = poly.make_triangle(np.array([[0.2, -1.0], [2.0, 0.5], [-0.3, 1.4]]))
-    basis = poly.ElementBasis.for_triangle(tri, 2)
-    assert np.abs(basis.eval(tri.vertices)).max() <= 1.0 + 1e-12
+    # The affine-mapped basis of any triangle takes the reference values
+    # at its vertices.
+    tri = make_triangle(np.array([[0.2, -1.0], [2.0, 0.5], [-0.3, 1.4]]))
+    want = poly.reference_basis(2, poly.REFERENCE_VERTICES)
+    assert np.abs(ElementBasis.for_triangle(tri, 2).eval(tri.vertices) - want).max() <= 1e-14
+    assert np.abs(want).max() <= 1.0
 
 
 def test_basis_gradient_against_finite_differences():
     rng = np.random.default_rng(7)
-    tri = poly.make_triangle(np.array([[0.0, 0.0], [1.3, 0.2], [0.4, 1.1]]))
-    basis = poly.ElementBasis.for_triangle(tri, 2)
-    bary = rng.dirichlet(np.ones(3), size=10)
-    pts = bary @ tri.vertices
+    pts = rng.dirichlet(np.ones(3), size=10) @ poly.REFERENCE_VERTICES
     step = 1e-6
-    grads = basis.grad(pts)
-    for d, offset in ((0, np.array([step, 0.0])), (1, np.array([0.0, step]))):
-        fd = (basis.eval(pts + offset) - basis.eval(pts - offset)) / (2 * step)
-        assert np.abs(fd - grads[:, :, d]).max() <= 1e-6
+    for degree in (2, 4):
+        grads = poly.reference_gradients(degree, pts)
+        for d, offset in ((0, np.array([step, 0.0])), (1, np.array([0.0, step]))):
+            fd = (poly.reference_basis(degree, pts + offset)
+                  - poly.reference_basis(degree, pts - offset)) / (2 * step)
+            assert np.abs(fd - grads[:, :, d]).max() <= 1e-6
+
+
+def test_reference_basis_maps_to_physical_gradients():
+    # grad_x = J^-T grad_X: the reference gradients at the reference
+    # points equal the physical basis's gradients at the mapped points.
+    points = np.array([[[0.0, 0.0], [1.3, 0.2], [0.4, 1.1]]])
+    rule = poly.triangle_quadrature(4)
+    mapped = poly.map_to_triangles(rule, points)[0]
+    basis = ElementBasis.for_triangle(make_triangle(points[0]), 2)
+    got = poly.reference_gradients(2, rule.points) @ poly.inverse_jacobians(points)[0]
+    assert np.abs(got - basis.grad(mapped)).max() <= 1e-13
+    assert np.abs(poly.reference_basis(2, rule.points) - basis.eval(mapped)).max() <= 1e-14
 
 
 def test_element_mass_matrix_p0():
-    tri = poly.make_triangle(UNIT_RIGHT)
-    mass = poly.element_mass_matrix(tri, 0)
-    assert mass.shape == (1, 1)
-    assert mass[0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert poly.reference_mass(0).shape == (1, 1)
+    assert poly.reference_mass(0)[0, 0] == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_element_mass_matrix_spd(seed):
-    from util import random_triangle
-
-    rng = np.random.default_rng(seed)
-    tri = poly.make_triangle(random_triangle(rng))
+    # The Gram matrix on a triangle, by quadrature on the triangle itself,
+    # is 2|T| times the reference one.
+    tri = make_triangle(random_triangle(np.random.default_rng(seed)))
     for degree in (1, 2):
-        mass = poly.element_mass_matrix(tri, degree)
+        mass = poly.reference_mass(degree)
         assert np.array_equal(mass, mass.T)
         assert np.linalg.eigvalsh(mass).min() > 0
+        got = element_mass_matrix(tri, degree)
+        assert np.abs(got - 2.0 * tri.area * mass).max() <= 1e-14 * np.abs(got).max()
 
 
 def test_element_mass_matrix_conditioning_is_shape_independent():
-    # the thinnest of the acceptance suite's random triangles; its P2 Gram
-    # matrix had condition number 3.7e7 in diameter-scaled monomials
-    thin = poly.make_triangle(np.array([[-0.789, 0.131], [-0.991, -0.070], [0.951, 0.599]]))
-    ref = poly.make_triangle(UNIT_RIGHT)
+    thin = make_triangle(THIN)
     for degree in (1, 2):
-        got = np.linalg.cond(poly.element_mass_matrix(thin, degree))
-        want = np.linalg.cond(poly.element_mass_matrix(ref, degree))
-        assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_element_mass_matrix_weights():
-    tri = poly.make_triangle(UNIT_RIGHT)
-    base = poly.element_mass_matrix(tri, 1)
-    assert np.allclose(poly.element_mass_matrix(tri, 1, weight=3.0), 3.0 * base)
-    kappa = np.array([[2.0, 0.5], [0.5, 1.0]])
-    vec = poly.element_mass_matrix(tri, 1, weight=kappa)
-    assert vec.shape == (6, 6)
-    assert np.allclose(vec, np.kron(kappa, base))
-    assert np.linalg.eigvalsh(vec).min() > 0
-
-
-def test_degenerate_triangle_rejected():
-    with pytest.raises(ValueError):
-        poly.make_triangle(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):  # clockwise
-        poly.make_triangle(UNIT_RIGHT[::-1])
+        got = element_mass_matrix(thin, degree)
+        want = poly.reference_mass(degree)
+        assert np.abs(got - 2.0 * thin.area * want).max() <= 1e-14 * np.abs(got).max()
+        assert np.linalg.cond(got) == pytest.approx(np.linalg.cond(want), rel=1e-10)
 
 
 def test_edge_mass_matrix():
-    assert poly.edge_mass_matrix(2.5, 0) == pytest.approx(np.array([[2.5]]))
-    mass = poly.edge_mass_matrix(1.0, 1)
+    assert poly.edge_mass(0) == pytest.approx(np.array([[1.0]]))
+    mass = poly.edge_mass(1)
     assert mass[0, 0] == pytest.approx(1.0, rel=1e-14)
     assert mass[1, 1] == pytest.approx(1.0 / 12.0, rel=1e-13)
     assert abs(mass[0, 1]) <= 1e-15 and abs(mass[1, 0]) <= 1e-15
-    with pytest.raises(ValueError):
-        poly.edge_mass_matrix(0.0, 1)
+    assert np.abs(edge_mass_matrix(2.5) - 2.5 * mass).max() <= 1e-15
 
 
-def test_triangle_diameter_is_longest_side():
-    # The penalty scale h is the shortest side; the kernels' use of it is
-    # checked against the reference kernel in test_batched_reference.py.
-    tri = poly.make_triangle(UNIT_RIGHT)
-    assert tri.diameter == pytest.approx(math.sqrt(2.0))
+def test_cached_reference_tables_are_read_only():
+    # every caller shares these; a write into one would corrupt every
+    # later assembly
+    with pytest.raises(ValueError, match="read-only"):
+        poly.reference_mass(2)[0, 0] = 1.0
+    rules = [poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE),
+             poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)]
+    tables = {
+        "REFERENCE_VERTICES": poly.REFERENCE_VERTICES,
+        **{f"reference_mass({k})": poly.reference_mass(k) for k in (1, 2)},
+        "edge_mass(1)": poly.edge_mass(1),
+        **{f"rule{i}.{part}": getattr(rule, part)
+           for i, rule in enumerate(rules) for part in ("points", "weights")},
+        **{f"_edge_traces()[{i}]": table for i, table in enumerate(weakops._edge_traces())},
+        "_gradient_moments": weakops._gradient_moments(),
+        "_weighted_interior_basis": weakops._weighted_interior_basis(),
+        "_edge_projector": weakops._edge_projector(),
+    }
+    for name, table in tables.items():
+        assert not table.flags.writeable, name

@@ -5,10 +5,12 @@ import pytest
 
 from util import (
     Element,
+    ElementBasis,
     LocalWeakFunction,
     edge_vg,
     local_of,
     local_projection,
+    map_to_triangle,
     monomial_fields,
     project_calQ1,
     project_calQh,
@@ -54,7 +56,7 @@ def test_weak_gradient_of_lifted_linear(right_geom):
     for k in range(3):
         local.cb[k] = weakops.project_Qb(right_geom.segment(k), lambda x, y: x)[0]
     coeffs = weak_gradient(right_geom, local)
-    basis1 = poly.ElementBasis.for_triangle(right_geom.tri, 1)
+    basis1 = ElementBasis.for_triangle(right_geom.tri, 1)
     pts = np.array([[0.1, 0.1], [0.5, 0.2], [0.2, 0.6]])
     vals = basis1.eval(pts)
     assert np.abs(vals @ coeffs[:3] - 1.0).max() <= 1e-13
@@ -154,9 +156,9 @@ def test_project_q0_reproduces_members(right_geom):
         return x * x + y
 
     coeffs = project_Q0(right_geom.tri, u)
-    basis = poly.ElementBasis.for_triangle(right_geom.tri, 2)
+    basis = ElementBasis.for_triangle(right_geom.tri, 2)
     rule = poly.triangle_quadrature(8)
-    pts, _ = poly.map_to_triangle(rule, right_geom.tri)
+    pts, _ = map_to_triangle(rule, right_geom.tri)
     assert np.abs(basis.eval(pts) @ coeffs - u(pts[:, 0], pts[:, 1])).max() <= 1e-13
 
 
@@ -167,9 +169,9 @@ def test_projection_orthogonality(right_geom):
         return np.exp(x) * np.sin(3 * y)
 
     coeffs = project_Q0(right_geom.tri, u)
-    basis = poly.ElementBasis.for_triangle(right_geom.tri, 2)
+    basis = ElementBasis.for_triangle(right_geom.tri, 2)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, right_geom.tri)
+    pts, w = map_to_triangle(rule, right_geom.tri)
     residual = u(pts[:, 0], pts[:, 1]) - basis.eval(pts) @ coeffs
     moments = basis.eval(pts).T @ (w * residual)
     assert np.abs(moments).max() <= 1e-13

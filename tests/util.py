@@ -5,9 +5,12 @@ by applying the second-order operator twice with fourth-order central
 stencils; it is independent of every code path under test.
 
 ``Element`` runs the batched element kernels on a batch of one triangle.
-The per-element kernel with its edge-by-edge loops, the way the library
-computed element matrices before the batched kernels, is kept at the end
-as the reference that ``test_batched_reference.py`` compares against.
+The physical-triangle basis (``Triangle``, ``ElementBasis`` and the Gram
+matrices by quadrature on the triangle itself) and the per-element kernel
+built on it, with its edge-by-edge loops, are the way the library computed
+element matrices before it took every integral from reference tables; they
+are kept as the references that the reference tables and the batched
+kernels are compared against.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from wg4 import poly, weakops
 from wg4.mesh import Mesh
 from wg4.assembly import CoefficientField, ProblemSpec, local_system
 from wg4.mesh import build_structured_mesh
-from wg4.poly import ElementBasis, Triangle
 
 FD_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -51,20 +53,109 @@ def fd_fourth_order_operator(u, kappa_diag, mu: float, x: float, y: float,
     return -fd_laplacian_diag(once, kx, ky, x, y, step) + mu * once(x, y)
 
 
+# ---------------------------------------------------------------------------
+# the physical-triangle basis
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Geometry of one triangle: counterclockwise vertices, area and centroid."""
+
+    vertices: np.ndarray  # (3, 2)
+    area: float
+    centroid: np.ndarray
+
+
+def make_triangle(vertices) -> Triangle:
+    pts = np.asarray(vertices, dtype=float)
+    area = 0.5 * float(poly.jacobian_determinants(pts[None])[0])
+    assert area > 0.0, f"vertices must be counterclockwise, got area {area}"
+    return Triangle(vertices=pts, area=area, centroid=pts.mean(axis=0))
+
+
+def map_to_triangle(rule: poly.QuadratureRule, tri: Triangle) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points and weights of a reference rule on ``tri``."""
+    return poly.map_to_triangles(rule, tri.vertices[None])[0], rule.weights * (2.0 * tri.area)
+
+
+@dataclass(frozen=True)
+class ElementBasis:
+    """Monomial basis X^a Y^b for P_degree on a triangle, in the local
+    coordinates (X, Y) = J^-1 (x - centroid) of the affine map J from the
+    reference triangle, evaluated at physical points."""
+
+    degree: int
+    center: np.ndarray
+    inverse_jacobian: np.ndarray  # J^-1, maps x - center to (X, Y)
+
+    @classmethod
+    def for_triangle(cls, tri: Triangle, degree: int) -> "ElementBasis":
+        return cls(degree=degree, center=tri.centroid,
+                   inverse_jacobian=poly.inverse_jacobians(tri.vertices[None])[0])
+
+    @property
+    def dim(self) -> int:
+        return (self.degree + 1) * (self.degree + 2) // 2
+
+    def _local(self, pts: np.ndarray) -> np.ndarray:
+        """Local coordinates (X, Y) of ``pts`` as rows of a (2, npoints) array."""
+        return self.inverse_jacobian @ (np.atleast_2d(pts) - self.center).T
+
+    def eval(self, pts: np.ndarray) -> np.ndarray:
+        return poly.monomials(self.degree, *self._local(pts))
+
+    def grad(self, pts: np.ndarray) -> np.ndarray:
+        """Gradients at ``pts``; shape (npoints, dim, 2)."""
+        x, y = self._local(pts)
+        out = np.zeros((len(x), self.dim, 2))
+        exponents = [(d - b, b) for d in range(self.degree + 1) for b in range(d + 1)]
+        for i, (a, b) in enumerate(exponents):
+            if a > 0:
+                out[:, i, 0] = a * x ** (a - 1) * y**b
+            if b > 0:
+                out[:, i, 1] = b * x**a * y ** (b - 1)
+        # chain rule: grad_x = J^-T grad_X, applied to row vectors
+        return out @ self.inverse_jacobian
+
+
+def element_mass_matrix(tri: Triangle, degree: int) -> np.ndarray:
+    """Gram matrix of the P_degree basis on ``tri``, by quadrature on ``tri``."""
+    basis = ElementBasis.for_triangle(tri, degree)
+    rule = poly.triangle_quadrature(max(poly.DEFAULT_TRIANGLE_DEGREE, 2 * degree))
+    pts, w = map_to_triangle(rule, tri)
+    vals = basis.eval(pts)
+    mass = (vals * w[:, None]).T @ vals
+    return 0.5 * (mass + mass.T)
+
+
+def edge_basis(t: np.ndarray) -> np.ndarray:
+    """The P1 edge basis 1, t at arc-length parameters ``t``."""
+    return np.stack([np.ones_like(t), t], axis=1)
+
+
+def edge_mass_matrix(length: float) -> np.ndarray:
+    """Gram matrix of the P1 edge basis on an edge of ``length``."""
+    rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
+    vals = edge_basis(rule.points)
+    mass = length * (vals * rule.weights[:, None]).T @ vals
+    return 0.5 * (mass + mass.T)
+
+
 def project_Q0(tri: Triangle, u, degree: int = weakops.INTERIOR_DEGREE) -> np.ndarray:
     """L2 projection of ``u`` onto P_degree(T); returns basis coefficients."""
     basis = ElementBasis.for_triangle(tri, degree)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
+    pts, w = map_to_triangle(rule, tri)
     vals = basis.eval(pts)
     rhs = vals.T @ (w * u(pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(poly.element_mass_matrix(tri, degree), rhs)
+    return np.linalg.solve(element_mass_matrix(tri, degree), rhs)
 
 
 def project_calQh(tri: Triangle, u) -> float:
     """L2 projection onto P0(T): the mean value of ``u`` over the element."""
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
+    pts, w = map_to_triangle(rule, tri)
     return float(w @ u(pts[:, 0], pts[:, 1])) / tri.area
 
 
@@ -76,10 +167,10 @@ def project_calQ1(tri: Triangle, field) -> np.ndarray:
     """
     basis = ElementBasis.for_triangle(tri, weakops.GRADIENT_DEGREE)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
+    pts, w = map_to_triangle(rule, tri)
     vals = basis.eval(pts)
     fx, fy = field(pts[:, 0], pts[:, 1])
-    mass = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE)
+    mass = element_mass_matrix(tri, weakops.GRADIENT_DEGREE)
     cx = np.linalg.solve(mass, vals.T @ (w * fx))
     cy = np.linalg.solve(mass, vals.T @ (w * fy))
     return np.concatenate([cx, cy])
@@ -102,10 +193,10 @@ def l2_q0_residual(mesh: Mesh, u) -> float:
     rule = poly.triangle_quadrature(12)
     total = 0.0
     for verts in mesh.element_vertices:
-        tri = poly.make_triangle(mesh.vertices[verts])
+        tri = make_triangle(mesh.vertices[verts])
         coeffs = project_Q0(tri, u)
-        basis = poly.ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
-        pts, w = poly.map_to_triangle(rule, tri)
+        basis = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
+        pts, w = map_to_triangle(rule, tri)
         diff = u(pts[:, 0], pts[:, 1]) - basis.eval(pts) @ coeffs
         total += float(w @ diff**2)
     return float(np.sqrt(total))
@@ -256,7 +347,7 @@ class Element:
 
     @property
     def tri(self) -> Triangle:
-        return poly.make_triangle(self.points[0])
+        return make_triangle(self.points[0])
 
     def ew(self) -> np.ndarray:
         """Weak second-order operator row (18,)."""
@@ -342,9 +433,9 @@ def unit_square_mesh(n: int) -> Mesh:
 def element_load(tri: Triangle, f) -> np.ndarray:
     """Load vector (6,) of ``f`` on one element, by quadrature on the
     physical triangle."""
-    basis = poly.ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
+    basis = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(rule, tri)
+    pts, w = map_to_triangle(rule, tri)
     return basis.eval(pts).T @ (w * f(pts[:, 0], pts[:, 1]))
 
 
@@ -354,9 +445,9 @@ def edge_projection(p1, p2, g) -> np.ndarray:
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     length = float(np.linalg.norm(p2 - p1))
     pts = 0.5 * (p1 + p2) + rule.points[:, None] * (p2 - p1)
-    vals = poly.EdgeBasis(weakops.EDGE_DEGREE).eval(rule.points)
+    vals = edge_basis(rule.points)
     rhs = vals.T @ (rule.weights * length * g(pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(poly.edge_mass_matrix(length, weakops.EDGE_DEGREE), rhs)
+    return np.linalg.solve(edge_mass_matrix(length), rhs)
 
 
 def error_sums(mesh: Mesh, e: np.ndarray) -> tuple[float, float, float]:
@@ -365,12 +456,12 @@ def error_sums(mesh: Mesh, e: np.ndarray) -> tuple[float, float, float]:
     base = weakops.N_INTERIOR * mesh.n_elements
     l2 = eb = eg = 0.0
     for i, (verts, edges) in enumerate(zip(mesh.element_vertices, mesh.element_edges)):
-        tri = poly.make_triangle(mesh.vertices[verts])
+        tri = make_triangle(mesh.vertices[verts])
         d0 = e[6 * i : 6 * i + 6]
-        l2 += float(d0 @ poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE) @ d0)
+        l2 += float(d0 @ element_mass_matrix(tri, weakops.INTERIOR_DEGREE) @ d0)
         h = min(mesh.edge_lengths[edges])
         for eid in edges:
-            emass = poly.edge_mass_matrix(mesh.edge_lengths[eid], weakops.EDGE_DEGREE)
+            emass = edge_mass_matrix(mesh.edge_lengths[eid])
             block = e[base + 4 * eid : base + 4 * eid + 4]
             db, dg = block[:2], block[2:]
             eb += h * float(db @ emass @ db)
@@ -425,9 +516,6 @@ def reference_geometry(elem: Element) -> ElementGeometry:
     return ElementGeometry(tri=elem.tri, edges=tuple(views))
 
 
-_EDGE_BASIS = poly.EdgeBasis(weakops.EDGE_DEGREE)
-
-
 def _vb_slice(k: int) -> slice:
     return slice(6 + 4 * k, 6 + 4 * k + 2)
 
@@ -442,7 +530,7 @@ def reference_weak_laplacian(geom: ElementGeometry) -> np.ndarray:
     row = np.zeros(weakops.N_LOCAL)
     for k, view in enumerate(geom.edges):
         _, w, t = view.quad_points(rule)
-        row[_vg_slice(k)] = view.sigma * (w @ _EDGE_BASIS.eval(t))
+        row[_vg_slice(k)] = view.sigma * (w @ edge_basis(t))
     return row / geom.tri.area
 
 
@@ -452,11 +540,11 @@ def reference_weak_gradient(geom: ElementGeometry) -> np.ndarray:
     tri = geom.tri
     basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
     basis1 = ElementBasis.for_triangle(tri, weakops.GRADIENT_DEGREE)
-    mass_vec = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE, weight=np.eye(2))
+    mass_vec = np.kron(np.eye(2), element_mass_matrix(tri, weakops.GRADIENT_DEGREE))
 
     rhs = np.zeros((2 * basis1.dim, weakops.N_LOCAL))
     tri_rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts, w = poly.map_to_triangle(tri_rule, tri)
+    pts, w = map_to_triangle(tri_rule, tri)
     grads0 = basis0.grad(pts)  # (m, 6, 2)
     vals1 = basis1.eval(pts)  # (m, 3)
     # (grad v0, psi)_T
@@ -468,7 +556,7 @@ def reference_weak_gradient(geom: ElementGeometry) -> np.ndarray:
         pts_e, w_e, t = view.quad_points(edge_rule)
         trace0 = basis0.eval(pts_e)  # (m, 6)
         trace1 = basis1.eval(pts_e)  # (m, 3)
-        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
+        trace_b = edge_basis(t)  # (m, 2)
         for comp in range(2):
             nc = view.normal[comp]
             block = slice(comp * basis1.dim, (comp + 1) * basis1.dim)
@@ -483,8 +571,8 @@ def _trace_projector(view: EdgeView, basis0: ElementBasis) -> np.ndarray:
     of their trace on this edge."""
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     pts, w, t = view.quad_points(rule)
-    mixed = (_EDGE_BASIS.eval(t) * w[:, None]).T @ basis0.eval(pts)
-    return np.linalg.solve(poly.edge_mass_matrix(view.length, weakops.EDGE_DEGREE), mixed)
+    mixed = (edge_basis(t) * w[:, None]).T @ basis0.eval(pts)
+    return np.linalg.solve(edge_mass_matrix(view.length), mixed)
 
 
 def reference_local_system(geom: ElementGeometry, kappa, mu: float) -> np.ndarray:
@@ -499,16 +587,16 @@ def reference_local_system(geom: ElementGeometry, kappa, mu: float) -> np.ndarra
 
     if mu != 0.0:
         G = reference_weak_gradient(geom)
-        kmass = poly.element_mass_matrix(tri, weakops.GRADIENT_DEGREE, weight=kappa)
+        kmass = np.kron(kappa, element_mass_matrix(tri, weakops.GRADIENT_DEGREE))
         A += 2.0 * mu * G.T @ kmass @ G
-        mass0 = poly.element_mass_matrix(tri, weakops.INTERIOR_DEGREE)
+        mass0 = element_mass_matrix(tri, weakops.INTERIOR_DEGREE)
         A[:6, :6] += mu * mu * mass0
 
     basis0 = ElementBasis.for_triangle(tri, weakops.INTERIOR_DEGREE)
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     for k, view in enumerate(geom.edges):
         pts, w, t = view.quad_points(rule)
-        trace_b = _EDGE_BASIS.eval(t)  # (m, 2)
+        trace_b = edge_basis(t)  # (m, 2)
 
         # flux penalty rows: kappa grad v0 . n_out - sigma * vg
         grads = basis0.grad(pts)  # (m, 6, 2)
