@@ -6,23 +6,31 @@ Subcommands:
     ft-demo      forward-model scenario, sampled field output
     mesh-dump    mesh connectivity dump
 
-All numeric output uses 6-significant-digit scientific formatting so
-that identical configurations produce byte-identical files.  Exit codes:
+A JSON config and a command's flags go through one validator
+(``_validate``); its errors name the key as ``$.key`` in a config and as
+``--flag`` on the command line.  This is the only module that formats
+numbers: every CSV row comes from one ``%`` template over the stacked
+columns (``_rows``), in 6-significant-digit scientific form, so that
+identical configurations produce byte-identical files.  Exit codes:
 0 success, 2 configuration error, 3 solver failure, 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import harness
 from .assembly import Region
-from .mesh import build_structured_mesh, mesh_to_csv
+from .errors import NORM_FIELDS, error_report
+from .mesh import Mesh, build_structured_mesh
 from .solve import SolverConfig, SolverError
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -51,31 +59,27 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# strict JSON validation
+# validation: one table-driven parser for JSON configs and flags
 # ---------------------------------------------------------------------------
 
-_SCHEMA: dict[str, dict[str, bool]] = {
-    # key -> {field: required}
-    "solve": {"case": True, "n": True, "out": False, "grid": False, "solver": False,
-              "source": False, "regions": False},
-    "convergence": {"case": True, "levels": True, "out": False, "solver": False},
-    "ft-demo": {"scenario": True, "n": True, "out": False, "grid": False,
-                "solver": False, "source": False, "regions": False},
-    "mesh-dump": {"n": True, "out": False, "domain": False},
-}
-
-_SOLVER_KEYS = {"tolerance": False}
+#: Upper bound of n and of each convergence level.  The reduced matrix
+#: has about 592 n^2 nonzeros (n=128 already peaks at 912 MB), so n=1024
+#: means about 620M nonzeros, some 7 GB before factorization.
+MAX_N = 1024
+#: Upper bound of the sampled field's side: 2048^2 is 4.2M samples.
+MAX_GRID = 2048
 
 
 def _type_error(path: str, expected: str, value) -> ConfigError:
     return ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _as_int(value, path: str, minimum: int = 1) -> int:
+def _as_int(value, path: str, minimum: int = 1, maximum: int = MAX_N) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise _type_error(path, "an integer", value)
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if not minimum <= value <= maximum:
+        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+        raise ConfigError(f"{path}: must be {bound}, got {value}")
     return value
 
 
@@ -93,65 +97,116 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _as_point(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise _type_error(path, "a [x, y] pair", value)
-    return (_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
+def _one_of(names, what: str):
+    def parse(value, path: str) -> str:
+        if _as_str(value, path) not in names:
+            raise ConfigError(f"{path}: unknown {what} {value!r}; available: {', '.join(names)}")
+        return value
+
+    return parse
 
 
-def _parse_solver(obj, path: str) -> SolverConfig:
-    if not isinstance(obj, dict):
-        raise _type_error(path, "an object", obj)
-    unknown = set(obj) - set(_SOLVER_KEYS)
+def _items(value, path: str, parse, expected: str, length: int | None = None):
+    """Parse each item of a list, as ``path[i]``: a list, or a tuple of
+    the given ``length``."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise _type_error(path, expected, value)
+    items = [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return items if length is None else tuple(items)
+
+
+def _parse_object(value, path: str, table: dict, build, sep: str = "."):
+    """``build(**parsed keys)`` from a dict checked against ``table``,
+    which maps each allowed key to (required, value parser).  A key's
+    path is ``path + sep + key``; a ValueError of ``build`` is reported
+    at ``path``."""
+    if not isinstance(value, dict):
+        raise _type_error(path, "an object", value)
+    unknown = sorted(set(value) - set(table))
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    kwargs = {}
-    if "tolerance" in obj:
-        kwargs["tolerance"] = _as_number(obj["tolerance"], f"{path}.tolerance")
+        raise ConfigError(f"{path}{sep}{unknown[0]}: unknown key")
+    for key, (required, _) in table.items():
+        if required and key not in value:
+            raise ConfigError(f"{path}{sep}{key}: required key missing")
+    parsed = {key: parse(value[key], f"{path}{sep}{key}") for key, (_, parse) in table.items()
+              if key in value}
     try:
-        return SolverConfig(**kwargs)
+        return build(**parsed)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_region(obj, path: str) -> Region:
-    if not isinstance(obj, dict):
-        raise _type_error(path, "an object", obj)
-    allowed = {"shape", "kappa", "mu", "bounds", "center", "radius"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    for key in ("shape", "kappa", "mu"):
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: required key missing")
-    kappa = obj["kappa"]
-    if (
-        not isinstance(kappa, list)
-        or len(kappa) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in kappa)
-    ):
-        raise _type_error(f"{path}.kappa", "a 2x2 matrix", kappa)
-    kwargs = {
-        "shape": _as_str(obj["shape"], f"{path}.shape"),
-        "kappa": np.array(
-            [[_as_number(kappa[i][j], f"{path}.kappa[{i}][{j}]") for j in range(2)]
-             for i in range(2)]
-        ),
-        "mu": _as_number(obj["mu"], f"{path}.mu"),
-    }
-    if "bounds" in obj:
-        bounds = obj["bounds"]
-        if not isinstance(bounds, list) or len(bounds) != 4:
-            raise _type_error(f"{path}.bounds", "a [x0, y0, x1, y1] list", bounds)
-        kwargs["bounds"] = tuple(_as_number(b, f"{path}.bounds[{i}]") for i, b in enumerate(bounds))
-    if "center" in obj:
-        kwargs["center"] = _as_point(obj["center"], f"{path}.center")
-    if "radius" in obj:
-        kwargs["radius"] = _as_number(obj["radius"], f"{path}.radius")
-    try:
-        return Region(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+_as_case = _one_of(sorted(harness.CATALOG), "case")
+_as_grid = partial(_as_int, minimum=2, maximum=MAX_GRID)
+_as_point = partial(_items, parse=_as_number, expected="a [x, y] pair", length=2)
+_as_rect = partial(_items, parse=_as_number, expected="a [x0, y0, x1, y1] list", length=4)
+
+
+def _as_exact_case(value, path: str) -> str:
+    if not harness.catalog_entry(_as_case(value, path)).has_exact:
+        raise ConfigError(f"{path}: case {value!r} has no exact solution")
+    return value
+
+
+def _as_levels(value, path: str) -> list[int]:
+    if value == []:
+        raise _type_error(path, "a non-empty list of integers", value)
+    levels = _items(value, path, _as_int, "a non-empty list of integers")
+    for a, b in zip(levels, levels[1:]):
+        if b != 2 * a:
+            raise ConfigError(f"{path}: levels must double, got {a} followed by {b}")
+    return levels
+
+
+def _as_kappa(value, path: str) -> np.ndarray:
+    row = partial(_items, parse=_as_number, expected="a row of two numbers", length=2)
+    return np.array(_items(value, path, row, "a 2x2 matrix", 2))
+
+
+def _as_solver(value, path: str) -> SolverConfig:
+    return _parse_object(value, path, {"tolerance": (False, _as_number)}, SolverConfig)
+
+
+def _as_region(value, path: str) -> Region:
+    return _parse_object(value, path, _REGION, Region)
+
+
+def _run_config(scenario: str | None = None, **fields) -> RunConfig:
+    if scenario is not None:  # ft-demo's name for its case
+        fields["case"] = scenario
+    return RunConfig(**fields)
+
+
+_REGION = {"shape": (True, _as_str), "kappa": (True, _as_kappa), "mu": (True, _as_number),
+           "bounds": (False, _as_rect), "center": (False, _as_point), "radius": (False, _as_number)}
+#: Keys shared by the two commands that solve and sample a field.
+_FIELD = {"out": (False, _as_str), "grid": (False, _as_grid), "solver": (False, _as_solver),
+          "source": (False, _as_point),
+          "regions": (False, partial(_items, parse=_as_region, expected="a list"))}
+#: Per command, each top-level key but ``command`` -> (required, value parser).
+_SCHEMA = {
+    "solve": {"case": (True, _as_case), "n": (True, _as_int), **_FIELD},
+    "convergence": {"case": (True, _as_exact_case), "levels": (True, _as_levels),
+                    "out": (False, _as_str), "solver": (False, _as_solver)},
+    "ft-demo": {"scenario": (True, _one_of(harness.FT_SCENARIOS, "scenario")),
+                "n": (True, _as_int), **_FIELD},
+    "mesh-dump": {"n": (True, _as_int), "out": (False, _as_str), "domain": (False, _as_rect)},
+}
+
+
+def _validate(doc: dict, path: str, sep: str) -> RunConfig:
+    """The one validator, of a JSON config (``path`` ``$``, ``sep`` ``.``)
+    or of a command's flags (no path, ``sep`` ``--``)."""
+    command = doc.get("command")
+    if command not in COMMANDS:
+        raise ConfigError(f"{path}{sep}command: must be one of {', '.join(COMMANDS)}, "
+                          f"got {command!r}")
+    table = {"command": (True, _as_str), **_SCHEMA[command]}
+    cfg = _parse_object(doc, path, table, _run_config, sep)
+    if cfg.source is not None and cfg.case != "gaussian-source":
+        raise ConfigError(f"{path}{sep}source: only the gaussian-source scenario takes a "
+                          "source point")
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
@@ -166,72 +221,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _type_error("$", "an object", obj)
-    command = obj.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"$.command: must be one of {', '.join(COMMANDS)}, got {command!r}")
-    schema = _SCHEMA[command]
-    unknown = set(obj) - set(schema) - {"command"}
-    if unknown:
-        raise ConfigError(f"$.{sorted(unknown)[0]}: unknown key")
-    for key, required in schema.items():
-        if required and key not in obj:
-            raise ConfigError(f"$.{key}: required key missing")
-
-    cfg = RunConfig(command=command)
-    case_key = "scenario" if command == "ft-demo" else "case"
-    if case_key in obj:
-        cfg.case = _as_str(obj[case_key], f"$.{case_key}")
-    if "n" in obj:
-        cfg.n = _as_int(obj["n"], "$.n")
-    if "levels" in obj:
-        levels = obj["levels"]
-        if not isinstance(levels, list) or not levels:
-            raise _type_error("$.levels", "a non-empty list of integers", levels)
-        cfg.levels = [_as_int(v, f"$.levels[{i}]") for i, v in enumerate(levels)]
-    if "source" in obj:
-        cfg.source = _as_point(obj["source"], "$.source")
-    if "grid" in obj:
-        cfg.grid = _as_int(obj["grid"], "$.grid", minimum=2)
-    if "out" in obj:
-        cfg.out = _as_str(obj["out"], "$.out")
-    if "solver" in obj:
-        cfg.solver = _parse_solver(obj["solver"], "$.solver")
-    if "regions" in obj:
-        regions = obj["regions"]
-        if not isinstance(regions, list):
-            raise _type_error("$.regions", "a list", regions)
-        cfg.regions = [_parse_region(r, f"$.regions[{i}]") for i, r in enumerate(regions)]
-    if "domain" in obj:
-        dom = obj["domain"]
-        if not isinstance(dom, list) or len(dom) != 4:
-            raise _type_error("$.domain", "a [x0, y0, x1, y1] list", dom)
-        cfg.domain = tuple(_as_number(v, f"$.domain[{i}]") for i, v in enumerate(dom))
-    _validate_semantics(cfg)
-    return cfg
-
-
-def _validate_semantics(cfg: RunConfig) -> None:
-    if cfg.command in ("solve", "convergence"):
-        if cfg.case not in harness.CATALOG:
-            raise ConfigError(
-                f"$.case: unknown case {cfg.case!r}; available: "
-                + ", ".join(sorted(harness.CATALOG))
-            )
-    if cfg.command == "ft-demo":
-        if cfg.case not in harness.FT_SCENARIOS:
-            raise ConfigError(
-                f"$.scenario: unknown scenario {cfg.case!r}; available: "
-                + ", ".join(harness.FT_SCENARIOS)
-            )
-    if cfg.source is not None and cfg.case != "gaussian-source":
-        raise ConfigError("$.source: only the gaussian-source scenario takes a source point")
-    if cfg.command == "convergence":
-        entry = harness.catalog_entry(cfg.case)
-        if not entry.has_exact:
-            raise ConfigError(f"$.case: case {cfg.case!r} has no exact solution")
-        for a, b in zip(cfg.levels, cfg.levels[1:]):
-            if b != 2 * a:
-                raise ConfigError(f"$.levels: levels must double, got {a} followed by {b}")
+    return _validate(obj, "$", ".")
 
 
 # ---------------------------------------------------------------------------
@@ -239,70 +229,89 @@ def _validate_semantics(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.5e}"
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
+def _rows(template: str, *columns) -> str:
+    """One ``template`` line per row of the stacked columns: a single
+    ``%`` over the flattened table, with no per-row loop."""
+    table = np.column_stack(columns)
+    return (template * len(table)) % tuple(table.ravel().tolist())
+
+
 def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
-    rows = np.column_stack([points, values]).ravel().tolist()
-    return "x,y,u0\n" + ("%.5e,%.5e,%.5e\n" * len(values)) % tuple(rows)
+    return "x,y,u0\n" + _rows("%.5e,%.5e,%.5e\n", points, values)
+
+
+def _mesh_csv(mesh: Mesh) -> str:
+    """Plain-text dump with ``# vertices``, ``# elements``, ``# edges`` sections."""
+    diameters = mesh.edge_lengths[mesh.element_edges].max(axis=1)
+    return "".join([
+        "# vertices\n",
+        _rows("%d,%.5e,%.5e\n", np.arange(len(mesh.vertices)), mesh.vertices),
+        "# elements\n",
+        _rows("%d" + ",%d" * 9 + ",%.5e,%.5e\n", np.arange(mesh.n_elements),
+              mesh.element_vertices, mesh.element_edges, mesh.element_signs, mesh.areas,
+              diameters),
+        "# edges\n",
+        _rows("%d,%d,%d,%.5e,%.5e,%.5e,%d,%d,%d\n", np.arange(mesh.n_edges),
+              mesh.edge_vertices, mesh.edge_normals, mesh.edge_lengths, mesh.boundary,
+              mesh.edge_elements),
+    ])
+
+
+def _convergence_csv(result: harness.ConvergenceResult) -> str:
+    """The error/order table; an order is blank on the first row and
+    ``exact`` where the errors vanish."""
+    reports = result.reports
+    columns = [[r.n for r in reports], [r.h for r in reports]]
+    for name in NORM_FIELDS:
+        orders = ["exact" if not math.isfinite(o) else "%.5e" % o for o in result.orders[name]]
+        # an object column keeps the stacked table from turning numbers into strings
+        columns += [[getattr(r, name) for r in reports], np.array(["", *orders], dtype=object)]
+    return ("n,h,l2_e0,l2_order,tbar,tbar_order,eb,eb_order,eg,eg_order\n"
+            + _rows("%d,%.5e" + ",%.5e,%s" * len(NORM_FIELDS) + "\n", *columns))
 
 
 def _run_field_command(cfg: RunConfig) -> None:
     entry = harness.catalog_entry(cfg.case, cfg.source)
     try:
-        mesh, spec, u_h, report = harness.solve_case(
-            entry, cfg.n, cfg.solver, regions=cfg.regions
-        )
+        mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     points, values = harness.sample_field(mesh, u_h, cfg.grid)
     if cfg.out:
         _write(cfg.out, _field_csv(points, values))
-    print(
-        f"{cfg.case}: n={mesh.n} dofs={u_h.dofmap.size} "
-        f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}"
-    )
+    print(f"{cfg.case}: n={mesh.n} dofs={u_h.dofmap.size} "
+          f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}")
     if spec.has_exact:
-        from .errors import error_report
-
         rep = error_report(mesh, spec, u_h)
-        print(
-            f"errors: l2_e0={_fmt(rep.l2_e0)} tbar={_fmt(rep.tbar)} "
-            f"eb={_fmt(rep.eb_edge)} eg={_fmt(rep.eg_edge)}"
-        )
+        print("errors: l2_e0=%.5e tbar=%.5e eb=%.5e eg=%.5e"
+              % (rep.l2_e0, rep.tbar, rep.eb_edge, rep.eg_edge))
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     if cfg.command in ("solve", "ft-demo"):
         _run_field_command(cfg)
-    elif cfg.command == "convergence":
-        entry = harness.catalog_entry(cfg.case)
-        result = harness.run_convergence(entry, cfg.levels, cfg.solver)
-        csv = result.to_csv()
-        if cfg.out:
-            _write(cfg.out, csv)
-        else:
-            print(csv, end="")
+        return 0
+    if cfg.command == "convergence":
+        result = harness.run_convergence(harness.catalog_entry(cfg.case), cfg.levels, cfg.solver)
+        text = _convergence_csv(result)
     elif cfg.command == "mesh-dump":
-        domain = cfg.domain or (0.0, 0.0, 1.0, 1.0)
         try:
-            mesh = build_structured_mesh(domain, cfg.n)
+            mesh = build_structured_mesh(cfg.domain or (0.0, 0.0, 1.0, 1.0), cfg.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        text = mesh_to_csv(mesh)
-        if cfg.out:
-            _write(cfg.out, text)
-        else:
-            print(text, end="")
+        text = _mesh_csv(mesh)
     else:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    if cfg.out:
+        _write(cfg.out, text)
+    else:
+        print(text, end="")
     return 0
 
 
@@ -338,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--scenario", required=True)
     p_ft.add_argument("--source", help="x,y source point (gaussian-source only)")
     p_ft.add_argument("--n", required=True, type=int)
-    p_ft.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p_ft.add_argument("--grid", type=int)
     p_ft.add_argument("--out", help="output CSV path")
 
     p_mesh = sub.add_parser("mesh-dump", help="dump mesh connectivity as CSV")
@@ -355,43 +364,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text)
-        if args.out:
-            cfg.out = args.out
+        cfg.out = args.out or cfg.out
         return cfg
-    if args.command == "convergence":
-        try:
-            levels = [int(v) for v in args.levels.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--levels: {exc}") from exc
-        cfg = RunConfig(command="convergence", case=args.case, levels=levels, out=args.out)
-    elif args.command == "ft-demo":
-        source = None
-        if args.source:
-            try:
-                values = [float(v) for v in args.source.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"--source: {exc}") from exc
-            source = _as_point(values, "--source")
-        cfg = RunConfig(
-            command="ft-demo",
-            case=args.scenario,
-            n=_as_int(args.n, "--n"),
-            grid=_as_int(args.grid, "--grid", minimum=2),
-            source=source,
-            out=args.out,
-        )
-    else:  # mesh-dump
-        cfg = RunConfig(command="mesh-dump", n=_as_int(args.n, "--n"), out=args.out)
-    _validate_semantics(cfg)
-    return cfg
+    doc = {key: value for key, value in vars(args).items() if value is not None}
+    for key in ("levels", "source"):
+        if key in doc:
+            doc[key] = [_literal(item) for item in doc[key].split(",")]
+    return _validate(doc, "", "--")
+
+
+def _literal(text: str):
+    """An int or float where ``text`` reads as one, else ``text`` itself,
+    left for the validator to reject with its path."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return run(_config_from_args(args))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

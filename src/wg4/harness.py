@@ -358,25 +358,6 @@ class ConvergenceResult:
     reports: list[ErrorReport]
     orders: dict[str, list[float]]
 
-    def to_csv(self) -> str:
-        header = "n,h,l2_e0,l2_order,tbar,tbar_order,eb,eb_order,eg,eg_order"
-        lines = [header]
-        for i, rep in enumerate(self.reports):
-            cells = [str(rep.n), _fmt(rep.h)]
-            for name in err_mod.NORM_FIELDS:
-                cells.append(_fmt(getattr(rep, name)))
-                cells.append(_fmt_order(self.orders[name][i - 1]) if i > 0 else "")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.5e}"
-
-
-def _fmt_order(order: float) -> str:
-    return "exact" if not math.isfinite(order) else f"{order:.5e}"
-
 
 def run_convergence(
     entry: CaseCatalogEntry,

@@ -38,7 +38,6 @@ from .poly import jacobian_determinants
 __all__ = [
     "Mesh",
     "build_structured_mesh",
-    "mesh_to_csv",
 ]
 
 Rectangle = tuple[float, float, float, float]
@@ -202,34 +201,3 @@ def _validate(mesh: Mesh) -> None:
         raise RuntimeError(
             f"edge {e} {tuple(mesh.edge_vertices[e])} flagged boundary but off the rectangle"
         )
-
-
-def mesh_to_csv(mesh: Mesh) -> str:
-    """Plain-text dump with ``# vertices``, ``# elements``, ``# edges`` sections."""
-
-    def fmt(x: float) -> str:
-        return f"{x:.5e}"
-
-    lines = ["# vertices"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"{i},{fmt(x)},{fmt(y)}")
-    lines.append("# elements")
-    diameters = mesh.edge_lengths[mesh.element_edges].max(axis=1)
-    rows = zip(mesh.element_vertices, mesh.element_edges, mesh.element_signs, mesh.areas,
-               diameters)
-    for i, (verts, edges, signs, area, diameter) in enumerate(rows):
-        cells = [i, *verts, *edges, *signs]
-        lines.append(",".join([str(c) for c in cells] + [fmt(area), fmt(diameter)]))
-    lines.append("# edges")
-    rows = zip(mesh.edge_vertices, mesh.edge_normals, mesh.edge_lengths, mesh.boundary,
-               mesh.edge_elements)
-    for i, (verts, normal, length, boundary, adjacent) in enumerate(rows):
-        lines.append(
-            ",".join(
-                [str(i), str(verts[0]), str(verts[1])]
-                + [fmt(normal[0]), fmt(normal[1]), fmt(length)]
-                + [str(int(boundary))]
-                + [str(a) for a in adjacent]
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -242,25 +242,22 @@ def _edge_projector() -> np.ndarray:
     return projector
 
 
-def _project_edges(segments: np.ndarray, u) -> np.ndarray:
+def project_Qb(segments: np.ndarray, u) -> np.ndarray:
+    """L2 projections (F, 2) onto P1(e) of a function along each edge of
+    ``segments`` (F, 2, 2), given by its endpoints p1, p2.
+
+    ``project_Qb`` projects a trace u; ``project_Qg`` is the same function
+    under a second name and projects a conormal flux g, the scalar flux
+    along each edge's own (global) normal.  Both stay module attributes,
+    so each can be wrapped on its own.
+    """
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     p1, p2 = segments[:, 0, None], segments[:, 1, None]
     pts = 0.5 * (p1 + p2) + rule.points[:, None] * (p2 - p1)
     return u(pts[..., 0], pts[..., 1]) @ _edge_projector().T
 
 
-def project_Qb(segments: np.ndarray, u) -> np.ndarray:
-    """L2 projections (F, 2) of a trace function onto P1(e) of each edge
-    ``segments`` (F, 2, 2), given by its endpoints p1, p2."""
-    return _project_edges(segments, u)
-
-
-def project_Qg(segments: np.ndarray, g) -> np.ndarray:
-    """L2 projections (F, 2) of a conormal-flux function onto P1(e).
-
-    ``g`` is the scalar flux along each edge's own (global) normal.
-    """
-    return _project_edges(segments, g)
+project_Qg = project_Qb
 
 
 def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:

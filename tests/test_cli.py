@@ -113,6 +113,17 @@ def test_bad_region_values_rejected(region, fragment):
     (json.dumps({"command": "solve", "case": "sine", "n": 4,
                  "solver": {"tolerance": float("nan")}}),
      "$.solver.tolerance: expected a finite number"),
+    (json.dumps({"command": "solve", "case": "sine", "n": 10**30}),
+     f"$.n: must be <= 1024, got {10**30}"),
+    (json.dumps({"command": "mesh-dump", "n": 1025}), "$.n: must be <= 1024, got 1025"),
+    (json.dumps({"command": "convergence", "case": "sine", "levels": [10**6, 2 * 10**6]}),
+     "$.levels[0]: must be <= 1024, got 1000000"),
+    (json.dumps({"command": "ft-demo", "scenario": "boundary-dirac", "n": 8, "grid": 10**9}),
+     "$.grid: must be <= 2048, got 1000000000"),
+    (json.dumps({"command": "solve", "case": "gaussian-source", "n": 8,
+                 "regions": [{"shape": "disk", "center": [25, 15], "radius": 4,
+                              "kappa": [[1, 0], [0]], "mu": 0.0}]}),
+     "$.regions[0].kappa[1]: expected a row of two numbers, got [0]"),
 ])
 def test_invalid_configs_rejected(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -221,3 +232,34 @@ def test_gaussian_demo_with_source(tmp_path):
     rows = out.read_text().strip().split("\n")[1:]
     values = np.array([float(r.split(",")[2]) for r in rows])
     assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["convergence", "--case", "sine", "--levels", "0,0"], "--levels[0]: must be >= 1, got 0"),
+    (["convergence", "--case", "sine", "--levels=-2,-4"], "--levels[0]: must be >= 1, got -2"),
+    (["ft-demo", "--scenario", "sine", "--n", "4"], "--scenario: unknown scenario 'sine'"),
+    (["ft-demo", "--scenario", "boundary-indicator", "--n", "8", "--source", "1,2"],
+     "--source: only the gaussian-source scenario"),
+    (["mesh-dump", "--n", "1025"], "--n: must be <= 1024, got 1025"),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "2048"],
+     "--n: must be <= 1024, got 2048"),
+    (["convergence", "--case", "sine", "--levels", "1024,2048"],
+     "--levels[1]: must be <= 1024, got 2048"),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "2049"],
+     "--grid: must be <= 2048, got 2049"),
+])
+def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
+    # an input that stops being rejected must fail here, not run (or build a huge mesh)
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail(f"accepted {cfg}"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {message}")
+
+
+@pytest.mark.parametrize("doc,attr,value", [
+    ({"command": "solve", "case": "gaussian-source", "n": 8, "regions": []}, "regions", []),
+    ({"command": "solve", "case": "sine", "n": 4, "solver": {}}, "solver", cli.SolverConfig()),
+    ({"command": "mesh-dump", "n": 4}, "domain", None),
+    ({"command": "ft-demo", "scenario": "boundary-dirac", "n": 8}, "grid", 101),
+])
+def test_valid_configs_accepted(doc, attr, value):
+    assert getattr(parse_config(json.dumps(doc)), attr) == value

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wg4.mesh import _validate, build_structured_mesh, mesh_to_csv
+from wg4.cli import _mesh_csv as mesh_to_csv
+from wg4.mesh import _validate, build_structured_mesh
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
