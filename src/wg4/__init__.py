@@ -18,14 +18,13 @@ from .errors import ErrorReport, convergence_orders, error_report
 from .harness import CATALOG, run_convergence, sample_field, solve_case
 from .mesh import Mesh, build_structured_mesh
 from .solve import SolverConfig, SolverError, solve_spd
-from .weakops import DofMap, WeakFunction, project_Qh
+from .weakops import WeakFunction, project_Qh
 
 __all__ = [
     "AssembledSystem",
     "AssemblyError",
     "CATALOG",
     "CoefficientField",
-    "DofMap",
     "ErrorReport",
     "Mesh",
     "ProblemSpec",

@@ -33,7 +33,7 @@ block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the DofMap, the free-dof mask, the
+mesh and the coefficient field: the free-dof mask, the
 reduced matrix, its coupling block to the boundary dofs, the class
 matrices, and the SuperLU factorization of the reduced matrix, which
 ``solve.solve_spd`` fills in on first use.  The load depends on the
@@ -56,7 +56,7 @@ import scipy.sparse as sp
 
 from . import poly, weakops
 from .mesh import Mesh
-from .weakops import N_INTERIOR, N_LOCAL, DofMap, WeakFunction
+from .weakops import N_INTERIOR, N_LOCAL, WeakFunction
 
 __all__ = [
     "Region",
@@ -144,44 +144,29 @@ class CoefficientField:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
+        if np.ndim(self.kappa) != 3 or np.shape(self.mu) != (len(self.kappa),):
+            raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
+                             f"{np.shape(self.kappa)} and {np.shape(self.mu)}")
         _check_spd(self.kappa)
-        bad = np.flatnonzero(~(self.mu >= 0))
+        bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu >= 0)))
         if len(bad):
-            raise ValueError(f"mu[{bad[0]}]: must be nonnegative, got {self.mu[bad[0]]}")
+            value = self.mu[bad[0]]
+            need = "nonnegative" if np.isfinite(value) else "finite"
+            raise ValueError(f"mu[{bad[0]}]: must be {need}, got {value}")
 
     @classmethod
-    def uniform(cls, mesh: Mesh, kappa, mu: float) -> "CoefficientField":
-        kappa = np.asarray(kappa, dtype=float)
-        return cls(
-            kappa=np.broadcast_to(kappa, (mesh.n_elements, 2, 2)).copy(),
-            mu=np.full(mesh.n_elements, float(mu)),
-        )
-
-    @classmethod
-    def from_regions(
-        cls, mesh: Mesh, kappa, mu: float, regions: list[Region]
-    ) -> "CoefficientField":
-        """Background values overridden per region, sampled at element
-        centroids; later regions win."""
-        kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.n_elements, 2, 2))
-        return _overridden(mesh, kappa, np.full(mesh.n_elements, float(mu)), regions)
-
-    def with_regions(self, mesh: Mesh, regions) -> "CoefficientField":
-        """A copy with each region's values at the elements whose centroid
-        it contains; later regions win."""
-        return _overridden(mesh, self.kappa, self.mu, regions)
-
-
-def _overridden(mesh: Mesh, kappa: np.ndarray, mu: np.ndarray, regions) -> CoefficientField:
-    """The field of copies of ``kappa`` and ``mu`` with each region's
-    values at the elements whose centroid it contains; later regions win."""
-    kappa, mu = kappa.copy(), mu.copy()
-    cx, cy = mesh.centroids.T
-    for region in regions:
-        inside = region.contains(cx, cy)
-        kappa[inside] = region.kappa
-        mu[inside] = region.mu
-    return CoefficientField(kappa=kappa, mu=mu)
+    def from_regions(cls, mesh: Mesh, kappa, mu, regions=()) -> "CoefficientField":
+        """The background ``kappa`` (2x2 or one per element) and ``mu``
+        (scalar or one per element), with each region's values at the
+        elements whose centroid it contains; later regions win."""
+        kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.n_elements, 2, 2)).copy()
+        mu = np.broadcast_to(np.asarray(mu, dtype=float), (mesh.n_elements,)).copy()
+        cx, cy = mesh.centroids.T
+        for region in regions:
+            inside = region.contains(cx, cy)
+            kappa[inside] = region.kappa
+            mu[inside] = region.mu
+        return cls(kappa=kappa, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,6 @@ class Operator:
     mesh: Mesh
     kappa: np.ndarray  # the coefficient field it was assembled for
     mu: np.ndarray
-    dofmap: DofMap
     free: np.ndarray  # boolean mask over all dofs
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
@@ -242,10 +226,6 @@ class AssembledSystem:
         return self.operator.matrix
 
     @property
-    def dofmap(self) -> DofMap:
-        return self.operator.dofmap
-
-    @property
     def free(self) -> np.ndarray:
         return self.operator.free
 
@@ -253,7 +233,7 @@ class AssembledSystem:
         """Recombine a free-dof solution with the boundary values."""
         coeffs = self.boundary_values.copy()
         coeffs[self.free] = x_free
-        return WeakFunction(coeffs=coeffs, dofmap=self.dofmap)
+        return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
 
 
 def local_system(points: np.ndarray, signs: np.ndarray, flipped: np.ndarray,
@@ -326,17 +306,6 @@ def _element_classes(mesh: Mesh, coeff: CoefficientField,
     return first, classes.reshape(-1)
 
 
-def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
-    """Element matrices (C, 18, 18), one per class, from one ``local_system``
-    call on the class representatives, and each element's class."""
-    verts = mesh.element_vertices
-    flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
-    first, classes = _element_classes(mesh, coeff, flipped)
-    mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
-                        coeff.kappa[first], coeff.mu[first])
-    return mats, classes
-
-
 #: The last operator assembled; see the module docstring.
 _slot: Operator | None = None
 
@@ -358,24 +327,29 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     """The operator of (mesh, coeff): the slot's if it matches, otherwise
     a new one, which takes the slot."""
     global _slot
+    if len(coeff.kappa) != mesh.n_elements:
+        raise ValueError(f"coefficient field has {len(coeff.kappa)} elements, "
+                         f"mesh has {mesh.n_elements}")
     if _slot is not None and _slot.matches(mesh, coeff):
         return _slot
     _slot = None  # free the old factorization before building the next
-    dofmap = DofMap.for_mesh(mesh)
-    size = dofmap.size
-    idx = dofmap.local_dofs(mesh)
-    mats, classes = _class_matrices(mesh, coeff)
+    size = weakops.dof_count(mesh)
+    idx = weakops.local_dofs(mesh)
+    verts = mesh.element_vertices
+    flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
+    first, classes = _element_classes(mesh, coeff, flipped)
+    mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
+                        coeff.kappa[first], coeff.mu[first])
     rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     del rows, cols  # 2 x 324 indices per element; free them before the slicing below
-    free = ~dofmap.boundary_mask(mesh)
+    free = ~weakops.boundary_mask(mesh)
     free_rows = full[free]
     del full
     matrix, coupling = free_rows[:, free].tocsr(), free_rows[:, ~free].tocsr()
-    op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), dofmap=dofmap,
-                  free=free, matrix=matrix, coupling=coupling, class_matrices=mats,
-                  classes=classes)
+    op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), free=free,
+                  matrix=matrix, coupling=coupling, class_matrices=mats, classes=classes)
     shared = (op.kappa, op.mu, free, mats, classes, matrix.data, matrix.indices, matrix.indptr,
               coupling.data, coupling.indices, coupling.indptr)
     for array in shared:
@@ -389,42 +363,39 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     symmetrically: the operator of (mesh, spec.coeff), from the slot when
     it matches, and the load of the problem's data."""
     op = _operator(mesh, spec.coeff)
-    size = op.dofmap.size
-    b = np.zeros(size)
-    b[: N_INTERIOR * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
+    b = WeakFunction.zeros(mesh)
+    b.interior[:] = local_load(mesh.element_points(), spec.f)
+    if not np.isfinite(b.coeffs).all():
+        raise AssemblyError("source projection produced non-finite values")
 
-    boundary_values = np.zeros(size)
+    values = WeakFunction.zeros(mesh)
     boundary = np.flatnonzero(mesh.boundary)
-    blocks = boundary_values[N_INTERIOR * mesh.n_elements :].reshape(-1, 4)
     segments = mesh.edge_points(boundary)
-    blocks[boundary, :2] = weakops.project_Qb(segments, spec.xi)
-    blocks[boundary, 2:] = weakops.project_Qg(segments, spec.nu)
-    if not np.isfinite(boundary_values).all():
+    values.edges[boundary, :2] = weakops.project_Qb(segments, spec.xi)
+    values.edges[boundary, 2:] = weakops.project_Qg(segments, spec.nu)
+    if not np.isfinite(values.coeffs).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    rhs = b[op.free] - op.coupling @ boundary_values[~op.free]
-    return AssembledSystem(operator=op, rhs=rhs, boundary_values=boundary_values)
+    rhs = b.coeffs[op.free] - op.coupling @ values.coeffs[~op.free]
+    return AssembledSystem(operator=op, rhs=rhs, boundary_values=values.coeffs)
 
 
 def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     """Discrete energy norm: square root of the assembled quadratic form,
-    summed class by class with the slot's class matrices when the slot
-    holds the operator of (mesh, coeff).
+    summed class by class with the class matrices of the operator of
+    (mesh, coeff).
 
     ``w`` is a WeakFunction or a full-length coefficient vector (boundary
     blocks included; they are zero for error functions).
     """
     coeffs = w.coeffs if isinstance(w, WeakFunction) else np.asarray(w, dtype=float)
-    dofmap = DofMap.for_mesh(mesh)
-    if coeffs.shape != (dofmap.size,):
-        raise ValueError(f"expected coefficient vector of length {dofmap.size}")
-    local = coeffs[dofmap.local_dofs(mesh)]
-    if _slot is not None and _slot.matches(mesh, coeff):
-        mats, classes = _slot.class_matrices, _slot.classes
-    else:
-        mats, classes = _class_matrices(mesh, coeff)
+    size = weakops.dof_count(mesh)
+    if coeffs.shape != (size,):
+        raise ValueError(f"expected coefficient vector of length {size}")
+    local = coeffs[weakops.local_dofs(mesh)]
+    op = _operator(mesh, coeff)
     total = 0.0
-    for c, mat in enumerate(mats):
-        members = local[classes == c]
+    for c, mat in enumerate(op.class_matrices):
+        members = local[op.classes == c]
         total += float(np.sum((members @ mat) * members))
     return float(np.sqrt(max(total, 0.0)))

@@ -268,7 +268,7 @@ def _convergence_csv(result: harness.ConvergenceResult) -> str:
     reports = result.reports
     columns = [[r.n for r in reports], [r.h for r in reports]]
     for name in NORM_FIELDS:
-        orders = ["exact" if not math.isfinite(o) else "%.5e" % o for o in result.orders[name]]
+        orders = ["exact" if o == math.inf else "%.5e" % o for o in result.orders[name]]
         # an object column keeps the stacked table from turning numbers into strings
         columns += [[getattr(r, name) for r in reports], np.array(["", *orders], dtype=object)]
     return ("n,h,l2_e0,l2_order,tbar,tbar_order,eb,eb_order,eg,eg_order\n"
@@ -284,7 +284,7 @@ def _run_field_command(cfg: RunConfig) -> None:
     points, values = harness.sample_field(mesh, u_h, cfg.grid)
     if cfg.out:
         _write(cfg.out, _field_csv(points, values))
-    print(f"{cfg.case}: n={mesh.n} dofs={u_h.dofmap.size} "
+    print(f"{cfg.case}: n={mesh.n} dofs={u_h.coeffs.size} "
           f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}")
     if spec.has_exact:
         rep = error_report(mesh, spec, u_h)

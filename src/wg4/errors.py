@@ -26,7 +26,7 @@ import numpy as np
 from . import assembly, poly, weakops
 from .assembly import CoefficientField, ProblemSpec
 from .mesh import Mesh
-from .weakops import DofMap, WeakFunction
+from .weakops import WeakFunction
 
 __all__ = ["ErrorReport", "error_report", "convergence_orders", "orders_from_values"]
 
@@ -52,14 +52,13 @@ class ErrorReport:
 def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorReport:
     if not spec.has_exact:
         raise ValueError("error_report requires an exact solution on the problem spec")
-    dofmap = DofMap.for_mesh(mesh)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
-    e = projected.coeffs - u_h.coeffs
-    e[dofmap.boundary_mask(mesh)] = 0.0
+    e = WeakFunction(projected.coeffs - u_h.coeffs, mesh.n_elements)
+    e.edges[mesh.boundary] = 0.0
 
     # An element's Gram matrix is 2|T| times the reference triangle's, an
     # edge's |e| times the unit edge's.
-    d0 = e[: weakops.N_INTERIOR * mesh.n_elements].reshape(mesh.n_elements, -1)
+    d0 = e.interior
     mass0 = poly.reference_mass(weakops.INTERIOR_DEGREE)
     l2_sq = float(np.sum(2.0 * mesh.areas * np.einsum("ei,ij,ej->e", d0, mass0, d0)))
 
@@ -68,7 +67,7 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
     h_t = mesh.edge_lengths[mesh.element_edges].min(axis=1)
     weight = np.bincount(mesh.element_edges.ravel(), weights=np.repeat(h_t, 3),
                          minlength=mesh.n_edges) * mesh.edge_lengths
-    edge_blocks = e[weakops.N_INTERIOR * mesh.n_elements :].reshape(mesh.n_edges, 2, 2)
+    edge_blocks = e.edges.reshape(mesh.n_edges, 2, 2)
     emass = poly.edge_mass(weakops.EDGE_DEGREE)
     eb_sq, eg_sq = weight @ np.einsum("eki,ij,ekj->ek", edge_blocks, emass, edge_blocks)
 
@@ -85,8 +84,9 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
 def orders_from_values(values: Sequence[float]) -> list[float]:
     """log2 ratios of successive errors over halving mesh sizes.
 
-    A zero denominator (the finer error underflows to exactly zero) is
-    reported as ``math.inf``, printed downstream as "exact".
+    A zero finer error (it underflows to exactly zero) is reported as
+    ``math.inf``, printed downstream as "exact"; an error that grows from
+    exactly zero is reported as ``-math.inf`` and printed as such.
     """
     orders = []
     for coarse, fine in zip(values, values[1:]):

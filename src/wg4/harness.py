@@ -63,9 +63,10 @@ def _zero(x, y):
 class CaseCatalogEntry:
     """One runnable scenario: coefficients, data fields and metadata.
 
-    ``build(mesh)`` produces the concrete ProblemSpec; scenarios whose
-    boundary data is resolved per edge need the mesh subdivision count,
-    which is why construction is deferred.
+    ``problem(mesh)`` checks the mesh and returns ``builder(mesh)``, the
+    concrete ProblemSpec.  It needs the mesh because every scenario samples
+    its coefficients at the element centroids, and the boundary patches
+    resolve their data per edge from the subdivision count.
     """
 
     name: str
@@ -118,14 +119,8 @@ def case_poly_bump() -> CaseCatalogEntry:
         return c * c * bilap - 2.0 * c * mu * lap + mu * mu * u(x, y)
 
     def build(mesh: Mesh) -> ProblemSpec:
-        return ProblemSpec(
-            f=f,
-            xi=_zero,
-            nu=_zero,
-            coeff=CoefficientField.uniform(mesh, c * np.eye(2), mu),
-            exact_u=u,
-            exact_grad=grad_u,
-        )
+        return ProblemSpec(f=f, xi=_zero, nu=_zero, exact_u=u, exact_grad=grad_u,
+                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu))
 
     return CaseCatalogEntry(
         name="poly-bump",
@@ -165,14 +160,8 @@ def case_sine() -> CaseCatalogEntry:
         return c * (gx * nx + gy * ny)
 
     def build(mesh: Mesh) -> ProblemSpec:
-        return ProblemSpec(
-            f=f,
-            xi=u,
-            nu=nu,
-            coeff=CoefficientField.uniform(mesh, c * np.eye(2), mu),
-            exact_u=u,
-            exact_grad=grad_u,
-        )
+        return ProblemSpec(f=f, xi=u, nu=nu, exact_u=u, exact_grad=grad_u,
+                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu))
 
     return CaseCatalogEntry(
         name="sine",
@@ -284,9 +273,7 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
             Region(shape="disk", center=(35.0, 20.0), radius=3.0,
                    kappa=DIFFUSION * np.eye(2), mu=ABSORPTION),
         ]
-        coeff = CoefficientField.from_regions(
-            mesh, DIFFUSION * np.eye(2), ABSORPTION, blocks
-        )
+        coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, blocks)
         return ProblemSpec(f=f, xi=_zero, nu=_zero, coeff=coeff)
 
     return CaseCatalogEntry(
@@ -341,7 +328,8 @@ def solve_case(
         mesh = entry.make_mesh(n)
     spec = entry.problem(mesh)
     if regions:
-        spec = dataclasses.replace(spec, coeff=spec.coeff.with_regions(mesh, regions))
+        coeff = CoefficientField.from_regions(mesh, spec.coeff.kappa, spec.coeff.mu, regions)
+        spec = dataclasses.replace(spec, coeff=coeff)
     system = assembly.assemble(mesh, spec)
     try:
         x_free, report = solve_mod.solve_spd(system, config)
@@ -423,8 +411,7 @@ def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, 
     inverse = poly.inverse_jacobians(mesh.element_points(elems))
     local = np.einsum("pij,pj->pi", inverse, points - mesh.centroids[elems])
     vals = poly.monomials(weakops.INTERIOR_DEGREE, local[:, 0], local[:, 1])
-    c0 = u_h.coeffs[: weakops.N_INTERIOR * mesh.n_elements].reshape(mesh.n_elements, -1)
-    values = np.einsum("pi,pi->p", vals, c0[elems])
+    values = np.einsum("pi,pi->p", vals, u_h.interior[elems])
     if not np.isfinite(values).all():
         raise ValueError("sampled field contains non-finite values")
     return points, values

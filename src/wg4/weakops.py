@@ -7,6 +7,12 @@ with respect to the edge's *global* normal; the element-outward trace on
 edge e is sigma_T(e) * vg, which makes the flux unknown single-valued
 per edge while the two adjacent elements see opposite signs.
 
+This module owns the global layout: per-element blocks of 6, then
+per-edge blocks [vb_0, vb_1, vg_0, vg_1] of 4, edge block e at offset
+6*E + 4*e.  A ``WeakFunction`` has writable views of both parts; the
+layout's size, each element's 18 dofs and the boundary dofs are
+``dof_count``, ``local_dofs`` and ``boundary_mask``.
+
 Two element-local operators act on these triples:
 
 * the weak second-order elliptic operator, a constant per element
@@ -44,8 +50,10 @@ __all__ = [
     "INTERIOR_DEGREE",
     "EDGE_DEGREE",
     "N_LOCAL",
-    "DofMap",
     "WeakFunction",
+    "dof_count",
+    "local_dofs",
+    "boundary_mask",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
     "interior_moments",
@@ -62,49 +70,46 @@ N_PER_EDGE = 2 * (EDGE_DEGREE + 1)
 N_LOCAL = N_INTERIOR + 3 * N_PER_EDGE  # 18
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Global layout: per-element blocks of 6, then per-edge blocks of 4.
-
-    Edge block e holds [vb_0, vb_1, vg_0, vg_1] at offset 6*E + 4*e.
-    """
-
-    n_elements: int
-    n_edges: int
-
-    @classmethod
-    def for_mesh(cls, mesh: Mesh) -> "DofMap":
-        return cls(n_elements=mesh.n_elements, n_edges=mesh.n_edges)
-
-    @property
-    def size(self) -> int:
-        return N_INTERIOR * self.n_elements + 4 * self.n_edges
-
-    def local_dofs(self, mesh: Mesh) -> np.ndarray:
-        """Global indices (E, 18) of every element's local dofs: the 6
-        interior dofs, then vb (2) and vg (2) of each local edge."""
-        base = N_INTERIOR * self.n_elements
-        interior = np.arange(base).reshape(-1, N_INTERIOR)
-        edges = base + 4 * mesh.element_edges[:, :, None] + np.arange(4)
-        return np.hstack([interior, edges.reshape(-1, 3 * N_PER_EDGE)])
-
-    def boundary_mask(self, mesh: Mesh) -> np.ndarray:
-        """True for every vb/vg dof living on a boundary edge."""
-        mask = np.zeros(self.size, dtype=bool)
-        mask[N_INTERIOR * self.n_elements :].reshape(-1, 4)[mesh.boundary] = True
-        return mask
+def dof_count(mesh: Mesh) -> int:
+    return N_INTERIOR * mesh.n_elements + N_PER_EDGE * mesh.n_edges
 
 
 @dataclass
 class WeakFunction:
-    """Global coefficient vector over a DofMap."""
+    """Global coefficient vector in the layout of the module docstring."""
 
     coeffs: np.ndarray
-    dofmap: DofMap
+    n_elements: int
 
     @classmethod
-    def zeros(cls, dofmap: DofMap) -> "WeakFunction":
-        return cls(coeffs=np.zeros(dofmap.size), dofmap=dofmap)
+    def zeros(cls, mesh: Mesh) -> "WeakFunction":
+        return cls(coeffs=np.zeros(dof_count(mesh)), n_elements=mesh.n_elements)
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Writable view (E, 6) of the interior coefficients."""
+        return self.coeffs[: N_INTERIOR * self.n_elements].reshape(-1, N_INTERIOR)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Writable view (F, 4) of the edge blocks [vb_0, vb_1, vg_0, vg_1]."""
+        return self.coeffs[N_INTERIOR * self.n_elements :].reshape(-1, N_PER_EDGE)
+
+
+def local_dofs(mesh: Mesh) -> np.ndarray:
+    """Global indices (E, 18) of every element's local dofs: the 6
+    interior dofs, then vb (2) and vg (2) of each local edge."""
+    base = N_INTERIOR * mesh.n_elements
+    interior = np.arange(base).reshape(-1, N_INTERIOR)
+    edges = base + N_PER_EDGE * mesh.element_edges[:, :, None] + np.arange(N_PER_EDGE)
+    return np.hstack([interior, edges.reshape(-1, 3 * N_PER_EDGE)])
+
+
+def boundary_mask(mesh: Mesh) -> np.ndarray:
+    """True for every vb/vg dof living on a boundary edge."""
+    mask = WeakFunction(np.zeros(dof_count(mesh), dtype=bool), mesh.n_elements)
+    mask.edges[mesh.boundary] = True
+    return mask.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +288,10 @@ def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:
         gx, gy = grad_u(x, y)
         return nx * (k[:, 0, 0] * gx + k[:, 0, 1] * gy) + ny * (k[:, 1, 0] * gx + k[:, 1, 1] * gy)
 
-    dofmap = DofMap.for_mesh(mesh)
-    out = WeakFunction.zeros(dofmap)
-    interior = out.coeffs[: N_INTERIOR * mesh.n_elements].reshape(-1, N_INTERIOR)
+    out = WeakFunction.zeros(mesh)
     mass = poly.reference_mass(INTERIOR_DEGREE)
-    interior[:] = np.linalg.solve(mass, interior_moments(mesh.element_points(), u).T).T
-    edges = out.coeffs[N_INTERIOR * mesh.n_elements :].reshape(-1, 4)
+    out.interior[:] = np.linalg.solve(mass, interior_moments(mesh.element_points(), u).T).T
     segments = mesh.edge_points()
-    edges[:, :2] = project_Qb(segments, u)
-    edges[:, 2:] = project_Qg(segments, flux)
+    out.edges[:, :2] = project_Qb(segments, u)
+    out.edges[:, 2:] = project_Qg(segments, flux)
     return out

@@ -23,7 +23,6 @@ from wg4.assembly import (
 )
 from wg4.harness import case_sine, catalog_entry
 from wg4.solve import solve_spd
-from wg4.weakops import DofMap
 
 
 def lifted_constant(c: float) -> np.ndarray:
@@ -86,11 +85,11 @@ def test_local_load_constant_source(geom):
 def test_coefficient_field_validation():
     mesh = unit_square_mesh(1)
     with pytest.raises(ValueError):
-        CoefficientField.uniform(mesh, np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)  # indefinite
+        CoefficientField.from_regions(mesh, np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)  # indefinite
     with pytest.raises(ValueError):
-        CoefficientField.uniform(mesh, np.array([[1.0, 0.5], [0.0, 1.0]]), 0.0)  # asymmetric
+        CoefficientField.from_regions(mesh, np.array([[1.0, 0.5], [0.0, 1.0]]), 0.0)  # asymmetric
     with pytest.raises(ValueError):
-        CoefficientField.uniform(mesh, np.eye(2), -0.1)
+        CoefficientField.from_regions(mesh, np.eye(2), -0.1)
 
 
 def test_region_sampling_at_centroids():
@@ -141,7 +140,7 @@ def test_positive_definite_without_reaction():
     mesh = unit_square_mesh(2)
     zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
     spec = ProblemSpec(f=zero, xi=zero, nu=zero,
-                       coeff=CoefficientField.uniform(mesh, np.eye(2), 0.0))
+                       coeff=CoefficientField.from_regions(mesh, np.eye(2), 0.0))
     system = assemble(mesh, spec)
     assert np.linalg.eigvalsh(system.matrix.toarray()).min() > 0
 
@@ -150,7 +149,7 @@ def test_zero_data_zero_solution():
     mesh = unit_square_mesh(2)
     zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
     spec = ProblemSpec(f=zero, xi=zero, nu=zero,
-                       coeff=CoefficientField.uniform(mesh, np.eye(2), 0.01))
+                       coeff=CoefficientField.from_regions(mesh, np.eye(2), 0.01))
     system = assemble(mesh, spec)
     assert np.all(system.rhs == 0.0)
     x, report = solve_spd(system)
@@ -163,7 +162,7 @@ def test_nonfinite_boundary_data_reported():
     bad = np.vectorize(lambda x, y: float("nan"), otypes=[float])
     zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
     spec = ProblemSpec(f=zero, xi=bad, nu=zero,
-                       coeff=CoefficientField.uniform(mesh, np.eye(2), 0.0))
+                       coeff=CoefficientField.from_regions(mesh, np.eye(2), 0.0))
     with pytest.raises(AssemblyError):
         assemble(mesh, spec)
 
@@ -180,7 +179,7 @@ def test_quadratic_solutions_reproduced_exactly(n):
     u_h = system.expand(x)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
     e = projected.coeffs - u_h.coeffs
-    e[system.dofmap.boundary_mask(mesh)] = 0.0
+    e[weakops.boundary_mask(mesh)] = 0.0
     err = triple_bar_norm(mesh, spec.coeff, e)
     bound = 1e-6 * (1.0 + triple_bar_norm(mesh, spec.coeff, projected.coeffs))
     assert err <= bound
@@ -189,12 +188,12 @@ def test_quadratic_solutions_reproduced_exactly(n):
 def test_triple_bar_norm_properties():
     mesh = unit_square_mesh(2)
     spec = case_sine().problem(mesh)
-    dofmap = DofMap.for_mesh(mesh)
-    assert triple_bar_norm(mesh, spec.coeff, np.zeros(dofmap.size)) == 0.0
+    size = weakops.dof_count(mesh)
+    assert triple_bar_norm(mesh, spec.coeff, np.zeros(size)) == 0.0
 
     rng = np.random.default_rng(4)
-    w = rng.normal(size=dofmap.size)
-    w[dofmap.boundary_mask(mesh)] = 0.0
+    w = rng.normal(size=size)
+    w[weakops.boundary_mask(mesh)] = 0.0
     base = triple_bar_norm(mesh, spec.coeff, w)
     assert base > 0
     assert triple_bar_norm(mesh, spec.coeff, -2.5 * w) == pytest.approx(
@@ -206,10 +205,9 @@ def test_triple_bar_norm_matches_full_quadratic_form():
     mesh = unit_square_mesh(2)
     spec = case_sine().problem(mesh)
     system = assemble(mesh, spec)
-    dofmap = system.dofmap
     rng = np.random.default_rng(9)
-    w = rng.normal(size=dofmap.size)
-    w[dofmap.boundary_mask(mesh)] = 0.0
+    w = rng.normal(size=weakops.dof_count(mesh))
+    w[weakops.boundary_mask(mesh)] = 0.0
     norm = triple_bar_norm(mesh, spec.coeff, w)
     quad = float(w @ (full_matrix(system.operator) @ w))
     assert norm**2 == pytest.approx(quad, rel=1e-10)
@@ -239,6 +237,36 @@ def test_coefficient_field_names_first_bad_element():
     mu[7] = -0.1
     with pytest.raises(ValueError, match=r"^mu\[7\]: must be nonnegative"):
         CoefficientField(kappa=kappa, mu=mu)
+    mu[7], mu[9] = 0.0, np.inf
+    with pytest.raises(ValueError, match=r"^mu\[9\]: must be finite, got inf$"):
+        CoefficientField(kappa=kappa, mu=mu)
+    mu[9] = 0.0
+    with pytest.raises(ValueError, match=r"^kappa must have shape \(E, 2, 2\)"):
+        CoefficientField(kappa=np.eye(2), mu=mu)
+    with pytest.raises(ValueError, match=r"got \(512, 2, 2\) and \(511,\)$"):
+        CoefficientField(kappa=kappa, mu=mu[1:])
+
+
+def test_field_of_another_mesh_rejected_with_both_counts():
+    coarse, fine = unit_square_mesh(4), unit_square_mesh(8)
+    zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
+    coeff = CoefficientField.from_regions(coarse, np.eye(2), 0.0)
+    spec = ProblemSpec(f=zero, xi=zero, nu=zero, coeff=coeff)
+    message = r"^coefficient field has 32 elements, mesh has 128$"
+    with pytest.raises(ValueError, match=message):
+        assemble(fine, spec)
+    with pytest.raises(ValueError, match=message):
+        triple_bar_norm(fine, coeff, np.zeros(weakops.dof_count(fine)))
+
+
+def test_nonfinite_source_reported():
+    mesh = unit_square_mesh(2)
+    bad = np.vectorize(lambda x, y: float("nan"), otypes=[float])
+    zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
+    spec = ProblemSpec(f=bad, xi=zero, nu=zero,
+                       coeff=CoefficientField.from_regions(mesh, np.eye(2), 0.0))
+    with pytest.raises(AssemblyError, match="source"):
+        assemble(mesh, spec)
 
 
 @pytest.mark.parametrize("case,n", [("sine", 16), ("boundary-indicator", 16),
@@ -264,7 +292,7 @@ def test_boundary_lift_equals_full_matrix_product(case):
     mesh = entry.make_mesh(8)
     spec = entry.problem(mesh)
     system = assemble(mesh, spec)
-    b = np.zeros(system.dofmap.size)
+    b = np.zeros(weakops.dof_count(mesh))
     b[: 6 * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
     lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.free]
     assert np.abs(system.boundary_values).max() > 0

@@ -29,13 +29,12 @@ def test_projected_solution_has_zero_errors(sine_setup):
 
 def test_norm_homogeneity(sine_setup):
     mesh, spec, projected = sine_setup
-    dofmap = projected.dofmap
     rng = np.random.default_rng(12)
-    delta = rng.normal(size=dofmap.size)
-    delta[dofmap.boundary_mask(mesh)] = 0.0
+    delta = rng.normal(size=weakops.dof_count(mesh))
+    delta[weakops.boundary_mask(mesh)] = 0.0
 
     def perturbed(scale):
-        u_h = weakops.WeakFunction(coeffs=projected.coeffs - scale * delta, dofmap=dofmap)
+        u_h = weakops.WeakFunction(projected.coeffs - scale * delta, mesh.n_elements)
         return error_report(mesh, spec, u_h)
 
     r1 = perturbed(1.0)
@@ -66,6 +65,7 @@ def test_orders_from_values():
     assert orders_from_values([0.03904, 0.009783])[0] == pytest.approx(2.00, abs=5e-3)
     assert orders_from_values([0.004988, 0.002506])[0] == pytest.approx(0.99, abs=5e-3)
     assert orders_from_values([0.5, 0.0]) == [math.inf]
+    assert orders_from_values([0.0, 0.5]) == [-math.inf]
 
 
 def test_convergence_orders_requires_doubling():

@@ -24,7 +24,7 @@ from wg4.harness import (
     solve_case,
 )
 from wg4.solve import SolverConfig
-from wg4.weakops import DofMap, WeakFunction
+from wg4.weakops import WeakFunction
 
 
 def test_poly_bump_point_values():
@@ -217,6 +217,21 @@ def test_exact_discrete_solution_reports_exact_orders():
     assert "exact" in _convergence_csv(result)
 
 
+def test_error_growing_from_zero_is_not_printed_exact():
+    from wg4.errors import ErrorReport, convergence_orders
+    from wg4.harness import ConvergenceResult
+
+    reports = [ErrorReport(n=n, h=1.0 / n, l2_e0=l2, tbar=0.1 / n, eb_edge=0.2 / n,
+                           eg_edge=err)
+               for n, l2, err in ((8, 0.0, 1e-3), (16, 1e-3, 0.0))]
+    result = ConvergenceResult(case="synthetic", reports=reports,
+                               orders=convergence_orders(reports))
+    row = _convergence_csv(result).strip().split("\n")[2].split(",")
+    assert row[3] == "-inf"  # l2: 0 -> 1e-3
+    assert row[5] == row[7] == "1.00000e+00"
+    assert row[9] == "exact"  # eg: 1e-3 -> 0
+
+
 def test_locate_point_structured():
     mesh = unit_square_mesh(2)
     # lower-left triangle of the first sub-square
@@ -230,9 +245,8 @@ def test_locate_point_structured():
 
 def test_sample_field_constant_solution():
     mesh = unit_square_mesh(2)
-    dofmap = DofMap.for_mesh(mesh)
     c = 1.75
-    wf = WeakFunction.zeros(dofmap)
+    wf = WeakFunction.zeros(mesh)
     for i in range(mesh.n_elements):
         wf.coeffs[element_block(i)[0]] = c
     points, values = sample_field(mesh, wf, 5)
@@ -242,7 +256,7 @@ def test_sample_field_constant_solution():
 
 def test_sample_field_rejects_tiny_grid():
     mesh = unit_square_mesh(1)
-    wf = WeakFunction.zeros(DofMap.for_mesh(mesh))
+    wf = WeakFunction.zeros(mesh)
     with pytest.raises(ValueError):
         sample_field(mesh, wf, 1)
 
@@ -274,7 +288,7 @@ def test_dirac_solution_symmetric_under_diagonal_reflection():
     spec = entry.problem(mesh)
     uniform = ProblemSpec(
         f=spec.f, xi=spec.xi, nu=spec.nu,
-        coeff=CoefficientField.uniform(mesh, np.eye(2), 0.0),
+        coeff=CoefficientField.from_regions(mesh, np.eye(2), 0.0),
     )
     from wg4.assembly import assemble
     from wg4.solve import solve_spd

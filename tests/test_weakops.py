@@ -23,7 +23,7 @@ from util import (
 )
 
 from wg4 import poly, weakops
-from wg4.weakops import DofMap, WeakFunction
+from wg4.weakops import WeakFunction
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -188,14 +188,14 @@ def test_project_calqh_mean_value(right_geom):
     assert got == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
-def test_dofmap_size_and_roundtrip():
+def test_dof_count_and_roundtrip():
     mesh = unit_square_mesh(3)
-    dofmap = DofMap.for_mesh(mesh)
+    size = weakops.dof_count(mesh)
     n = mesh.n
-    assert dofmap.size == 24 * n * n + 8 * n
+    assert size == 24 * n * n + 8 * n
 
     rng = np.random.default_rng(2)
-    wf = WeakFunction(coeffs=rng.normal(size=dofmap.size), dofmap=dofmap)
+    wf = WeakFunction(coeffs=rng.normal(size=size), n_elements=mesh.n_elements)
     snapshot = wf.coeffs.copy()
     for i in range(mesh.n_elements):
         local = local_of(wf, mesh, i)
@@ -205,8 +205,7 @@ def test_dofmap_size_and_roundtrip():
 
 def test_boundary_mask_counts():
     mesh = unit_square_mesh(2)
-    dofmap = DofMap.for_mesh(mesh)
-    mask = dofmap.boundary_mask(mesh)
+    mask = weakops.boundary_mask(mesh)
     assert mask.sum() == 4 * (4 * mesh.n)  # 4 dofs per boundary edge
     assert not mask[: 6 * mesh.n_elements].any()  # interior blocks are never boundary
 
@@ -224,12 +223,11 @@ def test_project_qh_zero_and_flux_convention():
     proj = weakops.project_Qh(
         mesh, lambda x, y: x * x, lambda x, y: (2.0 * x, np.zeros_like(y)), np.eye(2)
     )
-    dofmap = proj.dofmap
     midpoints = mesh.edge_points().mean(axis=1)
     bottom = [e for e in range(mesh.n_edges)
               if mesh.boundary[e] and abs(midpoints[e, 1]) < 1e-12]
     assert len(bottom) == 1
-    assert np.abs(proj.coeffs[edge_vg(dofmap, bottom[0])]).max() <= 1e-13
+    assert np.abs(proj.coeffs[edge_vg(mesh, bottom[0])]).max() <= 1e-13
 
 
 def test_projection_error_decays_at_third_order():

@@ -181,9 +181,9 @@ def element_block(i: int) -> np.ndarray:
     return np.arange(weakops.N_INTERIOR * i, weakops.N_INTERIOR * (i + 1))
 
 
-def edge_vg(dofmap: weakops.DofMap, e: int) -> np.ndarray:
+def edge_vg(mesh: Mesh, e: int) -> np.ndarray:
     """Global indices of edge e's flux-trace dofs."""
-    base = weakops.N_INTERIOR * dofmap.n_elements + 4 * e
+    base = weakops.N_INTERIOR * mesh.n_elements + 4 * e
     return np.arange(base + 2, base + 4)
 
 
@@ -234,7 +234,7 @@ def quadratic_problem(mesh: Mesh) -> ProblemSpec:
 
     return ProblemSpec(
         f=f, xi=u, nu=nu,
-        coeff=CoefficientField.uniform(mesh, kappa, mu),
+        coeff=CoefficientField.from_regions(mesh, kappa, mu),
         exact_u=u, exact_grad=grad_u,
     )
 
@@ -314,12 +314,12 @@ class LocalWeakFunction:
 
 def local_of(wf: weakops.WeakFunction, mesh: Mesh, index: int) -> LocalWeakFunction:
     """The local triple of element ``index`` of a global weak function."""
-    return LocalWeakFunction.from_vector(wf.coeffs[wf.dofmap.local_dofs(mesh)[index]])
+    return LocalWeakFunction.from_vector(wf.coeffs[weakops.local_dofs(mesh)[index]])
 
 
 def scatter_local(wf: weakops.WeakFunction, mesh: Mesh, index: int,
                   local: LocalWeakFunction) -> None:
-    wf.coeffs[wf.dofmap.local_dofs(mesh)[index]] = local.to_vector()
+    wf.coeffs[weakops.local_dofs(mesh)[index]] = local.to_vector()
 
 
 @dataclass(frozen=True)
@@ -413,11 +413,11 @@ def full_matrix(operator) -> sp.csr_matrix:
     """The operator's matrix over all dofs, boundary rows and columns
     included, assembled from its class matrices."""
     mesh = operator.mesh
-    idx = operator.dofmap.local_dofs(mesh)
+    idx = weakops.local_dofs(mesh)
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
     values = operator.class_matrices[operator.classes].ravel()
-    size = operator.dofmap.size
+    size = weakops.dof_count(mesh)
     return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
 
 
