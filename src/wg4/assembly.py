@@ -1,42 +1,25 @@
 """Global assembly of the stabilized weak Galerkin system.
 
-The bilinear form on two triples u, v is
-
-    (Ew u, Ew v)_h + 2 mu (kappa grad_w u, grad_w v)_h
-        + mu^2 (u0, v0) + s(u, v)
-
-with the edge stabilizer
-
-    s(u, v) = sum_T h_T^-1 <kappa grad u0 . n - ug, kappa grad v0 . n - vg>_dT
-            + sum_T h_T^-3 <Pb(u0) - ub, Pb(v0) - vb>_dT
-
-where h_T is the local mesh-size scale (shortest side) and Pb is the L2
-projection of the interior trace onto the edge trace space P1(e).  The
-flux factor needs no projection: for v0 in P2(T) and elementwise-constant
-kappa, kappa grad v0 . n is already linear along each edge.  Projecting
-the jump factor keeps the scheme exact for globally quadratic solutions,
-which the raw trace difference would break by penalizing the quadratic
-Legendre moment the edge space cannot represent.
-
-Element matrices come from one call of the array kernel
-``local_system`` on a batch of triangles, with every integral taken from
-reference-triangle tables under the affine map (see ``wg4.weakops``).
-The batch holds one representative of each class of elements that share
-their local geometry (centroid-relative vertices, each edge's p1 -> p2
-orientation and sigma sign) and their kappa and mu: on a structured mesh
-with uniform coefficients there are five such classes, and with
-per-element coefficients every element is its own class.  Loads and
-boundary projections are batched over all elements or edges.
+Element matrices come from one call of ``wg4.weakops.local_system``, the
+kernel of the bilinear form, on a batch of triangles.  The batch holds
+one representative of each class of elements that share their local
+geometry (centroid-relative vertices, each edge's p1 -> p2 orientation
+and sigma sign) and their kappa and mu: on a structured mesh with uniform
+coefficients there are five such classes, and with per-element
+coefficients every element is its own class.  Loads (``local_load``) and
+boundary projections are batched over all elements or edges.  Both
+kernels are called as attributes of this module, so a wrapper set there
+sees every call.
 
 Dirichlet and Neumann data enter as essential constraints: every vb/vg
 block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the free-dof mask, the
-reduced matrix, its coupling block to the boundary dofs, the class
-matrices, and the SuperLU factorization of the reduced matrix, which
-``solve.solve_spd`` fills in on first use.  The load depends on the
+mesh and the coefficient field: the free-dof mask, the reduced matrix,
+its coupling block to the boundary dofs, the class matrices, and the
+SuperLU factorization of the reduced matrix, which ``solve.solve_spd``
+fills in on first use.  The load depends on the
 problem's data: the interior load vector, the boundary Qb/Qg values and
 the reduced right-hand side, lifted by the coupling block.  Tomography
 solves one problem per source on one medium, so the last operator
@@ -54,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import poly, weakops
+from . import weakops
 from .mesh import Mesh
-from .weakops import N_INTERIOR, N_LOCAL, WeakFunction
+from .weakops import N_LOCAL, AssemblyError, WeakFunction, local_load, local_system
 
 __all__ = [
     "Region",
@@ -65,17 +48,11 @@ __all__ = [
     "Operator",
     "AssembledSystem",
     "AssemblyError",
-    "local_system",
-    "local_load",
     "assemble",
     "reusable_mesh",
     "empty_slot",
     "triple_bar_norm",
 ]
-
-
-class AssemblyError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -234,54 +211,6 @@ class AssembledSystem:
         coeffs = self.boundary_values.copy()
         coeffs[self.free] = x_free
         return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
-
-
-def local_system(points: np.ndarray, signs: np.ndarray, flipped: np.ndarray,
-                 kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Symmetric positive semidefinite 18 x 18 element matrices (C, 18, 18)
-    of the triangles ``points`` (C, 3, 2), with edge ``signs`` and
-    ``flipped`` flags (C, 3) as in ``wg4.weakops`` and coefficients
-    ``kappa`` (C, 2, 2) and ``mu`` (C,)."""
-    det = poly.jacobian_determinants(points)
-    if (det <= 0).any():
-        raise AssemblyError(f"element {np.flatnonzero(det <= 0)[0]} of the batch is degenerate")
-    lengths, normals = weakops._sides(points)
-    h = lengths.min(axis=1)
-    scale = det[:, None, None]
-
-    ew = weakops.weak_laplacian_matrix(points, signs)
-    A = 0.5 * scale * ew[:, :, None] * ew[:, None, :]
-    G = weakops.weak_gradient_matrix(points, flipped)
-    mass1 = poly.reference_mass(weakops.GRADIENT_DEGREE)
-    kmass = scale * (kappa[:, :, None, :, None] * mass1[:, None, :]).reshape(-1, 6, 6)
-    A += 2.0 * mu[:, None, None] * G.transpose(0, 2, 1) @ kmass @ G
-    mass0 = poly.reference_mass(weakops.INTERIOR_DEGREE)
-    A[:, :N_INTERIOR, :N_INTERIOR] += (mu * mu)[:, None, None] * scale * mass0
-
-    # Penalty rows at every edge point, each on its own edge's dofs:
-    # flux, kappa grad v0 . n_out - sigma * vg, and jump, the P1(e)
-    # projection of the v0 trace - vb.
-    w, trace_b = weakops._segment_rule()
-    trace0, grads0, _ = weakops._edge_traces()
-    own = np.eye(3)[:, None, :, None] * trace_b[:, None, :]  # (3, m, 3, 2)
-    zero = np.zeros((len(points), *own.shape))
-    conormal = np.einsum("cab,cdb,ckd->cka", poly.inverse_jacobians(points), kappa, normals)
-    flux = np.einsum("ckqia,cka->ckqi", weakops._on_edges(grads0, flipped), conormal)
-    jump = weakops._on_edges(trace_b @ weakops._edge_projector() @ trace0, flipped)
-    for rows, weight in (
-        (weakops._local_rows(flux, zero, -signs[:, :, None, None, None] * own), 1.0 / h),
-        (weakops._local_rows(jump, np.broadcast_to(-own, zero.shape), zero), h**-3.0),
-    ):
-        rows = rows.reshape(len(points), -1, N_LOCAL)
-        weights = (weight[:, None, None] * lengths[:, :, None] * w).reshape(len(points), -1)
-        A += (rows * weights[:, :, None]).transpose(0, 2, 1) @ rows
-    return 0.5 * (A + A.transpose(0, 2, 1))
-
-
-def local_load(points: np.ndarray, f) -> np.ndarray:
-    """Load vectors (E, 6) of the source against the interior basis of
-    each triangle ``points`` (E, 3, 2)."""
-    return poly.jacobian_determinants(points)[:, None] * weakops.interior_moments(points, f)
 
 
 def _element_classes(mesh: Mesh, coeff: CoefficientField,

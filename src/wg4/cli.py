@@ -206,6 +206,9 @@ def _validate(doc: dict, path: str, sep: str) -> RunConfig:
     if cfg.source is not None and cfg.case != "gaussian-source":
         raise ConfigError(f"{path}{sep}source: only the gaussian-source scenario takes a "
                           "source point")
+    multiple = harness.catalog_entry(cfg.case).n_multiple if cfg.case else 1
+    if cfg.n and cfg.n % multiple:
+        raise ConfigError(f"{path}{sep}n: must be divisible by {multiple}, got {cfg.n}")
     return cfg
 
 
@@ -277,10 +280,7 @@ def _convergence_csv(result: harness.ConvergenceResult) -> str:
 
 def _run_field_command(cfg: RunConfig) -> None:
     entry = harness.catalog_entry(cfg.case, cfg.source)
-    try:
-        mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
     points, values = harness.sample_field(mesh, u_h, cfg.grid)
     if cfg.out:
         _write(cfg.out, _field_csv(points, values))

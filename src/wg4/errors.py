@@ -24,11 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from . import assembly, poly, weakops
-from .assembly import CoefficientField, ProblemSpec
+from .assembly import ProblemSpec
 from .mesh import Mesh
 from .weakops import WeakFunction
 
-__all__ = ["ErrorReport", "error_report", "convergence_orders", "orders_from_values"]
+__all__ = ["ErrorReport", "error_report", "check_doubling", "convergence_orders",
+           "orders_from_values"]
 
 NORM_FIELDS = ("l2_e0", "tbar", "eb_edge", "eg_edge")
 
@@ -99,14 +100,16 @@ def orders_from_values(values: Sequence[float]) -> list[float]:
     return orders
 
 
-def convergence_orders(reports: Sequence[ErrorReport]) -> dict[str, list[float]]:
-    """Per-norm convergence orders between consecutive reports.
+def check_doubling(levels: Sequence[int]) -> None:
+    """Raise ValueError unless each subdivision count doubles the last."""
+    for a, b in zip(levels, levels[1:]):
+        if b != 2 * a:
+            raise ValueError(f"levels must double: got n={a} followed by n={b}")
 
-    Reports must be sorted by decreasing h with successive ratio 2.
-    """
-    for a, b in zip(reports, reports[1:]):
-        if b.n != 2 * a.n:
-            raise ValueError(f"levels must double: got n={a.n} followed by n={b.n}")
+
+def convergence_orders(reports: Sequence[ErrorReport]) -> dict[str, list[float]]:
+    """Per-norm orders between consecutive reports, whose levels must double."""
+    check_doubling([r.n for r in reports])
     return {
         name: orders_from_values([getattr(r, name) for r in reports]) for name in NORM_FIELDS
     }

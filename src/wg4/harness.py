@@ -3,7 +3,9 @@
 Two manufactured cases with known exact solutions drive the convergence
 studies; three forward-model scenarios mimic fluorescence-tomography
 setups (localized boundary data over a strongly discontinuous diffusion
-coefficient, and interior Gaussian light sources).
+coefficient, and interior Gaussian light sources).  ``sample_field``
+evaluates the P2 basis of ``wg4.poly`` in the element that
+``mesh.locate_point`` finds for each point.
 
 ``solve_case`` reuses the operator slot of ``wg4.assembly``: a call on
 the mesh and coefficient field of the operator in the slot takes its
@@ -24,8 +26,8 @@ import numpy as np
 from . import errors as err_mod
 from . import assembly, poly, solve as solve_mod, weakops
 from .assembly import CoefficientField, ProblemSpec, Region
-from .errors import ErrorReport, convergence_orders
-from .mesh import Mesh, build_structured_mesh
+from .errors import ErrorReport, check_doubling, convergence_orders
+from .mesh import Mesh, build_structured_mesh, locate_point
 from .solve import SolveReport, SolverConfig
 from .weakops import WeakFunction
 
@@ -72,8 +74,8 @@ class CaseCatalogEntry:
     name: str
     description: str
     domain: tuple[float, float, float, float]
-    has_exact: bool
     builder: Callable[[Mesh], ProblemSpec]
+    has_exact: bool = False
     n_multiple: int = 1
 
     def problem(self, mesh: Mesh) -> ProblemSpec:
@@ -242,7 +244,6 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
         name=f"boundary-{variant}",
         description=f"boundary patch excitation ({variant}), discontinuous diffusion",
         domain=UNIT_SQUARE,
-        has_exact=False,
         builder=build,
         n_multiple=8,
     )
@@ -280,7 +281,6 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
         name="gaussian-source",
         description=f"Gaussian source at ({x0:g}, {y0:g}) on the 50 x 50 domain",
         domain=FT_DOMAIN,
-        has_exact=False,
         builder=build,
     )
 
@@ -294,8 +294,8 @@ CATALOG: dict[str, Callable[..., CaseCatalogEntry]] = {
     "gaussian-source": case_ft_gaussian,
 }
 
-#: Names of the forward-model scenarios accepted by the ft-demo command.
-FT_SCENARIOS = ("boundary-indicator", "boundary-dirac", "gaussian-source")
+#: The forward-model scenarios of the ft-demo command: the cases without an exact solution.
+FT_SCENARIOS = tuple(name for name, make in CATALOG.items() if not make().has_exact)
 
 
 def catalog_entry(name: str, source: tuple[float, float] | None = None) -> CaseCatalogEntry:
@@ -355,6 +355,7 @@ def run_convergence(
     """Solve a case over halving mesh sizes and tabulate errors and orders."""
     if not entry.has_exact:
         raise ValueError(f"case {entry.name!r} has no exact solution")
+    check_doubling(levels)
     reports = []
     for n in levels:
         try:
@@ -369,33 +370,6 @@ def run_convergence(
     )
 
 
-def locate_point(mesh: Mesh, x, y):
-    """Element index containing (x, y) on a structured mesh; ``x`` and
-    ``y`` may be arrays of one shape, and the indices come back in it.
-
-    Points on shared edges resolve deterministically (lower-left triangle
-    wins on the diagonal, lower cell index on grid lines).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x0, y0, x1, y1 = mesh.domain
-    n = mesh.n
-    tol = 1e-12 * max(x1 - x0, y1 - y0)
-    outside = ~((x0 - tol <= x) & (x <= x1 + tol) & (y0 - tol <= y) & (y <= y1 + tol))
-    if outside.any():
-        k = np.flatnonzero(outside)[0]
-        raise ValueError(
-            f"point ({x.flat[k]}, {y.flat[k]}) lies outside the domain {mesh.domain}"
-        )
-    sx = (x1 - x0) / n
-    sy = (y1 - y0) / n
-    i = np.clip(np.trunc((x - x0) / sx).astype(np.int64), 0, n - 1)
-    j = np.clip(np.trunc((y - y0) / sy).astype(np.int64), 0, n - 1)
-    xi = (x - (x0 + i * sx)) / sx
-    eta = (y - (y0 + j * sy)) / sy
-    return 2 * (j * n + i) + (xi + eta > 1.0)
-
-
 def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the interior component on a uniform grid x grid lattice.
 
@@ -408,9 +382,9 @@ def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, 
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
     points = np.column_stack([gx.ravel(), gy.ravel()])
     elems = locate_point(mesh, points[:, 0], points[:, 1])
-    inverse = poly.inverse_jacobians(mesh.element_points(elems))
-    local = np.einsum("pij,pj->pi", inverse, points - mesh.centroids[elems])
-    vals = poly.monomials(weakops.INTERIOR_DEGREE, local[:, 0], local[:, 1])
+    corners = mesh.element_points(elems)
+    local = np.einsum("pij,pj->pi", poly.inverse_jacobians(corners), points - corners[:, 0])
+    vals = poly.reference_basis(weakops.INTERIOR_DEGREE, local)
     values = np.einsum("pi,pi->p", vals, u_h.interior[elems])
     if not np.isfinite(values).all():
         raise ValueError("sampled field contains non-finite values")

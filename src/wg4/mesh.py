@@ -3,7 +3,8 @@
 Each of the n x n sub-squares is split into two triangles by its
 negative-slope diagonal (top-left corner to bottom-right corner).
 Vertex, element and edge indexing is row-major and deterministic so
-that everything assembled on top of a mesh is bit-reproducible.
+that everything assembled on top of a mesh is bit-reproducible; only
+this module spells it, and ``locate_point`` inverts it for points.
 
 A mesh is a struct of arrays, built without per-entity Python loops:
 
@@ -33,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import jacobian_determinants
+from .poly import jacobian_determinants, sides
 
 __all__ = [
     "Mesh",
     "build_structured_mesh",
+    "locate_point",
 ]
 
 Rectangle = tuple[float, float, float, float]
@@ -74,14 +76,6 @@ class Mesh:
     def edge_points(self, edges=slice(None)) -> np.ndarray:
         """Endpoints (m, 2, 2) of the given edges, p1 then p2 (default all)."""
         return self.vertices[self.edge_vertices[edges]]
-
-
-def _outward_normals(points: np.ndarray) -> np.ndarray:
-    """Outward unit normals (E, 3, 2) of counterclockwise triangles (E, 3, 2);
-    row k belongs to the side from vertex k to vertex k + 1."""
-    d = np.roll(points, -1, axis=1) - points
-    normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
-    return normals / np.linalg.norm(normals, axis=-1, keepdims=True)
 
 
 def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
@@ -131,7 +125,7 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     edge_elements = np.column_stack([owner, other])
 
     points = vertices[element_vertices]
-    normals = _outward_normals(points)
+    lengths, normals = sides(points)
     edge_normals = normals[owner, owner_local]
     dots = np.einsum("eki,eki->ek", normals, edge_normals[element_edges])
     element_signs = np.where(dots > 0.0, 1, -1).astype(np.int8)
@@ -140,7 +134,6 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     if (areas <= 0.0).any():
         bad = int(np.flatnonzero(areas <= 0.0)[0])
         raise ValueError(f"element {bad} has non-positive area {areas[bad]}")
-    p = vertices[edge_vertices]
 
     mesh = Mesh(
         domain=(x0, y0, x1, y1),
@@ -152,7 +145,7 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
         edge_vertices=edge_vertices,
         edge_elements=edge_elements,
         edge_normals=edge_normals,
-        edge_lengths=np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
+        edge_lengths=lengths[owner, owner_local],
         boundary=count == 1,
         areas=areas,
         centroids=points.mean(axis=1),
@@ -162,6 +155,33 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
             array.flags.writeable = False  # shared by every solve on this mesh
     _validate(mesh)
     return mesh
+
+
+def locate_point(mesh: Mesh, x, y):
+    """Element index containing (x, y); ``x`` and ``y`` may be arrays of
+    one shape, and the indices come back in it.
+
+    Points on shared edges resolve deterministically (lower-left triangle
+    wins on the diagonal, lower cell index on grid lines).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x0, y0, x1, y1 = mesh.domain
+    n = mesh.n
+    tol = 1e-12 * max(x1 - x0, y1 - y0)
+    outside = ~((x0 - tol <= x) & (x <= x1 + tol) & (y0 - tol <= y) & (y <= y1 + tol))
+    if outside.any():
+        k = np.flatnonzero(outside)[0]
+        raise ValueError(
+            f"point ({x.flat[k]}, {y.flat[k]}) lies outside the domain {mesh.domain}"
+        )
+    sx = (x1 - x0) / n
+    sy = (y1 - y0) / n
+    i = np.clip(np.trunc((x - x0) / sx).astype(np.int64), 0, n - 1)
+    j = np.clip(np.trunc((y - y0) / sy).astype(np.int64), 0, n - 1)
+    xi = (x - (x0 + i * sx)) / sx
+    eta = (y - (y0 + j * sy)) / sy
+    return 2 * (j * n + i) + (xi + eta > 1.0)
 
 
 def _validate(mesh: Mesh) -> None:
@@ -177,7 +197,7 @@ def _validate(mesh: Mesh) -> None:
         if got != expected:
             raise RuntimeError(f"mesh has {got} {name}, expected {expected}")
     # The outward normal must be exactly +-1 times the stored one.
-    normals = _outward_normals(mesh.element_points())
+    _, normals = sides(mesh.element_points())
     stored = mesh.element_signs[..., None] * mesh.edge_normals[mesh.element_edges]
     bad = np.flatnonzero((np.abs(normals - stored) > 1e-14).any(axis=(1, 2)))
     if len(bad):

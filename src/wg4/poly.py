@@ -1,4 +1,4 @@
-"""The reference element: quadrature, affine maps and reference tables.
+"""The reference element: quadrature, affine maps, sides and reference tables.
 
 Every element is the image of the reference triangle (0,0), (1,0), (0,1)
 under the affine map x = v0 + J X with J = [v1 - v0, v2 - v0].  Its P_k
@@ -31,8 +31,8 @@ __all__ = [
     "map_to_triangles",
     "jacobian_determinants",
     "inverse_jacobians",
+    "sides",
     "monomials",
-    "monomial_gradients",
     "reference_basis",
     "reference_gradients",
     "reference_mass",
@@ -129,6 +129,15 @@ def inverse_jacobians(points: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1)) / det[:, None, None]
 
 
+def sides(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths (E, 3) and outward unit normals (E, 3, 2) of the sides of
+    counterclockwise triangles ``points`` (E, 3, 2); side k runs from
+    vertex k to vertex k + 1."""
+    d = np.roll(points, -1, axis=1) - points
+    lengths = np.linalg.norm(d, axis=-1)
+    return lengths, np.stack([d[..., 1], -d[..., 0]], axis=-1) / lengths[..., None]
+
+
 def _exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
 
@@ -139,14 +148,6 @@ def monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x**a * y**b for a, b in _exponents(degree)], axis=-1)
 
 
-def monomial_gradients(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradients of ``monomials``, with shape (..., dim, 2)."""
-    zero = np.zeros_like(x)
-    return np.stack([np.stack([a * x ** (a - 1) * y**b if a else zero,
-                               b * x**a * y ** (b - 1) if b else zero], axis=-1)
-                     for a, b in _exponents(degree)], axis=-2)
-
-
 def reference_basis(degree: int, points: np.ndarray) -> np.ndarray:
     """The reference P_degree basis (..., dim) at reference ``points`` (..., 2)."""
     return monomials(degree, *np.moveaxis(points - _CENTROID, -1, 0))
@@ -155,7 +156,11 @@ def reference_basis(degree: int, points: np.ndarray) -> np.ndarray:
 def reference_gradients(degree: int, points: np.ndarray) -> np.ndarray:
     """Reference gradients (..., dim, 2) of the same basis; on an element
     they map by J^-T."""
-    return monomial_gradients(degree, *np.moveaxis(points - _CENTROID, -1, 0))
+    x, y = np.moveaxis(points - _CENTROID, -1, 0)
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([a * x ** (a - 1) * y**b if a else zero,
+                               b * x**a * y ** (b - 1) if b else zero], axis=-1)
+                     for a, b in _exponents(degree)], axis=-2)
 
 
 def _shared_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Discrete weak operators and local L2 projections.
+"""Discrete weak operators, the element kernel and local L2 projections.
 
 A discrete unknown on one element is a triple {v0, vb, vg}: an interior
 polynomial v0 in P2(T), an edge trace vb in P1(e) per edge, and an edge
@@ -23,17 +23,36 @@ Two element-local operators act on these triples:
       (grad_w v, psi)_T = (grad v0, psi)_T - <v0 - vb, psi . n>_dT
   for every psi in [P1(T)]^2, with n the element-outward unit normal.
 
-Both are linear in the 18 local coefficients.  Each is one array kernel
-that returns the operator matrices of a batch of C triangles, given by
-their vertices (C, 3, 2), the signs sigma (C, 3) of their local edges and
-flags ``flipped`` (C, 3), set when edge k is parameterized p1 -> p2 from
-local vertex k + 1 to k instead of from k to k + 1.  Edge lengths and
-outward normals follow from the vertices.  Every integral comes from
-tables on the reference triangle under the affine map x = v0 + J X: the
-affine-mapped bases take the reference values at the mapped points,
-their gradients map by J^-T, and their traces on a local edge depend only
-on the edge and its orientation.  Loads and projections are batched the
-same way over all elements or edges.
+Both are linear in the 18 local coefficients.  ``local_system`` builds
+from them the element matrix of the bilinear form on two triples u, v,
+
+    (Ew u, Ew v)_h + 2 mu (kappa grad_w u, grad_w v)_h
+        + mu^2 (u0, v0) + s(u, v)
+
+with the edge stabilizer
+
+    s(u, v) = sum_T h_T^-1 <kappa grad u0 . n - ug, kappa grad v0 . n - vg>_dT
+            + sum_T h_T^-3 <Pb(u0) - ub, Pb(v0) - vb>_dT
+
+where h_T is the local mesh-size scale (shortest side) and Pb is the L2
+projection of the interior trace onto the edge trace space P1(e).  The
+flux factor needs no projection: for v0 in P2(T) and elementwise-constant
+kappa, kappa grad v0 . n is already linear along each edge.  Projecting
+the jump factor keeps the scheme exact for globally quadratic solutions,
+which the raw trace difference would break by penalizing the quadratic
+Legendre moment the edge space cannot represent.
+
+The two operators and ``local_system`` are array kernels over a batch of
+C triangles, given by their vertices (C, 3, 2), the signs sigma (C, 3)
+of their local edges and flags ``flipped`` (C, 3), set when edge k is
+parameterized p1 -> p2 from local vertex k + 1 to k instead of from k
+to k + 1.  Side lengths and outward normals come from ``poly.sides``.
+Every integral comes from tables on the reference triangle under the
+affine map x = v0 + J X: the affine-mapped bases take the reference
+values at the mapped points, their gradients map by J^-T, and their
+traces on a local edge depend only on the edge and its orientation.
+Loads (``local_load``) and projections are batched the same way over all
+elements or edges.
 """
 
 from __future__ import annotations
@@ -44,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import poly
-from .mesh import Mesh, _outward_normals
+from .mesh import Mesh
 
 __all__ = [
     "INTERIOR_DEGREE",
@@ -56,6 +75,9 @@ __all__ = [
     "boundary_mask",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
+    "AssemblyError",
+    "local_system",
+    "local_load",
     "interior_moments",
     "project_Qb",
     "project_Qg",
@@ -68,6 +90,10 @@ GRADIENT_DEGREE = 1  # grad_w lands in [P1(T)]^2
 N_INTERIOR = 6
 N_PER_EDGE = 2 * (EDGE_DEGREE + 1)
 N_LOCAL = N_INTERIOR + 3 * N_PER_EDGE  # 18
+
+
+class AssemblyError(RuntimeError):
+    """A degenerate element, or data that projects to non-finite values."""
 
 
 def dof_count(mesh: Mesh) -> int:
@@ -124,12 +150,6 @@ def _local_rows(interior: np.ndarray, vb: np.ndarray, vg: np.ndarray) -> np.ndar
     return np.concatenate([interior, edges.reshape(*edges.shape[:-2], 3 * N_PER_EDGE)], axis=-1)
 
 
-def _sides(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths (C, 3) and outward unit normals (C, 3, 2) of the sides from
-    local vertex k to k + 1 of the triangles ``points`` (C, 3, 2)."""
-    return np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=-1), _outward_normals(points)
-
-
 def _segment_rule() -> tuple[np.ndarray, np.ndarray]:
     """Weights (m,) of the segment rule and the edge basis (m, 2) at its points."""
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
@@ -181,7 +201,7 @@ def weak_laplacian_matrix(points: np.ndarray, signs: np.ndarray) -> np.ndarray:
     outward flux trace divided by |T|.
     """
     w, trace_b = _segment_rule()
-    lengths, _ = _sides(points)
+    lengths, _ = poly.sides(points)
     vg = (signs * lengths)[..., None] * (w @ trace_b)
     rows = _local_rows(np.zeros((len(points), N_INTERIOR)), np.zeros_like(vg), vg)
     return rows / (0.5 * poly.jacobian_determinants(points))[:, None]
@@ -196,7 +216,7 @@ def weak_gradient_matrix(points: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     coefficients (3), both in the affine-mapped P1 basis of ``wg4.poly``.
     """
     det = poly.jacobian_determinants(points)
-    lengths, normals = _sides(points)
+    lengths, normals = poly.sides(points)
     # (grad v0, psi)_T, with the gradients mapped by J^-T
     interior = det[:, None, None, None] * np.einsum(
         "cbd,bai->cdai", poly.inverse_jacobians(points), _gradient_moments())
@@ -211,6 +231,48 @@ def weak_gradient_matrix(points: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     rhs = _local_rows(interior, vb, np.zeros_like(vb))  # (C, 2, 3, 18)
     mass = poly.reference_mass(GRADIENT_DEGREE)
     return (np.linalg.solve(mass, rhs) / det[:, None, None, None]).reshape(-1, 6, N_LOCAL)
+
+
+def local_system(points: np.ndarray, signs: np.ndarray, flipped: np.ndarray,
+                 kappa: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Symmetric positive semidefinite 18 x 18 element matrices (C, 18, 18)
+    of the triangles ``points`` (C, 3, 2), with edge ``signs`` and
+    ``flipped`` flags (C, 3) as in the module docstring and coefficients
+    ``kappa`` (C, 2, 2) and ``mu`` (C,)."""
+    det = poly.jacobian_determinants(points)
+    if (det <= 0).any():
+        raise AssemblyError(f"element {np.flatnonzero(det <= 0)[0]} of the batch is degenerate")
+    lengths, normals = poly.sides(points)
+    h = lengths.min(axis=1)
+    scale = det[:, None, None]
+
+    ew = weak_laplacian_matrix(points, signs)
+    A = 0.5 * scale * ew[:, :, None] * ew[:, None, :]
+    G = weak_gradient_matrix(points, flipped)
+    mass1 = poly.reference_mass(GRADIENT_DEGREE)
+    kmass = scale * (kappa[:, :, None, :, None] * mass1[:, None, :]).reshape(-1, 6, 6)
+    A += 2.0 * mu[:, None, None] * G.transpose(0, 2, 1) @ kmass @ G
+    mass0 = poly.reference_mass(INTERIOR_DEGREE)
+    A[:, :N_INTERIOR, :N_INTERIOR] += (mu * mu)[:, None, None] * scale * mass0
+
+    # Penalty rows at every edge point, each on its own edge's dofs:
+    # flux, kappa grad v0 . n_out - sigma * vg, and jump, the P1(e)
+    # projection of the v0 trace - vb.
+    w, trace_b = _segment_rule()
+    trace0, grads0, _ = _edge_traces()
+    own = np.eye(3)[:, None, :, None] * trace_b[:, None, :]  # (3, m, 3, 2)
+    zero = np.zeros((len(points), *own.shape))
+    conormal = np.einsum("cab,cdb,ckd->cka", poly.inverse_jacobians(points), kappa, normals)
+    flux = np.einsum("ckqia,cka->ckqi", _on_edges(grads0, flipped), conormal)
+    jump = _on_edges(trace_b @ _edge_projector() @ trace0, flipped)
+    for rows, weight in (
+        (_local_rows(flux, zero, -signs[:, :, None, None, None] * own), 1.0 / h),
+        (_local_rows(jump, np.broadcast_to(-own, zero.shape), zero), h**-3.0),
+    ):
+        rows = rows.reshape(len(points), -1, N_LOCAL)
+        weights = (weight[:, None, None] * lengths[:, :, None] * w).reshape(len(points), -1)
+        A += (rows * weights[:, :, None]).transpose(0, 2, 1) @ rows
+    return 0.5 * (A + A.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +297,12 @@ def interior_moments(points: np.ndarray, u) -> np.ndarray:
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
     pts = poly.map_to_triangles(rule, points)
     return u(pts[..., 0], pts[..., 1]) @ _weighted_interior_basis()
+
+
+def local_load(points: np.ndarray, f) -> np.ndarray:
+    """Load vectors (E, 6) of the source against the interior basis of
+    each triangle ``points`` (E, 3, 2)."""
+    return poly.jacobian_determinants(points)[:, None] * interior_moments(points, f)
 
 
 @lru_cache(maxsize=None)
@@ -272,16 +340,17 @@ def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:
     the vb block projects the trace of ``u`` and the vg block projects the
     conormal flux kappa grad(u) . n_e along the edge's global normal.
 
-    ``kappa`` is either a single 2x2 matrix or an array (n_elements, 2, 2);
-    on interior edges where kappa jumps, the flux uses the coefficient of
-    the lower-indexed adjacent element (the side the global normal points
+    ``kappa`` (n_elements, 2, 2) holds one matrix per element; on interior
+    edges where kappa jumps, the flux uses the coefficient of the
+    lower-indexed adjacent element (the side the global normal points
     from).  ``u`` and ``grad_u(x, y)``, which returns a pair, are evaluated
     on arrays of points, one row per element or edge.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.ndim == 3:
-        kappa = kappa[mesh.edge_elements[:, 0]]
-    k = np.broadcast_to(kappa, (mesh.n_edges, 2, 2))[:, :, :, None]
+    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if kappa.shape != (mesh.n_elements, 2, 2):
+        raise ValueError(f"coefficient field has {len(kappa)} elements, mesh has "
+                         f"{mesh.n_elements}; kappa must have shape (E, 2, 2), got {kappa.shape}")
+    k = kappa[mesh.edge_elements[:, 0], :, :, None]
     nx, ny = mesh.edge_normals[:, :, None].transpose(1, 0, 2)
 
     def flux(x, y):

@@ -18,7 +18,6 @@ from wg4.assembly import (
     ProblemSpec,
     Region,
     assemble,
-    local_load,
     triple_bar_norm,
 )
 from wg4.harness import case_sine, catalog_entry
@@ -77,7 +76,7 @@ def test_local_system_symmetric_psd():
 
 
 def test_local_load_constant_source(geom):
-    load = local_load(geom.points, lambda x, y: np.ones_like(x))[0]
+    load = weakops.local_load(geom.points, lambda x, y: np.ones_like(x))[0]
     # Leading basis function is identically 1, so its load is |T|.
     assert load[0] == pytest.approx(geom.tri.area, rel=1e-13)
 
@@ -293,7 +292,7 @@ def test_boundary_lift_equals_full_matrix_product(case):
     spec = entry.problem(mesh)
     system = assemble(mesh, spec)
     b = np.zeros(weakops.dof_count(mesh))
-    b[: 6 * mesh.n_elements] = local_load(mesh.element_points(), spec.f).ravel()
+    b[: 6 * mesh.n_elements] = weakops.local_load(mesh.element_points(), spec.f).ravel()
     lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.free]
     assert np.abs(system.boundary_values).max() > 0
     assert np.array_equal(system.rhs, lifted)

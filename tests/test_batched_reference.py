@@ -24,7 +24,7 @@ from util import (
 )
 
 from wg4 import assembly, weakops
-from wg4.assembly import CoefficientField, ProblemSpec, Region, local_load
+from wg4.assembly import CoefficientField, ProblemSpec, Region
 from wg4.mesh import build_structured_mesh
 from wg4.errors import error_report
 from wg4.harness import case_sine
@@ -85,7 +85,7 @@ def test_project_qh_edge_blocks_match_per_edge_projection(setup):
 
 def test_loads_match_per_element_quadrature(setup):
     mesh, spec, _ = setup
-    got = local_load(mesh.element_points(), spec.f)
+    got = weakops.local_load(mesh.element_points(), spec.f)
     want = np.array([element_load(make_triangle(mesh.vertices[v]), spec.f)
                      for v in mesh.element_vertices])
     assert _close(got, want)
@@ -155,7 +155,7 @@ def test_local_system_matches_reference_on_random_triangles():
     factor = rng.normal(size=(count, 2, 2))
     kappa = factor @ factor.transpose(0, 2, 1) + 0.1 * np.eye(2)
     mu = np.where(np.arange(count) % 4 == 0, 0.0, rng.uniform(0.1, 2.0, count))
-    mats = assembly.local_system(points, signs, flipped, kappa, mu)
+    mats = weakops.local_system(points, signs, flipped, kappa, mu)
     for i in range(count):
         geom = reference_geometry(Element(points[[i]], signs[[i]], flipped[[i]]))
         assert _close(mats[i], reference_local_system(geom, kappa[i], mu[i])), i

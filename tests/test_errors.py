@@ -18,6 +18,13 @@ def sine_setup():
     return mesh, spec, projected
 
 
+def test_error_report_rejects_another_meshs_field():
+    spec = case_sine().problem(unit_square_mesh(4))
+    mesh = unit_square_mesh(8)
+    with pytest.raises(ValueError, match="coefficient field has 32 elements, mesh has 128"):
+        error_report(mesh, spec, weakops.WeakFunction.zeros(mesh))
+
+
 def test_projected_solution_has_zero_errors(sine_setup):
     mesh, spec, projected = sine_setup
     report = error_report(mesh, spec, projected)

@@ -18,7 +18,6 @@ from wg4.harness import (
     case_poly_bump,
     case_sine,
     catalog_entry,
-    locate_point,
     run_convergence,
     sample_field,
     solve_case,
@@ -199,6 +198,22 @@ def test_run_convergence_requires_exact_case():
         run_convergence(case_ft_gaussian(), [8, 16])
 
 
+def test_run_convergence_checks_levels_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "solve_case", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="levels must double: got n=4 followed by n=6"):
+        run_convergence(case_sine(), [4, 6])
+    assert calls == []
+
+
+def test_catalog_exact_flags_match_their_specs():
+    for name in CATALOG:
+        entry = catalog_entry(name)
+        spec = entry.problem(entry.make_mesh(8))
+        assert entry.has_exact == spec.has_exact, name
+    assert harness.FT_SCENARIOS == ("boundary-indicator", "boundary-dirac", "gaussian-source")
+
+
 def test_exact_discrete_solution_reports_exact_orders():
     entry = case_sine()
     reports = []
@@ -230,17 +245,6 @@ def test_error_growing_from_zero_is_not_printed_exact():
     assert row[3] == "-inf"  # l2: 0 -> 1e-3
     assert row[5] == row[7] == "1.00000e+00"
     assert row[9] == "exact"  # eg: 1e-3 -> 0
-
-
-def test_locate_point_structured():
-    mesh = unit_square_mesh(2)
-    # lower-left triangle of the first sub-square
-    assert locate_point(mesh, 0.1, 0.1) == 0
-    assert locate_point(mesh, 0.4, 0.45) == 1  # above the diagonal
-    assert locate_point(mesh, 0.25, 0.25) == 0  # on the diagonal: lower wins
-    assert locate_point(mesh, 1.0, 1.0) == 2 * (2 * 2) - 1  # top-right corner
-    with pytest.raises(ValueError):
-        locate_point(mesh, 1.2, 0.5)
 
 
 def test_sample_field_constant_solution():

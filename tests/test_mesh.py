@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wg4.cli import _mesh_csv as mesh_to_csv
-from wg4.mesh import _validate, build_structured_mesh
+from wg4.mesh import _validate, build_structured_mesh, locate_point
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -175,3 +175,14 @@ def test_validate_names_culprit_under_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "element 5: edge orientation sign is inconsistent"
+
+
+def test_locate_point_structured():
+    mesh = build_structured_mesh(UNIT, 2)
+    # lower-left triangle of the first sub-square
+    assert locate_point(mesh, 0.1, 0.1) == 0
+    assert locate_point(mesh, 0.4, 0.45) == 1  # above the diagonal
+    assert locate_point(mesh, 0.25, 0.25) == 0  # on the diagonal: lower wins
+    assert locate_point(mesh, 1.0, 1.0) == 2 * (2 * 2) - 1  # top-right corner
+    with pytest.raises(ValueError):
+        locate_point(mesh, 1.2, 0.5)

@@ -79,6 +79,13 @@ def test_unsupported_rules_rejected():
         poly.gauss_segment_quadrature(poly.MAX_SEGMENT_POINTS + 1)
 
 
+def test_sides_of_reference_triangle():
+    lengths, normals = poly.sides(poly.REFERENCE_VERTICES[None])
+    assert np.allclose(lengths, [[1.0, math.sqrt(2.0), 1.0]], rtol=0, atol=1e-15)
+    s = 1.0 / math.sqrt(2.0)
+    assert np.allclose(normals, [[[0.0, -1.0], [s, s], [-1.0, 0.0]]], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("degree,dim", [(0, 1), (1, 3), (2, 6)])
 def test_basis_dimension(degree, dim):
     assert poly.reference_basis(degree, poly.REFERENCE_VERTICES).shape == (3, dim)

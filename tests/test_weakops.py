@@ -23,6 +23,7 @@ from util import (
 )
 
 from wg4 import poly, weakops
+from wg4.assembly import AssemblyError
 from wg4.weakops import WeakFunction
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -188,6 +189,15 @@ def test_project_calqh_mean_value(right_geom):
     assert got == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
+def test_local_system_rejects_degenerate_triangle():
+    points = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                       [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]])
+    flags = np.zeros((2, 3), dtype=bool)
+    kappa = np.tile(np.eye(2), (2, 1, 1))
+    with pytest.raises(AssemblyError, match="element 1 of the batch is degenerate"):
+        weakops.local_system(points, np.ones((2, 3)), flags, kappa, np.ones(2))
+
+
 def test_dof_count_and_roundtrip():
     mesh = unit_square_mesh(3)
     size = weakops.dof_count(mesh)
@@ -212,16 +222,19 @@ def test_boundary_mask_counts():
 
 def test_project_qh_zero_and_flux_convention():
     mesh = unit_square_mesh(1)
+    kappa = np.tile(np.eye(2), (mesh.n_elements, 1, 1))
     zero = weakops.project_Qh(
         mesh, lambda x, y: np.zeros_like(x), lambda x, y: (np.zeros_like(x), np.zeros_like(y)),
-        np.eye(2),
+        kappa,
     )
     assert np.all(zero.coeffs == 0.0)
+    with pytest.raises(ValueError, match=r"mesh has 2; .* got \(2, 2\)"):
+        weakops.project_Qh(mesh, lambda x, y: x, lambda x, y: (x, y), np.eye(2))
 
     # u = x^2: on the bottom boundary edge (normal (0, -1)) the conormal
     # flux vanishes because u does not depend on y.
     proj = weakops.project_Qh(
-        mesh, lambda x, y: x * x, lambda x, y: (2.0 * x, np.zeros_like(y)), np.eye(2)
+        mesh, lambda x, y: x * x, lambda x, y: (2.0 * x, np.zeros_like(y)), kappa
     )
     midpoints = mesh.edge_points().mean(axis=1)
     bottom = [e for e in range(mesh.n_edges)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from wg4 import poly, weakops
 from wg4.mesh import Mesh
-from wg4.assembly import CoefficientField, ProblemSpec, local_system
+from wg4.assembly import CoefficientField, ProblemSpec
 from wg4.mesh import build_structured_mesh
 
 FD_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -360,7 +360,7 @@ class Element:
     def system(self, kappa, mu: float) -> np.ndarray:
         """Element matrix (18, 18)."""
         kappa = np.asarray(kappa, dtype=float)[None]
-        return local_system(self.points, self.signs, self.flipped, kappa, np.array([mu]))[0]
+        return weakops.local_system(self.points, self.signs, self.flipped, kappa, np.array([mu]))[0]
 
     def segment(self, k: int) -> np.ndarray:
         """Edge k as a one-edge batch (1, 2, 2) of its endpoints p1, p2."""
