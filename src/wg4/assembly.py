@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import weakops
-from .mesh import Mesh
+from .mesh import Mesh, check_rectangle
 from .weakops import N_LOCAL, AssemblyError, WeakFunction, local_load, local_system
 
 __all__ = [
@@ -70,9 +70,7 @@ class Region:
         if self.shape == "rect":
             if self.bounds is None:
                 raise ValueError("rect region requires bounds")
-            x0, y0, x1, y1 = self.bounds
-            if not (np.isfinite(self.bounds).all() and x0 < x1 and y0 < y1):
-                raise ValueError(f"bounds must be finite, x0 < x1, y0 < y1; got {self.bounds}")
+            check_rectangle(self.bounds)
         elif self.shape == "disk":
             if self.center is None or self.radius is None:
                 raise ValueError("disk region requires center and radius")
@@ -80,9 +78,8 @@ class Region:
                 raise ValueError("disk center must be finite and radius finite and positive")
         else:
             raise ValueError(f"unknown region shape {self.shape!r}")
-        _check_spd(np.asarray(self.kappa, dtype=float))
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        # a one-element field applies the field's kappa and mu checks
+        CoefficientField(np.asarray(self.kappa, dtype=float)[None], np.atleast_1d(self.mu))
 
     def contains(self, x, y):
         """Whether the points (x, y), scalars or arrays, lie in the region."""
@@ -93,26 +90,6 @@ class Region:
         return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius**2
 
 
-def _check_spd(kappa: np.ndarray, name: str = "kappa") -> None:
-    """Raise ValueError unless every 2x2 matrix of the stack ``kappa`` is
-    symmetric positive definite; the message names the first that is not,
-    as ``name[i]`` for a stack of shape (m, 2, 2)."""
-    if kappa.shape[-2:] != (2, 2) or kappa.ndim not in (2, 3):
-        raise ValueError(f"{name} must be 2x2 or a stack of 2x2 matrices, got shape {kappa.shape}")
-    stack = kappa.reshape(-1, 2, 2)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    symmetric = np.isclose(stack, stack.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
-    ok = finite & symmetric
-    definite = np.linalg.eigvalsh(np.where(ok[:, None, None], stack, np.eye(2))).min(axis=1) > 0
-    bad = np.flatnonzero(~(ok & definite))
-    if len(bad):
-        i = bad[0]
-        where = f"{name}[{i}]" if kappa.ndim == 3 else name
-        reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
-                  else "not positive definite")
-        raise ValueError(f"{where}: {reason}")
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Piecewise-constant diffusion matrix and reaction scalar per element."""
@@ -121,13 +98,26 @@ class CoefficientField:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
-        if np.ndim(self.kappa) != 3 or np.shape(self.mu) != (len(self.kappa),):
+        """Every kappa must be symmetric positive definite and every mu finite
+        and nonnegative; the message names the first element that is not."""
+        kappa, mu = self.kappa, self.mu
+        if np.shape(kappa)[1:] != (2, 2) or np.shape(mu) != (len(kappa),):
             raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
-                             f"{np.shape(self.kappa)} and {np.shape(self.mu)}")
-        _check_spd(self.kappa)
-        bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu >= 0)))
+                             f"{np.shape(kappa)} and {np.shape(mu)}")
+        finite = np.isfinite(kappa).all(axis=(1, 2))
+        symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
+        ok = finite & symmetric
+        safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
+        definite = np.linalg.eigvalsh(safe).min(axis=1) > 0
+        bad = np.flatnonzero(~(ok & definite))
         if len(bad):
-            value = self.mu[bad[0]]
+            i = bad[0]
+            reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
+                      else "not positive definite")
+            raise ValueError(f"kappa[{i}]: {reason}")
+        bad = np.flatnonzero(~(np.isfinite(mu) & (mu >= 0)))
+        if len(bad):
+            value = mu[bad[0]]
             need = "nonnegative" if np.isfinite(value) else "finite"
             raise ValueError(f"mu[{bad[0]}]: must be {need}, got {value}")
 
@@ -256,9 +246,7 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     """The operator of (mesh, coeff): the slot's if it matches, otherwise
     a new one, which takes the slot."""
     global _slot
-    if len(coeff.kappa) != mesh.n_elements:
-        raise ValueError(f"coefficient field has {len(coeff.kappa)} elements, "
-                         f"mesh has {mesh.n_elements}")
+    mesh.check_elements("coefficient field", len(coeff.kappa))
     if _slot is not None and _slot.matches(mesh, coeff):
         return _slot
     _slot = None  # free the old factorization before building the next

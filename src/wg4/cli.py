@@ -8,11 +8,18 @@ Subcommands:
 
 A JSON config and a command's flags go through one validator
 (``_validate``); its errors name the key as ``$.key`` in a config and as
-``--flag`` on the command line.  This is the only module that formats
-numbers: every CSV row comes from one ``%`` template over the stacked
-columns (``_rows``), in 6-significant-digit scientific form, so that
-identical configurations produce byte-identical files.  Exit codes:
-0 success, 2 configuration error, 3 solver failure, 1 anything else.
+``--flag`` on the command line.  The validator checks types, ranges and
+the allowed keys itself; every other input rule is the library's, and a
+ValueError the library raises while a key is parsed is reported at that
+key's path: the rectangle rule of ``wg4.mesh``, the level doubling of
+``wg4.errors``, the region checks of ``wg4.assembly``, and the catalog's
+source-point and n-multiple rules in ``wg4.harness``.
+
+This is the only module that formats numbers: every CSV row comes from
+one ``%`` template over the stacked columns (``_rows``), in
+6-significant-digit scientific form, so that identical configurations
+produce byte-identical files.  Exit codes: 0 success, 2 configuration
+error, 3 solver failure, 1 anything else.
 """
 
 from __future__ import annotations
@@ -29,15 +36,13 @@ import numpy as np
 
 from . import harness
 from .assembly import Region
-from .errors import NORM_FIELDS, error_report
-from .mesh import Mesh, build_structured_mesh
+from .errors import NORM_FIELDS, check_doubling, error_report
+from .mesh import Mesh, build_structured_mesh, check_rectangle
 from .solve import SolverConfig, SolverError
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 DEFAULT_GRID = 101
-
-COMMANDS = ("solve", "convergence", "ft-demo", "mesh-dump")
 
 
 class ConfigError(ValueError):
@@ -115,11 +120,21 @@ def _items(value, path: str, parse, expected: str, length: int | None = None):
     return items if length is None else tuple(items)
 
 
+def _at(path: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a library ValueError reported at ``path``."""
+    try:
+        return check(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_object(value, path: str, table: dict, build, sep: str = "."):
     """``build(**parsed keys)`` from a dict checked against ``table``,
     which maps each allowed key to (required, value parser).  A key's
-    path is ``path + sep + key``; a ValueError of ``build`` is reported
-    at ``path``."""
+    path is ``path + sep + key``; a ValueError of its parser is reported
+    there, and one of ``build`` at ``path``."""
     if not isinstance(value, dict):
         raise _type_error(path, "an object", value)
     unknown = sorted(set(value) - set(table))
@@ -128,22 +143,22 @@ def _parse_object(value, path: str, table: dict, build, sep: str = "."):
     for key, (required, _) in table.items():
         if required and key not in value:
             raise ConfigError(f"{path}{sep}{key}: required key missing")
-    parsed = {key: parse(value[key], f"{path}{sep}{key}") for key, (_, parse) in table.items()
-              if key in value}
-    try:
-        return build(**parsed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    paths = {key: f"{path}{sep}{key}" for key in table if key in value}
+    return _at(path, build, **{key: _at(at, table[key][1], value[key], at)
+                               for key, at in paths.items()})
 
 
 _as_case = _one_of(sorted(harness.CATALOG), "case")
 _as_grid = partial(_as_int, minimum=2, maximum=MAX_GRID)
 _as_point = partial(_items, parse=_as_number, expected="a [x, y] pair", length=2)
-_as_rect = partial(_items, parse=_as_number, expected="a [x0, y0, x1, y1] list", length=4)
+
+
+def _as_rect(value, path: str) -> tuple[float, float, float, float]:
+    return check_rectangle(_items(value, path, _as_number, "a [x0, y0, x1, y1] list", 4))
 
 
 def _as_exact_case(value, path: str) -> str:
-    if not harness.catalog_entry(_as_case(value, path)).has_exact:
+    if not harness.CATALOG[_as_case(value, path)].has_exact:
         raise ConfigError(f"{path}: case {value!r} has no exact solution")
     return value
 
@@ -152,9 +167,7 @@ def _as_levels(value, path: str) -> list[int]:
     if value == []:
         raise _type_error(path, "a non-empty list of integers", value)
     levels = _items(value, path, _as_int, "a non-empty list of integers")
-    for a, b in zip(levels, levels[1:]):
-        if b != 2 * a:
-            raise ConfigError(f"{path}: levels must double, got {a} followed by {b}")
+    check_doubling(levels)
     return levels
 
 
@@ -198,17 +211,15 @@ def _validate(doc: dict, path: str, sep: str) -> RunConfig:
     """The one validator, of a JSON config (``path`` ``$``, ``sep`` ``.``)
     or of a command's flags (no path, ``sep`` ``--``)."""
     command = doc.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"{path}{sep}command: must be one of {', '.join(COMMANDS)}, "
+    if command not in _SCHEMA:
+        raise ConfigError(f"{path}{sep}command: must be one of {', '.join(_SCHEMA)}, "
                           f"got {command!r}")
     table = {"command": (True, _as_str), **_SCHEMA[command]}
     cfg = _parse_object(doc, path, table, _run_config, sep)
-    if cfg.source is not None and cfg.case != "gaussian-source":
-        raise ConfigError(f"{path}{sep}source: only the gaussian-source scenario takes a "
-                          "source point")
-    multiple = harness.catalog_entry(cfg.case).n_multiple if cfg.case else 1
-    if cfg.n and cfg.n % multiple:
-        raise ConfigError(f"{path}{sep}n: must be divisible by {multiple}, got {cfg.n}")
+    if cfg.case:
+        entry = _at(f"{path}{sep}source", harness.catalog_entry, cfg.case, cfg.source)
+        if cfg.n:
+            _at(f"{path}{sep}n", entry.check_n, cfg.n)
     return cfg
 
 
@@ -300,14 +311,8 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "convergence":
         result = harness.run_convergence(harness.catalog_entry(cfg.case), cfg.levels, cfg.solver)
         text = _convergence_csv(result)
-    elif cfg.command == "mesh-dump":
-        try:
-            mesh = build_structured_mesh(cfg.domain or (0.0, 0.0, 1.0, 1.0), cfg.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        text = _mesh_csv(mesh)
-    else:
-        raise ConfigError(f"unknown command {cfg.command!r}")
+    else:  # mesh-dump
+        text = _mesh_csv(build_structured_mesh(cfg.domain or harness.UNIT_SQUARE, cfg.n))
     if cfg.out:
         _write(cfg.out, text)
     else:
@@ -317,8 +322,7 @@ def run(cfg: RunConfig) -> int:
 
 def _case_listing() -> str:
     lines = ["cases:"]
-    for name in sorted(harness.CATALOG):
-        entry = harness.catalog_entry(name)
+    for name, entry in sorted(harness.CATALOG.items()):
         lines.append(f"  {name:20s} {entry.description}")
     lines.append("ft-demo scenarios: " + ", ".join(harness.FT_SCENARIOS))
     return "\n".join(lines)
@@ -345,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ft = sub.add_parser("ft-demo", help="forward-model scenario, sampled field CSV")
     p_ft.add_argument("--scenario", required=True)
-    p_ft.add_argument("--source", help="x,y source point (gaussian-source only)")
+    p_ft.add_argument("--source", help="x,y source point (the Gaussian scenario only)")
     p_ft.add_argument("--n", required=True, type=int)
     p_ft.add_argument("--grid", type=int)
     p_ft.add_argument("--out", help="output CSV path")

@@ -53,6 +53,7 @@ class ErrorReport:
 def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorReport:
     if not spec.has_exact:
         raise ValueError("error_report requires an exact solution on the problem spec")
+    mesh.check_elements("solution", u_h.n_elements)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
     e = WeakFunction(projected.coeffs - u_h.coeffs, mesh.n_elements)
     e.edges[mesh.boundary] = 0.0

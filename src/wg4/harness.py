@@ -3,9 +3,14 @@
 Two manufactured cases with known exact solutions drive the convergence
 studies; three forward-model scenarios mimic fluorescence-tomography
 setups (localized boundary data over a strongly discontinuous diffusion
-coefficient, and interior Gaussian light sources).  ``sample_field``
-evaluates the P2 basis of ``wg4.poly`` in the element that
-``mesh.locate_point`` finds for each point.
+coefficient, and interior Gaussian light sources).  ``CATALOG`` holds one
+entry per case under the entry's own name.  The catalog's input rules
+live here, and the CLI's validator calls them: ``catalog_entry`` takes a
+source point for the Gaussian scenario only, and
+``CaseCatalogEntry.check_n`` holds a case's n-multiple rule.
+
+``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
+that ``mesh.locate_point`` finds for each point.
 
 ``solve_case`` reuses the operator slot of ``wg4.assembly``: a call on
 the mesh and coefficient field of the operator in the slot takes its
@@ -78,13 +83,17 @@ class CaseCatalogEntry:
     has_exact: bool = False
     n_multiple: int = 1
 
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless the subdivision count n is a multiple of ``n_multiple``."""
+        if n % self.n_multiple:
+            raise ValueError(f"must be divisible by {self.n_multiple}, got {n}")
+
     def problem(self, mesh: Mesh) -> ProblemSpec:
         if mesh.domain != self.domain:
             raise ValueError(
                 f"case {self.name!r} is defined on {self.domain}, got mesh on {mesh.domain}"
             )
-        if mesh.n % self.n_multiple != 0:
-            raise ValueError(f"case {self.name!r}: n must be divisible by {self.n_multiple}")
+        self.check_n(mesh.n)
         return self.builder(mesh)
 
     def make_mesh(self, n: int) -> Mesh:
@@ -285,29 +294,27 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
     )
 
 
-#: Catalog of named scenarios; the CLI derives its choices from this.
-CATALOG: dict[str, Callable[..., CaseCatalogEntry]] = {
-    "poly-bump": case_poly_bump,
-    "sine": case_sine,
-    "boundary-indicator": lambda: case_ft_boundary_patch("indicator"),
-    "boundary-dirac": lambda: case_ft_boundary_patch("dirac"),
-    "gaussian-source": case_ft_gaussian,
-}
+_GAUSSIAN = case_ft_gaussian()
+
+#: Catalog of named scenarios, each under its own name; the CLI derives its choices from this.
+CATALOG: dict[str, CaseCatalogEntry] = {entry.name: entry for entry in (
+    case_poly_bump(), case_sine(), case_ft_boundary_patch("indicator"),
+    case_ft_boundary_patch("dirac"), _GAUSSIAN)}
 
 #: The forward-model scenarios of the ft-demo command: the cases without an exact solution.
-FT_SCENARIOS = tuple(name for name, make in CATALOG.items() if not make().has_exact)
+FT_SCENARIOS = tuple(name for name, entry in CATALOG.items() if not entry.has_exact)
 
 
 def catalog_entry(name: str, source: tuple[float, float] | None = None) -> CaseCatalogEntry:
-    """Instantiate a catalog case by name; ``source`` only applies to the
-    Gaussian scenario."""
+    """The catalog case ``name``; a ``source`` point, which only the
+    Gaussian scenario takes, moves its source."""
     if name not in CATALOG:
         raise KeyError(f"unknown case {name!r}; available: {', '.join(sorted(CATALOG))}")
-    if name == "gaussian-source" and source is not None:
-        return case_ft_gaussian(source)
-    if source is not None:
-        raise ValueError(f"case {name!r} does not take a source point")
-    return CATALOG[name]()
+    if source is None:
+        return CATALOG[name]
+    if name != _GAUSSIAN.name:
+        raise ValueError(f"only the {_GAUSSIAN.name} scenario takes a source point")
+    return case_ft_gaussian(source)
 
 
 def solve_case(
@@ -378,6 +385,7 @@ def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, 
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    mesh.check_elements("solution", u_h.n_elements)
     x0, y0, x1, y1 = mesh.domain
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
     points = np.column_stack([gx.ravel(), gy.ravel()])

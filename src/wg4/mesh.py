@@ -39,6 +39,7 @@ from .poly import jacobian_determinants, sides
 __all__ = [
     "Mesh",
     "build_structured_mesh",
+    "check_rectangle",
     "locate_point",
 ]
 
@@ -77,6 +78,19 @@ class Mesh:
         """Endpoints (m, 2, 2) of the given edges, p1 then p2 (default all)."""
         return self.vertices[self.edge_vertices[edges]]
 
+    def check_elements(self, what: str, count: int) -> None:
+        """Raise ValueError unless ``count``, the element count of ``what``, is this mesh's."""
+        if count != self.n_elements:
+            raise ValueError(f"{what} has {count} elements, mesh has {self.n_elements}")
+
+
+def check_rectangle(rect) -> Rectangle:
+    """``rect`` as floats (x0, y0, x1, y1), which must be finite with x0 < x1, y0 < y1."""
+    x0, y0, x1, y1 = rect = tuple(float(v) for v in rect)
+    if not (np.isfinite(rect).all() and x0 < x1 and y0 < y1):
+        raise ValueError(f"rectangle bounds {rect} are non-finite or not x0 < x1, y0 < y1")
+    return rect
+
 
 def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     """Triangulate ``domain`` into 2*n^2 triangles.
@@ -85,11 +99,10 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     sub-square is cut along the diagonal of negative slope, giving a
     lower-left and an upper-right triangle.
     """
-    x0, y0, x1, y1 = (float(v) for v in domain)
-    if n < 1:
-        raise ValueError(f"subdivision count must be >= 1, got {n}")
-    if not (np.isfinite([x0, y0, x1, y1]).all() and x1 > x0 and y1 > y0):
-        raise ValueError(f"degenerate or non-finite rectangle {domain!r}")
+    x0, y0, x1, y1 = check_rectangle(domain)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"subdivision count n must be an integer >= 1, got {n!r}")
+    n = int(n)
 
     gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
     vertices = np.column_stack([gx.ravel(), gy.ravel()])

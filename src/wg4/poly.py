@@ -64,7 +64,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def __post_init__(self):
         self.points.flags.writeable = self.weights.flags.writeable = False  # cached rules
@@ -101,7 +100,7 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
         for j in range(p):
             pts[i * p + j] = (x[i], (1.0 - x[i]) * eta[j])
             wts[i * p + j] = wx[i] * weta[j]
-    return QuadratureRule(points=pts, weights=wts, degree=degree)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +109,7 @@ def gauss_segment_quadrature(npoints: int) -> QuadratureRule:
     if not 1 <= npoints <= MAX_SEGMENT_POINTS:
         raise ValueError(f"unsupported segment point count {npoints}")
     x, w = np.polynomial.legendre.leggauss(npoints)
-    return QuadratureRule(points=0.5 * x, weights=0.5 * w, degree=2 * npoints - 1)
+    return QuadratureRule(points=0.5 * x, weights=0.5 * w)
 
 
 def map_to_triangles(rule: QuadratureRule, points: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from wg4 import cli
-from wg4.assembly import Region
+from wg4.assembly import CoefficientField, Region
 from wg4.cli import ConfigError, main, parse_config
-from wg4.harness import CATALOG
+from wg4.errors import check_doubling
+from wg4.harness import CATALOG, catalog_entry
+from wg4.mesh import check_rectangle
 
 
 def test_parse_convergence_config():
@@ -267,3 +270,71 @@ def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
 ])
 def test_valid_configs_accepted(doc, attr, value):
     assert getattr(parse_config(json.dumps(doc)), attr) == value
+
+
+def _region(**values):
+    return {"command": "solve", "case": "gaussian-source", "n": 8,
+            "regions": [{"shape": "rect", "bounds": [0, 0, 1, 1], "kappa": [[1, 0], [0, 1]],
+                         "mu": 0.0, **values}]}
+
+
+@pytest.mark.parametrize("args,path,library", [
+    ({"command": "mesh-dump", "n": 2, "domain": [1, 0, 0, 1]}, "$.domain",
+     lambda: check_rectangle((1, 0, 0, 1))),
+    (_region(bounds=[30, 30, 10, 10]), "$.regions[0].bounds",
+     lambda: check_rectangle((30, 30, 10, 10))),
+    (_region(kappa=[[1, 2], [2, 1]]), "$.regions[0]",
+     lambda: CoefficientField(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.zeros(1))),
+    (_region(mu=-0.5), "$.regions[0]",
+     lambda: CoefficientField(np.eye(2)[None], np.array([-0.5]))),
+    ({"command": "solve", "case": "boundary-dirac", "n": 12}, "$.n",
+     lambda: CATALOG["boundary-dirac"].check_n(12)),
+    (["convergence", "--case", "sine", "--levels", "4,6"], "--levels",
+     lambda: check_doubling([4, 6])),
+    (["ft-demo", "--scenario", "boundary-indicator", "--n", "12"], "--n",
+     lambda: CATALOG["boundary-indicator"].check_n(12)),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--source", "1,2"], "--source",
+     lambda: catalog_entry("boundary-dirac", (1.0, 2.0))),
+])
+def test_library_rules_reported_at_their_key(args, path, library, tmp_path, capsys, monkeypatch):
+    # the CLI reports the library's own message, at the key or flag that broke the rule
+    with pytest.raises(ValueError) as err:
+        library()
+    if isinstance(args, dict):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(args))
+        args = ["solve", "--config", str(config)]
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail(f"accepted {cfg}"))
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: config: {path}: {err.value}\n"
+
+
+FLAG_CASES = [
+    (["convergence", "--case", "sine", "--levels", "8,16,32", "--out", "c.csv"],
+     {"command": "convergence", "case": "sine", "levels": [8, 16, 32], "out": "c.csv"}),
+    (["ft-demo", "--scenario", "gaussian-source", "--source", "1.5,2", "--n", "8", "--grid", "11",
+      "--out", "f.csv"],
+     {"command": "ft-demo", "scenario": "gaussian-source", "source": [1.5, 2], "n": 8,
+      "grid": 11, "out": "f.csv"}),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "16"],
+     {"command": "ft-demo", "scenario": "boundary-dirac", "n": 16}),
+    (["mesh-dump", "--n", "4", "--out", "m.csv"],
+     {"command": "mesh-dump", "n": 4, "out": "m.csv"}),
+]
+
+
+@pytest.mark.parametrize("argv,doc", FLAG_CASES)
+def test_flags_give_the_config_of_their_json(argv, doc):
+    from_flags = cli._config_from_args(cli._build_parser().parse_args(argv))
+    assert from_flags == parse_config(json.dumps(doc))
+
+
+def test_flag_cases_cover_every_flag():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        if command == "solve":  # its flags name a config file, not config keys
+            continue
+        flags = {flag for action in sub._actions for flag in action.option_strings}
+        covered = {arg for argv, _ in FLAG_CASES if argv[0] == command for arg in argv}
+        assert flags - {"-h", "--help"} <= covered, command

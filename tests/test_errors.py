@@ -25,6 +25,14 @@ def test_error_report_rejects_another_meshs_field():
         error_report(mesh, spec, weakops.WeakFunction.zeros(mesh))
 
 
+def test_error_report_rejects_another_meshs_solution():
+    mesh = unit_square_mesh(4)
+    spec = case_sine().problem(mesh)
+    u_h = weakops.WeakFunction.zeros(unit_square_mesh(2))
+    with pytest.raises(ValueError, match="^solution has 8 elements, mesh has 32$"):
+        error_report(mesh, spec, u_h)
+
+
 def test_projected_solution_has_zero_errors(sine_setup):
     mesh, spec, projected = sine_setup
     report = error_report(mesh, spec, projected)

@@ -265,6 +265,13 @@ def test_sample_field_rejects_tiny_grid():
         sample_field(mesh, wf, 1)
 
 
+def test_sample_field_rejects_another_meshs_solution():
+    # sampling an n=4 solution on an n=2 mesh used to return values silently
+    u_h = WeakFunction.zeros(unit_square_mesh(4))
+    with pytest.raises(ValueError, match="^solution has 32 elements, mesh has 8$"):
+        sample_field(unit_square_mesh(2), u_h, 5)
+
+
 def test_solve_case_region_override():
     # The inclusion hook: overriding a disk region changes the sampled
     # coefficients but keeps the problem well posed.

@@ -126,6 +126,11 @@ def test_invalid_inputs_rejected():
     for domain in ((0.0, 0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0, 1.0), (0.0, np.nan, 1.0, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             build_structured_mesh(domain, 2)
+    for n in (2.5, "3", True, np.bool_(True), np.float64(2.0), -1, np.int64(0)):
+        with pytest.raises(ValueError, match=r"^subdivision count n must be an integer >= 1"):
+            build_structured_mesh(UNIT, n)
+    mesh = build_structured_mesh(UNIT, np.int64(2))
+    assert type(mesh.n) is int and mesh.n == 2 and mesh.n_elements == 8
 
 
 def test_mesh_dump_sections_and_counts():
