@@ -55,6 +55,35 @@ __all__ = [
 ]
 
 
+def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
+    """Every kappa (E, 2, 2) must be symmetric positive definite and every mu
+    (E,) finite and nonnegative; the message names the first element that
+    is not, as ``kappa[i]`` or, unless ``indexed``, as ``kappa``."""
+
+    def name(what: str, i: int) -> str:
+        return f"{what}[{i}]" if indexed else what
+
+    if np.shape(kappa)[1:] != (2, 2) or np.shape(mu) != (len(kappa),):
+        raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
+                         f"{np.shape(kappa)} and {np.shape(mu)}")
+    finite = np.isfinite(kappa).all(axis=(1, 2))
+    symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
+    ok = finite & symmetric
+    safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
+    definite = np.linalg.eigvalsh(safe).min(axis=1) > 0
+    bad = np.flatnonzero(~(ok & definite))
+    if len(bad):
+        i = bad[0]
+        reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
+                  else "not positive definite")
+        raise ValueError(f"{name('kappa', i)}: {reason}")
+    bad = np.flatnonzero(~(np.isfinite(mu) & (mu >= 0)))
+    if len(bad):
+        value = mu[bad[0]]
+        need = "nonnegative" if np.isfinite(value) else "finite"
+        raise ValueError(f"{name('mu', bad[0])}: must be {need}, got {value}")
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned rectangle or disk carrying coefficient values."""
@@ -78,8 +107,9 @@ class Region:
                 raise ValueError("disk center must be finite and radius finite and positive")
         else:
             raise ValueError(f"unknown region shape {self.shape!r}")
-        # a one-element field applies the field's kappa and mu checks
-        CoefficientField(np.asarray(self.kappa, dtype=float)[None], np.atleast_1d(self.mu))
+        # the field's checks, on the region's one kappa and mu
+        _check_coefficients(np.asarray(self.kappa, dtype=float)[None], np.atleast_1d(self.mu),
+                            indexed=False)
 
     def contains(self, x, y):
         """Whether the points (x, y), scalars or arrays, lie in the region."""
@@ -87,7 +117,7 @@ class Region:
             x0, y0, x1, y1 = self.bounds
             return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
         cx, cy = self.center
-        return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius**2
+        return np.hypot(x - cx, y - cy) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -98,28 +128,7 @@ class CoefficientField:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
-        """Every kappa must be symmetric positive definite and every mu finite
-        and nonnegative; the message names the first element that is not."""
-        kappa, mu = self.kappa, self.mu
-        if np.shape(kappa)[1:] != (2, 2) or np.shape(mu) != (len(kappa),):
-            raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
-                             f"{np.shape(kappa)} and {np.shape(mu)}")
-        finite = np.isfinite(kappa).all(axis=(1, 2))
-        symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
-        ok = finite & symmetric
-        safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
-        definite = np.linalg.eigvalsh(safe).min(axis=1) > 0
-        bad = np.flatnonzero(~(ok & definite))
-        if len(bad):
-            i = bad[0]
-            reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
-                      else "not positive definite")
-            raise ValueError(f"kappa[{i}]: {reason}")
-        bad = np.flatnonzero(~(np.isfinite(mu) & (mu >= 0)))
-        if len(bad):
-            value = mu[bad[0]]
-            need = "nonnegative" if np.isfinite(value) else "finite"
-            raise ValueError(f"mu[{bad[0]}]: must be {need}, got {value}")
+        _check_coefficients(self.kappa, self.mu)
 
     @classmethod
     def from_regions(cls, mesh: Mesh, kappa, mu, regions=()) -> "CoefficientField":

@@ -11,9 +11,9 @@ A JSON config and a command's flags go through one validator
 ``--flag`` on the command line.  The validator checks types, ranges and
 the allowed keys itself; every other input rule is the library's, and a
 ValueError the library raises while a key is parsed is reported at that
-key's path: the rectangle rule of ``wg4.mesh``, the level doubling of
-``wg4.errors``, the region checks of ``wg4.assembly``, and the catalog's
-source-point and n-multiple rules in ``wg4.harness``.
+key's path: the rectangle and partition rules of ``wg4.mesh``, the level
+doubling of ``wg4.errors``, the region checks of ``wg4.assembly``, and the
+catalog's source-point, n-multiple and grid rules in ``wg4.harness``.
 
 This is the only module that formats numbers: every CSV row comes from
 one ``%`` template over the stacked columns (``_rows``), in
@@ -37,7 +37,7 @@ import numpy as np
 from . import harness
 from .assembly import Region
 from .errors import NORM_FIELDS, check_doubling, error_report
-from .mesh import Mesh, build_structured_mesh, check_rectangle
+from .mesh import Mesh, build_structured_mesh, check_partition, check_rectangle
 from .solve import SolverConfig, SolverError
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -149,12 +149,15 @@ def _parse_object(value, path: str, table: dict, build, sep: str = "."):
 
 
 _as_case = _one_of(sorted(harness.CATALOG), "case")
-_as_grid = partial(_as_int, minimum=2, maximum=MAX_GRID)
 _as_point = partial(_items, parse=_as_number, expected="a [x, y] pair", length=2)
 
 
 def _as_rect(value, path: str) -> tuple[float, float, float, float]:
     return check_rectangle(_items(value, path, _as_number, "a [x0, y0, x1, y1] list", 4))
+
+
+def _as_grid(value, path: str) -> int:
+    return _as_int(harness.check_grid(value), path, maximum=MAX_GRID)
 
 
 def _as_exact_case(value, path: str) -> str:
@@ -216,6 +219,8 @@ def _validate(doc: dict, path: str, sep: str) -> RunConfig:
                           f"got {command!r}")
     table = {"command": (True, _as_str), **_SCHEMA[command]}
     cfg = _parse_object(doc, path, table, _run_config, sep)
+    if cfg.domain:
+        _at(f"{path}{sep}domain", check_partition, cfg.domain, cfg.n)
     if cfg.case:
         entry = _at(f"{path}{sep}source", harness.catalog_entry, cfg.case, cfg.source)
         if cfg.n:

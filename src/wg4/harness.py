@@ -6,8 +6,9 @@ setups (localized boundary data over a strongly discontinuous diffusion
 coefficient, and interior Gaussian light sources).  ``CATALOG`` holds one
 entry per case under the entry's own name.  The catalog's input rules
 live here, and the CLI's validator calls them: ``catalog_entry`` takes a
-source point for the Gaussian scenario only, and
-``CaseCatalogEntry.check_n`` holds a case's n-multiple rule.
+source point for the Gaussian scenario only,
+``CaseCatalogEntry.check_n`` holds a case's n-multiple rule, and
+``check_grid`` the sampling grid's rule.
 
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
 that ``mesh.locate_point`` finds for each point.
@@ -46,6 +47,7 @@ __all__ = [
     "run_convergence",
     "solve_case",
     "sample_field",
+    "check_grid",
     "ConvergenceResult",
 ]
 
@@ -165,10 +167,10 @@ def case_sine() -> CaseCatalogEntry:
         return factor * u(x, y)
 
     def nu(x, y):
-        # c grad(u) . n with the domain-outward normal of the unit square.
+        # c grad(u) . n: the outward normal is (+-1, 0) on the sides x = 0, 1
+        # and (0, +-1) on y = 0, 1, where boundary quadrature points lie
         gx, gy = grad_u(x, y)
-        nx, ny = _outward_normal_unit_square(x, y)
-        return c * (gx * nx + gy * ny)
+        return c * np.where((x == 0) | (x == 1), gx * np.sign(x - 0.5), gy * np.sign(y - 0.5))
 
     def build(mesh: Mesh) -> ProblemSpec:
         return ProblemSpec(f=f, xi=u, nu=nu, exact_u=u, exact_grad=grad_u,
@@ -181,29 +183,6 @@ def case_sine() -> CaseCatalogEntry:
         has_exact=True,
         builder=build,
     )
-
-
-def _outward_normal_unit_square(x, y):
-    """Outward normal of the unit square at boundary points (vectorized).
-
-    Sides are matched with a 1e-12 tolerance; corners resolve to the side
-    matched first, which never matters under Gauss quadrature (points are
-    strictly interior to edges).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = np.zeros_like(x)
-    ny = np.zeros_like(y)
-    tol = 1e-12
-    bottom = np.abs(y) <= tol
-    top = np.abs(y - 1.0) <= tol
-    left = np.abs(x) <= tol
-    right = np.abs(x - 1.0) <= tol
-    ny[bottom] = -1.0
-    ny[top] = 1.0
-    nx[left & ~bottom & ~top] = -1.0
-    nx[right & ~bottom & ~top] = 1.0
-    return nx, ny
 
 
 def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
@@ -262,12 +241,11 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
     """Interior Gaussian light source on the 50 x 50 domain.
 
     The source is sqrt(2 pi eps) exp(-r^2 / (2 eps)) centered at the given
-    point near the boundary.  Two circular blocks (center (25, 15) radius
-    4 and center (35, 20) radius 3) are recorded as coefficient regions
-    but carry the same uniform diffusion/absorption as the background by
-    default; override them through the region hook to model inclusions.
-    Boundary data is not part of the scenario definition and is taken
-    homogeneous (xi = nu = 0).
+    point near the boundary.  The medium is uniform, with the manufactured
+    cases' diffusion and absorption; ``solve_case``'s regions lay
+    inclusions over it, for example at the disks of radius 4 about
+    (25, 15) and of radius 3 about (35, 20).  Boundary data is not part
+    of the scenario definition and is taken homogeneous (xi = nu = 0).
     """
     x0, y0 = float(source[0]), float(source[1])
     eps = GAUSSIAN_EPSILON
@@ -277,13 +255,7 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
         return amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * eps))
 
     def build(mesh: Mesh) -> ProblemSpec:
-        blocks = [
-            Region(shape="disk", center=(25.0, 15.0), radius=4.0,
-                   kappa=DIFFUSION * np.eye(2), mu=ABSORPTION),
-            Region(shape="disk", center=(35.0, 20.0), radius=3.0,
-                   kappa=DIFFUSION * np.eye(2), mu=ABSORPTION),
-        ]
-        coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, blocks)
+        coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION)
         return ProblemSpec(f=f, xi=_zero, nu=_zero, coeff=coeff)
 
     return CaseCatalogEntry(
@@ -377,14 +349,20 @@ def run_convergence(
     )
 
 
+def check_grid(grid: int) -> int:
+    """``grid`` as a Python int; raise ValueError unless it is an integer >= 2."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    return int(grid)
+
+
 def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the interior component on a uniform grid x grid lattice.
 
     Returns (points, values) with points of shape (grid*grid, 2), ordered
     row-major from the bottom-left corner.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    grid = check_grid(grid)
     mesh.check_elements("solution", u_h.n_elements)
     x0, y0, x1, y1 = mesh.domain
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))

@@ -39,11 +39,16 @@ from .poly import jacobian_determinants, sides
 __all__ = [
     "Mesh",
     "build_structured_mesh",
+    "check_partition",
     "check_rectangle",
     "locate_point",
 ]
 
 Rectangle = tuple[float, float, float, float]
+
+#: Bounds of a cell's sides: the squares, products and inverses the mesh
+#: forms of them stay finite, nonzero normal floats.
+CELL_SIDES = (1e-150, 1e150)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +97,23 @@ def check_rectangle(rect) -> Rectangle:
     return rect
 
 
+def check_partition(domain, n) -> tuple[Rectangle, int]:
+    """``domain`` as floats and ``n`` as an int: ``domain`` must pass
+    ``check_rectangle``, n must be an integer >= 1, and every side of the
+    n x n cells of ``domain``, as the mesh spaces them, must lie in CELL_SIDES."""
+    x0, y0, x1, y1 = rect = check_rectangle(domain)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"subdivision count n must be an integer >= 1, got {n!r}")
+    n = int(n)
+    with np.errstate(all="ignore"):  # a width beyond the float range spaces as nan
+        steps = np.diff([np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1)])
+    low, high = CELL_SIDES
+    if not low <= steps.min() <= steps.max() <= high:
+        raise ValueError(f"rectangle {rect} in {n} x {n} cells: every cell side must lie "
+                         f"in [{low:g}, {high:g}]")
+    return rect, n
+
+
 def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     """Triangulate ``domain`` into 2*n^2 triangles.
 
@@ -99,11 +121,7 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     sub-square is cut along the diagonal of negative slope, giving a
     lower-left and an upper-right triangle.
     """
-    x0, y0, x1, y1 = check_rectangle(domain)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"subdivision count n must be an integer >= 1, got {n!r}")
-    n = int(n)
-
+    (x0, y0, x1, y1), n = check_partition(domain, n)
     gx, gy = np.meshgrid(np.linspace(x0, x1, n + 1), np.linspace(y0, y1, n + 1))
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
     n_vertices = len(vertices)
@@ -143,11 +161,6 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
     dots = np.einsum("eki,eki->ek", normals, edge_normals[element_edges])
     element_signs = np.where(dots > 0.0, 1, -1).astype(np.int8)
 
-    areas = 0.5 * jacobian_determinants(points)
-    if (areas <= 0.0).any():
-        bad = int(np.flatnonzero(areas <= 0.0)[0])
-        raise ValueError(f"element {bad} has non-positive area {areas[bad]}")
-
     mesh = Mesh(
         domain=(x0, y0, x1, y1),
         n=n,
@@ -160,7 +173,7 @@ def build_structured_mesh(domain: Rectangle, n: int) -> Mesh:
         edge_normals=edge_normals,
         edge_lengths=lengths[owner, owner_local],
         boundary=count == 1,
-        areas=areas,
+        areas=0.5 * jacobian_determinants(points),
         centroids=points.mean(axis=1),
     )
     for array in vars(mesh).values():
@@ -212,7 +225,7 @@ def _validate(mesh: Mesh) -> None:
     # The outward normal must be exactly +-1 times the stored one.
     _, normals = sides(mesh.element_points())
     stored = mesh.element_signs[..., None] * mesh.edge_normals[mesh.element_edges]
-    bad = np.flatnonzero((np.abs(normals - stored) > 1e-14).any(axis=(1, 2)))
+    bad = np.flatnonzero(~(np.abs(normals - stored) <= 1e-14).all(axis=(1, 2)))  # NaN fails
     if len(bad):
         raise RuntimeError(f"element {bad[0]}: edge orientation sign is inconsistent")
     first, second = mesh.edge_elements.T

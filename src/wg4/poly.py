@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "REFERENCE_VERTICES",
@@ -83,24 +82,25 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
     Exact for all polynomials of total degree <= ``degree``; built from a
     Gauss-Jacobi rule (weight 1-x) crossed with Gauss-Legendre in the
     collapsed coordinate, so the exactness holds for any requested degree
-    up to MAX_TRIANGLE_DEGREE.
+    up to MAX_TRIANGLE_DEGREE.  The p-point Gauss-Jacobi rule is Golub and
+    Welsch's (Math. Comp. 23, 1969): its nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the polynomials P_k^(1,0), and
+    its weights are the weight's integral, 2, times the squared first
+    components of the eigenvectors.
     """
     if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
         raise ValueError(f"unsupported triangle quadrature degree {degree}")
     p = degree // 2 + 1
-    xj, wj = roots_jacobi(p, 1, 0)  # weight (1 - x) on [-1, 1]
-    x = 0.5 * (xj + 1.0)
-    wx = 0.25 * wj
+    k = np.arange(p)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    xj, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    wj = 2.0 * vectors[0] ** 2
     xl, wl = np.polynomial.legendre.leggauss(p)
-    eta = 0.5 * (xl + 1.0)
-    weta = 0.5 * wl
-    pts = np.empty((p * p, 2))
-    wts = np.empty(p * p)
-    for i in range(p):
-        for j in range(p):
-            pts[i * p + j] = (x[i], (1.0 - x[i]) * eta[j])
-            wts[i * p + j] = wx[i] * weta[j]
-    return QuadratureRule(points=pts, weights=wts)
+    x = np.repeat(0.5 * (xj + 1.0), p)
+    eta = np.tile(0.5 * (xl + 1.0), p)
+    wts = np.outer(0.25 * wj, 0.5 * wl).ravel()
+    return QuadratureRule(points=np.column_stack([x, (1.0 - x) * eta]), weights=wts)
 
 
 @lru_cache(maxsize=None)

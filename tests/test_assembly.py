@@ -115,6 +115,15 @@ def test_region_validation():
         Region(shape="blob", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=0.0)
 
 
+def test_region_faults_name_no_element():
+    # a region has one kappa and one mu; an element index read like a row of kappa
+    with pytest.raises(ValueError, match=r"^kappa: not positive definite$"):
+        Region(shape="disk", center=(0.0, 0.0), radius=1.0,
+               kappa=np.array([[1.0, 2.0], [2.0, 1.0]]), mu=0.0)
+    with pytest.raises(ValueError, match=r"^mu: must be nonnegative, got -0.5$"):
+        Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=-0.5)
+
+
 def test_free_dof_count_n1():
     mesh = unit_square_mesh(1)
     spec = case_sine().problem(mesh)

@@ -1,15 +1,19 @@
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wg4
 from wg4 import cli
-from wg4.assembly import CoefficientField, Region
+from wg4.assembly import Region
 from wg4.cli import ConfigError, main, parse_config
 from wg4.errors import check_doubling
-from wg4.harness import CATALOG, catalog_entry
-from wg4.mesh import check_rectangle
+from wg4.harness import CATALOG, catalog_entry, check_grid
+from wg4.mesh import check_partition, check_rectangle
 
 
 def test_parse_convergence_config():
@@ -284,9 +288,20 @@ def _region(**values):
     (_region(bounds=[30, 30, 10, 10]), "$.regions[0].bounds",
      lambda: check_rectangle((30, 30, 10, 10))),
     (_region(kappa=[[1, 2], [2, 1]]), "$.regions[0]",
-     lambda: CoefficientField(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.zeros(1))),
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.array([[1, 2], [2, 1]]), mu=0.0)),
     (_region(mu=-0.5), "$.regions[0]",
-     lambda: CoefficientField(np.eye(2)[None], np.array([-0.5]))),
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=-0.5)),
+    # cells below 1e-150, a width past the float range, cells above 1e150
+    ({"command": "mesh-dump", "n": 2, "domain": [0, 0, 1e-170, 1e-170]}, "$.domain",
+     lambda: check_partition((0, 0, 1e-170, 1e-170), 2)),
+    ({"command": "mesh-dump", "n": 2, "domain": [-1e308, 0, 1e308, 1]}, "$.domain",
+     lambda: check_partition((-1e308, 0, 1e308, 1), 2)),
+    ({"command": "mesh-dump", "n": 2, "domain": [0, 0, 1e308, 1e308]}, "$.domain",
+     lambda: check_partition((0, 0, 1e308, 1e308), 2)),
+    ({"command": "ft-demo", "scenario": "boundary-dirac", "n": 8, "grid": 1}, "$.grid",
+     lambda: check_grid(1)),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "1"], "--grid",
+     lambda: check_grid(1)),
     ({"command": "solve", "case": "boundary-dirac", "n": 12}, "$.n",
      lambda: CATALOG["boundary-dirac"].check_n(12)),
     (["convergence", "--case", "sine", "--levels", "4,6"], "--levels",
@@ -307,6 +322,29 @@ def test_library_rules_reported_at_their_key(args, path, library, tmp_path, caps
     monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail(f"accepted {cfg}"))
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: config: {path}: {err.value}\n"
+
+
+def test_disk_region_at_the_float_range_runs(tmp_path):
+    # the disk holds the whole domain; its squared distances used to overflow
+    def field(region: dict) -> str:
+        config, out = tmp_path / "run.json", tmp_path / "field.csv"
+        config.write_text(json.dumps({
+            "command": "solve", "case": "gaussian-source", "n": 4, "grid": 5, "out": str(out),
+            "regions": [{"kappa": [[1, 0], [0, 1]], "mu": 0.5, **region}]}))
+        assert main(["solve", "--config", str(config)]) == 0
+        return out.read_text()
+
+    disk = field({"shape": "disk", "center": [1e308, 0], "radius": 1e308})
+    assert disk == field({"shape": "rect", "bounds": [0, 0, 50, 50]})
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # the triangle rule needs numpy only; scipy.special took about 50 ms of the import
+    code = "import sys, wg4.cli; print('scipy.special' in sys.modules)"
+    src = Path(wg4.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 FLAG_CASES = [

@@ -263,6 +263,11 @@ def test_sample_field_rejects_tiny_grid():
     wf = WeakFunction.zeros(mesh)
     with pytest.raises(ValueError):
         sample_field(mesh, wf, 1)
+    for grid in (2.5, 2.0, "3", True):  # 2.5, 2.0 and "3" raised TypeErrors
+        with pytest.raises(ValueError, match=r"^grid must be an integer >= 2, got "):
+            sample_field(mesh, wf, grid)
+    points, _ = sample_field(mesh, wf, np.int64(2))
+    assert points.shape == (4, 2)
 
 
 def test_sample_field_rejects_another_meshs_solution():
@@ -316,8 +321,7 @@ def test_dirac_solution_symmetric_under_diagonal_reflection():
 
 def test_overlapping_region_override_matches_from_regions():
     # Two overlapping regions, the later winning: solve_case's override and
-    # CoefficientField.from_regions must give the same field.  The
-    # gaussian-source case's own blocks carry the background values.
+    # CoefficientField.from_regions must give the same field.
     from wg4.assembly import Region
 
     regions = [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wg4.cli import _mesh_csv as mesh_to_csv
-from wg4.mesh import _validate, build_structured_mesh, locate_point
+from wg4.mesh import _validate, build_structured_mesh, check_partition, locate_point
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -131,6 +131,25 @@ def test_invalid_inputs_rejected():
             build_structured_mesh(UNIT, n)
     mesh = build_structured_mesh(UNIT, np.int64(2))
     assert type(mesh.n) is int and mesh.n == 2 and mesh.n_elements == 8
+
+
+@pytest.mark.parametrize("domain,n", [
+    ((0.0, 0.0, 1e-170, 1e-170), 2),  # the areas underflowed to 0
+    ((-1e308, 0.0, 1e308, 1.0), 2),  # the width overflowed
+    ((0.0, 0.0, 1e308, 1e308), 2),  # the areas and lengths were inf
+    ((1.0, 0.0, 1.0 + 4.5e-16, 1.0), 8),  # grid lines collapse at float spacing
+])
+def test_cells_outside_the_float_range_rejected(domain, n):
+    with pytest.raises(ValueError, match=r"every cell side must lie in \[1e-150, 1e\+150\]$"):
+        build_structured_mesh(domain, n)
+
+
+def test_cells_at_the_ends_of_the_range_build():
+    mesh = build_structured_mesh((-1e140, 0.0, 1e140, 1e-140), 4)
+    assert check_partition((-1e140, 0.0, 1e140, 1e-140), 4) == (mesh.domain, 4)
+    for array in (mesh.areas, mesh.edge_lengths, mesh.edge_normals):
+        assert np.isfinite(array).all()
+    assert (mesh.areas > 0).all() and (mesh.edge_lengths > 0).all()
 
 
 def test_mesh_dump_sections_and_counts():

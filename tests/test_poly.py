@@ -70,6 +70,20 @@ def test_segment_rule():
         assert got == pytest.approx(exact, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", range(1, 12))
+def test_rule_matches_scipys_gauss_jacobi(p):
+    # the conical product of SciPy's Gauss-Jacobi rule (weight 1 - x) and Gauss-Legendre
+    from scipy.special import roots_jacobi
+
+    xj, wj = roots_jacobi(p, 1, 0)
+    xl, wl = np.polynomial.legendre.leggauss(p)
+    x, eta = np.meshgrid(0.5 * (xj + 1.0), 0.5 * (xl + 1.0), indexing="ij")
+    rule = poly.triangle_quadrature(2 * p - 2)
+    np.testing.assert_allclose(rule.points, np.column_stack([x.ravel(), ((1.0 - x) * eta).ravel()]),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rule.weights, np.outer(0.25 * wj, 0.5 * wl).ravel(), rtol=1e-13)
+
+
 def test_unsupported_rules_rejected():
     with pytest.raises(ValueError):
         poly.triangle_quadrature(poly.MAX_TRIANGLE_DEGREE + 1)
