@@ -16,15 +16,20 @@ block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the free-dof mask, the reduced matrix,
-its coupling block to the boundary dofs, the class matrices, and the
-SuperLU factorization of the reduced matrix, which ``solve.solve_spd``
-fills in on first use.  The load depends on the
-problem's data: the interior load vector, the boundary Qb/Qg values and
-the reduced right-hand side, lifted by the coupling block.  Tomography
-solves one problem per source on one medium, so the last operator
-assembled is kept in one process-wide slot, keyed on the mesh's domain
-and subdivision count and on exact equality of kappa and mu.
+mesh and the coefficient field: the free-dof mask, the order of the free
+dofs (``weakops.solve_order``), the reduced matrix in that order, its
+coupling block to the boundary dofs, the class matrices, and the SuperLU
+factorization of the reduced matrix with its infinity norm, which
+``solve.solve_spd`` fills in on first use.  The element matrices are
+summed straight into a numbering with the free dofs first, in that
+order, and the boundary dofs last, in layout order, so the reduced
+matrix and the coupling block are its leading rows, cut at the first
+boundary column.  The load depends on the problem's data: the interior
+load vector, the boundary Qb/Qg values and the reduced right-hand side,
+lifted by the coupling block.  Tomography solves one problem per source
+on one medium, so the last operator assembled is kept in one
+process-wide slot, keyed on the mesh's domain and subdivision count and
+on exact equality of kappa and mu.
 ``assemble`` and ``triple_bar_norm`` reuse it while the key matches; a
 miss empties the slot before assembling, so at most one factorization is
 alive.  The slot's arrays are shared by every caller and are read-only.
@@ -55,10 +60,18 @@ __all__ = [
 ]
 
 
+#: Bounds of kappa's eigenvalues and of a positive mu: the element kernel
+#: forms their squares and products, which then stay within 1e-200 and
+#: 1e200, leaving float64 a factor of about 1e107 each way for the powers
+#: of h that scale them.
+COEFFICIENT_RANGE = (1e-100, 1e100)
+
+
 def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
-    """Every kappa (E, 2, 2) must be symmetric positive definite and every mu
-    (E,) finite and nonnegative; the message names the first element that
-    is not, as ``kappa[i]`` or, unless ``indexed``, as ``kappa``."""
+    """Every kappa (E, 2, 2) must be symmetric with eigenvalues in
+    COEFFICIENT_RANGE, and every mu (E,) 0 or in COEFFICIENT_RANGE; the
+    message names the first element that is not, as ``kappa[i]`` or,
+    unless ``indexed``, as ``kappa``."""
 
     def name(what: str, i: int) -> str:
         return f"{what}[{i}]" if indexed else what
@@ -70,17 +83,23 @@ def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True)
     symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
     ok = finite & symmetric
     safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
-    definite = np.linalg.eigvalsh(safe).min(axis=1) > 0
-    bad = np.flatnonzero(~(ok & definite))
+    eigenvalues = np.linalg.eigvalsh(safe)  # ascending
+    definite = eigenvalues[:, 0] > 0
+    low, high = COEFFICIENT_RANGE
+    in_range = (low <= eigenvalues[:, 0]) & (eigenvalues[:, 1] <= high)
+    bad = np.flatnonzero(~(ok & in_range))
     if len(bad):
         i = bad[0]
+        extreme = eigenvalues[i, 0] if eigenvalues[i, 0] < low else eigenvalues[i, 1]
         reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
-                  else "not positive definite")
+                  else "not positive definite" if not definite[i]
+                  else f"eigenvalue {extreme:g} outside [{low:g}, {high:g}]")
         raise ValueError(f"{name('kappa', i)}: {reason}")
-    bad = np.flatnonzero(~(np.isfinite(mu) & (mu >= 0)))
+    bad = np.flatnonzero(~((mu == 0) | ((low <= mu) & (mu <= high))))
     if len(bad):
         value = mu[bad[0]]
-        need = "nonnegative" if np.isfinite(value) else "finite"
+        need = ("finite" if not np.isfinite(value) else "nonnegative" if value < 0
+                else f"0 or in [{low:g}, {high:g}]")
         raise ValueError(f"{name('mu', bad[0])}: must be {need}, got {value}")
 
 
@@ -174,11 +193,13 @@ class Operator:
     kappa: np.ndarray  # the coefficient field it was assembled for
     mu: np.ndarray
     free: np.ndarray  # boolean mask over all dofs
+    order: np.ndarray  # the free dofs, in the order of matrix's rows
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
     class_matrices: np.ndarray  # (C, 18, 18), one per element class
     classes: np.ndarray  # (E,), each element's class
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
+    norm_inf: float | None = None  # ||matrix||_inf, set with ``lu``
 
     def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
         return (
@@ -194,7 +215,7 @@ class AssembledSystem:
     """One problem's system: the operator and the problem's load."""
 
     operator: Operator
-    rhs: np.ndarray  # b[free] - coupling @ boundary_values[~free]
+    rhs: np.ndarray  # b[order] - coupling @ boundary_values[~free]
     boundary_values: np.ndarray  # full-length, nonzero only on boundary dofs
 
     @property
@@ -208,7 +229,7 @@ class AssembledSystem:
     def expand(self, x_free: np.ndarray) -> WeakFunction:
         """Recombine a free-dof solution with the boundary values."""
         coeffs = self.boundary_values.copy()
-        coeffs[self.free] = x_free
+        coeffs[self.operator.order] = x_free
         return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
 
 
@@ -260,7 +281,13 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
         return _slot
     _slot = None  # free the old factorization before building the next
     size = weakops.dof_count(mesh)
-    idx = weakops.local_dofs(mesh)
+    free = ~weakops.boundary_mask(mesh)
+    order = weakops.solve_order(mesh)
+    k = len(order)
+    numbering = np.empty(size, dtype=np.intp)  # each dof's row in the global system
+    numbering[order] = np.arange(k)
+    numbering[~free] = np.arange(k, size)
+    idx = numbering[weakops.local_dofs(mesh)]
     verts = mesh.element_vertices
     flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
     first, classes = _element_classes(mesh, coeff, flipped)
@@ -270,14 +297,13 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     del rows, cols  # 2 x 324 indices per element; free them before the slicing below
-    free = ~weakops.boundary_mask(mesh)
-    free_rows = full[free]
+    matrix, coupling = full[:k, :k], full[:k, k:]
     del full
-    matrix, coupling = free_rows[:, free].tocsr(), free_rows[:, ~free].tocsr()
     op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), free=free,
-                  matrix=matrix, coupling=coupling, class_matrices=mats, classes=classes)
-    shared = (op.kappa, op.mu, free, mats, classes, matrix.data, matrix.indices, matrix.indptr,
-              coupling.data, coupling.indices, coupling.indptr)
+                  order=order, matrix=matrix, coupling=coupling, class_matrices=mats,
+                  classes=classes)
+    shared = (op.kappa, op.mu, free, order, mats, classes, matrix.data, matrix.indices,
+              matrix.indptr, coupling.data, coupling.indices, coupling.indptr)
     for array in shared:
         array.flags.writeable = False
     _slot = op
@@ -302,7 +328,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     if not np.isfinite(values.coeffs).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    rhs = b.coeffs[op.free] - op.coupling @ values.coeffs[~op.free]
+    rhs = b.coeffs[op.order] - op.coupling @ values.coeffs[~op.free]
     return AssembledSystem(operator=op, rhs=rhs, boundary_values=values.coeffs)
 
 

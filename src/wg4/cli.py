@@ -231,8 +231,8 @@ def _validate(doc: dict, path: str, sep: str) -> RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON configuration document into a RunConfig.
 
-    Unknown keys are rejected with their path; coefficient regions are
-    checked for symmetric positive definite kappa and nonnegative mu.
+    Unknown keys are rejected with their path; coefficient regions get
+    the library's checks, ``assembly.COEFFICIENT_RANGE`` among them.
     """
     try:
         obj = json.loads(text)

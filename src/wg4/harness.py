@@ -279,13 +279,19 @@ FT_SCENARIOS = tuple(name for name, entry in CATALOG.items() if not entry.has_ex
 
 def catalog_entry(name: str, source: tuple[float, float] | None = None) -> CaseCatalogEntry:
     """The catalog case ``name``; a ``source`` point, which only the
-    Gaussian scenario takes, moves its source."""
+    Gaussian scenario takes and which must lie in its closed domain,
+    moves its source."""
     if name not in CATALOG:
         raise KeyError(f"unknown case {name!r}; available: {', '.join(sorted(CATALOG))}")
     if source is None:
         return CATALOG[name]
     if name != _GAUSSIAN.name:
         raise ValueError(f"only the {_GAUSSIAN.name} scenario takes a source point")
+    x0, y0, x1, y1 = _GAUSSIAN.domain
+    x, y = source
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        raise ValueError(f"source point ({x:g}, {y:g}) lies outside the domain "
+                         f"{_GAUSSIAN.domain}")
     return case_ft_gaussian(source)
 
 

@@ -22,9 +22,12 @@ that relative distance of the one posed.  Otherwise SolverError is raised.
 
 An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which the systems of later problems on the same mesh
-and coefficients share.  The factorization is kept on the operator: the
-first solve makes it, and every later solve on the operator only runs the
-triangular solves, the refinement and the acceptance tests above.
+and coefficients share.  Its rows come in ``weakops.solve_order``, an
+order that leaves the minimum-degree ordering less fill than the dof
+layout's; the solve sees only the matrix.  The factorization and
+||A||_inf, which the backward error needs, are kept on the operator: the
+first solve makes them, and every later solve on the operator only runs
+the triangular solves, the refinement and the acceptance tests above.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         except Exception as exc:  # singular or structurally broken factorization
             raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
         operator.lu = lu
+        # row sums of |A|; a matrix that factors has no empty row, which reduceat would misread
+        operator.norm_inf = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
     x = lu.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
@@ -111,7 +116,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         x = x + lu.solve(r)
     # the relative-residual target is out of reach: accept the last x if it
     # solves a nearby system
-    backward = _backward_error(matrix, rhs, x, r)
+    backward = _backward_error(operator.norm_inf, rhs, x, r)
     if backward <= config.tolerance:
         return x, SolveReport(
             iterations=_REFINEMENT_STEPS,
@@ -126,8 +131,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
     )
 
 
-def _backward_error(matrix, rhs, x, r) -> float:
-    """Normwise backward error of ``x`` in the infinity norm."""
-    anorm = float(abs(matrix).sum(axis=1).max())
+def _backward_error(anorm: float, rhs, x, r) -> float:
+    """Normwise backward error of ``x`` in the infinity norm, with ``anorm`` = ||A||_inf."""
     denom = anorm * float(np.abs(x).max()) + float(np.abs(rhs).max())
     return float(np.abs(r).max()) / denom

@@ -11,7 +11,11 @@ This module owns the global layout: per-element blocks of 6, then
 per-edge blocks [vb_0, vb_1, vg_0, vg_1] of 4, edge block e at offset
 6*E + 4*e.  A ``WeakFunction`` has writable views of both parts; the
 layout's size, each element's 18 dofs and the boundary dofs are
-``dof_count``, ``local_dofs`` and ``boundary_mask``.
+``dof_count``, ``local_dofs`` and ``boundary_mask``.  The global system
+numbers its free dofs in another order, ``solve_order``: the element and
+interior-edge blocks, each kept whole, sorted along the mesh's
+anti-diagonals.  SuperLU's minimum-degree ordering depends on the order
+it is handed, and this one leaves it less fill than the layout's.
 
 Two element-local operators act on these triples:
 
@@ -73,6 +77,7 @@ __all__ = [
     "dof_count",
     "local_dofs",
     "boundary_mask",
+    "solve_order",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
     "AssemblyError",
@@ -136,6 +141,34 @@ def boundary_mask(mesh: Mesh) -> np.ndarray:
     mask = WeakFunction(np.zeros(dof_count(mesh), dtype=bool), mesh.n_elements)
     mask.edges[mesh.boundary] = True
     return mask.coeffs
+
+
+def solve_order(mesh: Mesh) -> np.ndarray:
+    """The free dofs, all but ``boundary_mask``'s, in the order the global
+    system numbers them.
+
+    The element blocks and the interior-edge blocks are sorted by the
+    cell-index sum (x - x0) / hx + (y - y0) / hy of their centres, the
+    centroid or the edge midpoint, then by x; each block's dofs stay
+    together in layout order.  The sum is taken in floating point, so
+    centres on one anti-diagonal can differ in its last bit, and that
+    decides their order before x does.  On the unit square at n=64, that
+    order leaves SuperLU 6.96M entries in L + U, against 7.53M with the
+    sums rounded to exact sixths and 8.58M in layout order.
+    """
+    x0, y0, x1, y1 = mesh.domain
+    interior = np.flatnonzero(~mesh.boundary)
+    centres = np.vstack([mesh.centroids, mesh.edge_points(interior).mean(axis=1)])
+    x = (centres[:, 0] - x0) / ((x1 - x0) / mesh.n)
+    y = (centres[:, 1] - y0) / ((y1 - y0) / mesh.n)
+    blocks = np.lexsort((x, x + y))
+    base = N_INTERIOR * mesh.n_elements
+    dofs = np.full((len(centres), N_INTERIOR), -1)  # one row per block, edge rows padded
+    dofs[: mesh.n_elements] = np.arange(base).reshape(-1, N_INTERIOR)
+    edges = base + N_PER_EDGE * interior[:, None] + np.arange(N_PER_EDGE)
+    dofs[mesh.n_elements :, :N_PER_EDGE] = edges
+    order = dofs[blocks].ravel()
+    return order[order >= 0]
 
 
 # ---------------------------------------------------------------------------

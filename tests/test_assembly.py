@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,23 @@ def test_coefficient_field_names_first_bad_element():
     mu[7], mu[9] = 0.0, np.inf
     with pytest.raises(ValueError, match=r"^mu\[9\]: must be finite, got inf$"):
         CoefficientField(kappa=kappa, mu=mu)
-    mu[9] = 0.0
+    # the element kernel forms squares and products of kappa and mu; at
+    # 1e-300 they underflow to a garbage field, at 1e300 they overflow
+    low, high = assembly.COEFFICIENT_RANGE
+    kappa[5], mu[6], mu[9] = np.diag([low, high]), low, high
+    CoefficientField(kappa=kappa, mu=mu)  # both ends of the range are accepted
+    for value in (1e-300, 1e300):
+        kappa[11] = np.diag([1.0, value])
+        message = f"kappa[11]: eigenvalue {value:g} outside [1e-100, 1e+100]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientField(kappa=kappa, mu=mu)
+    kappa[11] = np.eye(2)
+    for value in (1e-300, 1e300):
+        mu[12] = value
+        message = f"mu[12]: must be 0 or in [1e-100, 1e+100], got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientField(kappa=kappa, mu=mu)
+    mu[12] = 0.0
     with pytest.raises(ValueError, match=r"^kappa must have shape \(E, 2, 2\)"):
         CoefficientField(kappa=np.eye(2), mu=mu)
     with pytest.raises(ValueError, match=r"got \(512, 2, 2\) and \(511,\)$"):
@@ -288,8 +306,9 @@ def test_assembled_matrices_exactly_symmetric(case, n):
     assert (system.matrix != system.matrix.T).nnz == 0
     full = full_matrix(system.operator)
     assert (full != full.T).nnz == 0
-    free = system.free
-    assert (full[free][:, ~free] != system.operator.coupling).nnz == 0
+    # the coupling block's rows come in the solve order, its columns in layout order
+    rows, fixed = system.operator.order, ~system.free
+    assert (full[rows][:, fixed] != system.operator.coupling).nnz == 0
 
 
 @pytest.mark.parametrize("case", ["sine", "boundary-dirac"])
@@ -302,6 +321,6 @@ def test_boundary_lift_equals_full_matrix_product(case):
     system = assemble(mesh, spec)
     b = np.zeros(weakops.dof_count(mesh))
     b[: 6 * mesh.n_elements] = weakops.local_load(mesh.element_points(), spec.f).ravel()
-    lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.free]
+    lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.operator.order]
     assert np.abs(system.boundary_values).max() > 0
     assert np.array_equal(system.rhs, lifted)

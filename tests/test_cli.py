@@ -291,6 +291,13 @@ def _region(**values):
      lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.array([[1, 2], [2, 1]]), mu=0.0)),
     (_region(mu=-0.5), "$.regions[0]",
      lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=-0.5)),
+    # kappa and mu beyond the range the element kernel can form in float64
+    (_region(kappa=[[1e-300, 0], [0, 1e-300]]), "$.regions[0]",
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=1e-300 * np.eye(2), mu=0.0)),
+    (_region(kappa=[[1e300, 0], [0, 1e300]]), "$.regions[0]",
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=1e300 * np.eye(2), mu=0.0)),
+    (_region(mu=1e300), "$.regions[0]",
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=1e300)),
     # cells below 1e-150, a width past the float range, cells above 1e150
     ({"command": "mesh-dump", "n": 2, "domain": [0, 0, 1e-170, 1e-170]}, "$.domain",
      lambda: check_partition((0, 0, 1e-170, 1e-170), 2)),
@@ -310,6 +317,11 @@ def _region(**values):
      lambda: CATALOG["boundary-indicator"].check_n(12)),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--source", "1,2"], "--source",
      lambda: catalog_entry("boundary-dirac", (1.0, 2.0))),
+    # a Gaussian source outside the scenario's domain
+    ({"command": "ft-demo", "scenario": "gaussian-source", "n": 8, "source": [1e308, 1e308]},
+     "$.source", lambda: catalog_entry("gaussian-source", (1e308, 1e308))),
+    (["ft-demo", "--scenario", "gaussian-source", "--n", "8", "--source", "25,-1"], "--source",
+     lambda: catalog_entry("gaussian-source", (25.0, -1.0))),
 ])
 def test_library_rules_reported_at_their_key(args, path, library, tmp_path, capsys, monkeypatch):
     # the CLI reports the library's own message, at the key or flag that broke the rule

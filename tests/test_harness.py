@@ -166,6 +166,11 @@ def test_catalog_entry_lookup():
         catalog_entry("unknown")
     with pytest.raises(ValueError):
         catalog_entry("sine", source=(1.0, 2.0))
+    for point in ((1e308, 1e308), (-0.5, 10.0), (10.0, 50.5), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match=r"lies outside the domain \(0.0, 0.0, 50.0, 50.0\)$"):
+            catalog_entry("gaussian-source", source=point)
+    for corner in ((0.0, 0.0), (50.0, 50.0)):  # the domain is closed
+        catalog_entry("gaussian-source", source=corner)
     entry = catalog_entry("gaussian-source", source=(10.0, 10.0))
     mesh = entry.make_mesh(4)
     assert entry.problem(mesh).f(10.0, 10.0) == pytest.approx(

@@ -99,6 +99,18 @@ def test_factorization_is_symmetric(recorder):
         assert np.array_equal(got.data, want.data)
 
 
+def test_solve_order_leaves_less_fill():
+    # MMD leaves 1,515,968 entries in the solve order and 1,655,184 in layout order
+    mesh = unit_square_mesh(32)
+    system = assemble(mesh, case_sine().problem(mesh))
+    solve_spd(system)
+    layout = np.argsort(system.operator.order)  # rows put back in layout order
+    matrix = system.matrix[layout][:, layout]
+    unordered = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+    assert system.operator.lu.nnz <= 0.95 * unordered.nnz
+
+
 def test_second_source_reuses_the_factorization(recorder):
     solve_case(case_ft_gaussian(), 8)
     _, _, warm, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
@@ -178,6 +190,13 @@ def test_direct_solve_accepted_on_backward_error():
     assert report.residual == report.residual_history[-1]
     assert report.backward_error is not None and report.backward_error <= 1e-10
     assert np.isfinite(x).all()
+
+
+def test_infinity_norm_kept_with_the_factorization():
+    system = fourth_difference_system()
+    solve_spd(system)  # stalls and is accepted on its backward error
+    assert system.operator.lu is not None
+    assert system.operator.norm_inf == 16.0  # |1| + |-4| + 6 + |-4| + |1|
 
 
 def test_direct_solve_beyond_backward_error_raises():

@@ -24,6 +24,7 @@ from util import (
 
 from wg4 import poly, weakops
 from wg4.assembly import AssemblyError
+from wg4.mesh import build_structured_mesh
 from wg4.weakops import WeakFunction
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -218,6 +219,29 @@ def test_boundary_mask_counts():
     mask = weakops.boundary_mask(mesh)
     assert mask.sum() == 4 * (4 * mesh.n)  # 4 dofs per boundary edge
     assert not mask[: 6 * mesh.n_elements].any()  # interior blocks are never boundary
+
+
+@pytest.mark.parametrize("domain,n", [((0.0, 0.0, 1.0, 1.0), 1), ((0.0, 0.0, 1.0, 1.0), 8),
+                                      ((0.0, 0.0, 50.0, 50.0), 6), ((-1.0, 2.0, 3.0, 2.5), 5)])
+def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
+    mesh = build_structured_mesh(domain, n)
+    order = weakops.solve_order(mesh)
+    free = np.flatnonzero(~weakops.boundary_mask(mesh))
+    assert np.array_equal(np.sort(order), free)  # a permutation of the free dofs
+    # each block, an element's 6 dofs or an interior edge's 4, is one run in layout order
+    base = 6 * mesh.n_elements
+    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
+    runs = np.split(order, np.flatnonzero(np.diff(block)) + 1)
+    assert len(runs) == mesh.n_elements + (~mesh.boundary).sum()
+    for run in runs:
+        assert len(run) == (6 if run[0] < base else 4) and np.all(np.diff(run) == 1)
+    # the blocks follow the anti-diagonals, each centre's cell-index sum
+    x0, y0, x1, y1 = domain
+    centres = np.vstack([mesh.centroids, mesh.edge_points().mean(axis=1)])
+    first = np.array([run[0] for run in runs])
+    at = centres[np.where(first < base, first // 6, mesh.n_elements + (first - base) // 4)]
+    diagonal = n * ((at[:, 0] - x0) / (x1 - x0) + (at[:, 1] - y0) / (y1 - y0))
+    assert np.all(np.diff(diagonal) > -1e-9)
 
 
 def test_project_qh_zero_and_flux_convention():
