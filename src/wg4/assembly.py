@@ -19,17 +19,16 @@ An assembled system has two parts.  The operator depends only on the
 mesh and the coefficient field: the free-dof mask, the order of the free
 dofs (``weakops.solve_order``), the reduced matrix in that order, its
 coupling block to the boundary dofs, the class matrices, and the SuperLU
-factorization of the reduced matrix with its infinity norm, which
-``solve.solve_spd`` fills in on first use.  The element matrices are
-summed straight into a numbering with the free dofs first, in that
-order, and the boundary dofs last, in layout order, so the reduced
-matrix and the coupling block are its leading rows, cut at the first
-boundary column.  The load depends on the problem's data: the interior
-load vector, the boundary Qb/Qg values and the reduced right-hand side,
-lifted by the coupling block.  Tomography solves one problem per source
-on one medium, so the last operator assembled is kept in one
-process-wide slot, keyed on the mesh's domain and subdivision count and
-on exact equality of kappa and mu.
+factorization of the reduced matrix, which ``solve.solve_spd`` fills in
+on first use.  The element matrices are summed straight into a numbering
+with the free dofs first, in that order, and the boundary dofs last, in
+layout order, so the reduced matrix and the coupling block are its
+leading rows, cut at the first boundary column.  The load depends on the
+problem's data: the interior load vector, the boundary Qb/Qg values and
+the reduced right-hand side, lifted by the coupling block.  Tomography
+solves one problem per source on one medium, so the last operator
+assembled is kept in one process-wide slot, keyed on the mesh's domain
+and subdivision count and on exact equality of kappa and mu.
 ``assemble`` and ``triple_bar_norm`` reuse it while the key matches; a
 miss empties the slot before assembling, so at most one factorization is
 alive.  The slot's arrays are shared by every caller and are read-only.
@@ -60,10 +59,10 @@ __all__ = [
 ]
 
 
-#: Bounds of kappa's eigenvalues and of a positive mu: the element kernel
-#: forms their squares and products, which then stay within 1e-200 and
-#: 1e200, leaving float64 a factor of about 1e107 each way for the powers
-#: of h that scale them.
+#: Bounds of kappa's eigenvalues and of a positive mu, so that the squares
+#: and products of coefficients that the element kernel forms stay finite
+#: and nonzero in float64.  The range says nothing of the powers of h that
+#: scale them, nor of how well the assembled system can be solved.
 COEFFICIENT_RANGE = (1e-100, 1e100)
 
 
@@ -199,7 +198,7 @@ class Operator:
     class_matrices: np.ndarray  # (C, 18, 18), one per element class
     classes: np.ndarray  # (E,), each element's class
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
-    norm_inf: float | None = None  # ||matrix||_inf, set with ``lu``
+    norm_inf: float | None = None  # ||matrix||_inf, set by solve.solve_spd on a fallback
 
     def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
         return (

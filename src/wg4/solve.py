@@ -24,10 +24,11 @@ An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which the systems of later problems on the same mesh
 and coefficients share.  Its rows come in ``weakops.solve_order``, an
 order that leaves the minimum-degree ordering less fill than the dof
-layout's; the solve sees only the matrix.  The factorization and
-||A||_inf, which the backward error needs, are kept on the operator: the
-first solve makes them, and every later solve on the operator only runs
-the triangular solves, the refinement and the acceptance tests above.
+layout's; the solve sees only the matrix.  The factorization is kept on
+the operator: the first solve makes it, and every later solve on the
+operator only runs the triangular solves, the refinement and the
+acceptance tests above.  ||A||_inf, which only the backward error needs,
+is kept there too, made by the first solve that falls back to that test.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         except Exception as exc:  # singular or structurally broken factorization
             raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
         operator.lu = lu
-        # row sums of |A|; a matrix that factors has no empty row, which reduceat would misread
-        operator.norm_inf = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
     x = lu.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
@@ -115,7 +114,9 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
             break
         x = x + lu.solve(r)
     # the relative-residual target is out of reach: accept the last x if it
-    # solves a nearby system
+    # solves a nearby system; ||A||_inf is made on the first such fallback
+    if operator.norm_inf is None:
+        operator.norm_inf = float(abs(matrix).sum(axis=1).max())
     backward = _backward_error(operator.norm_inf, rhs, x, r)
     if backward <= config.tolerance:
         return x, SolveReport(

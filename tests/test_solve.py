@@ -192,10 +192,12 @@ def test_direct_solve_accepted_on_backward_error():
     assert np.isfinite(x).all()
 
 
-def test_infinity_norm_kept_with_the_factorization():
+def test_infinity_norm_made_on_the_first_fallback_and_kept():
+    identity = matrix_system(sp.identity(4, format="csr"), np.ones(4))
+    solve_spd(identity)  # meets the relative-residual target at once
+    assert identity.operator.lu is not None and identity.operator.norm_inf is None
     system = fourth_difference_system()
     solve_spd(system)  # stalls and is accepted on its backward error
-    assert system.operator.lu is not None
     assert system.operator.norm_inf == 16.0  # |1| + |-4| + 6 + |-4| + |1|
 
 

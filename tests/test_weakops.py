@@ -244,6 +244,24 @@ def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
     assert np.all(np.diff(diagonal) > -1e-9)
 
 
+def test_solve_order_keeps_the_float_tie_break():
+    # blocks as element index, or 32 + edge index; elements 10 and 16, and 5 and 11, lie
+    # on one anti-diagonal, and the last bit of the float cell-index sum puts 10 before 16
+    # and 5 before 11, where exact sums would let x put them the other way round.  The
+    # fill measured for the solve order is this order's, not the exact one's.
+    mesh = unit_square_mesh(4)
+    order = weakops.solve_order(mesh)
+    base = 6 * mesh.n_elements
+    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
+    blocks = block[np.r_[True, np.diff(block) != 0]]
+    assert blocks.tolist() == [
+        0, 33, 1, 36, 35, 8, 2, 49, 38, 9, 3, 52, 51, 40, 39, 10, 16, 4, 62, 53, 42, 17, 5,
+        11, 65, 64, 55, 54, 44, 43, 24, 18, 12, 6, 75, 66, 56, 46, 25, 19, 13, 7, 77, 68, 67,
+        58, 57, 48, 26, 20, 14, 79, 69, 59, 27, 21, 15, 80, 71, 70, 61, 28, 22, 82, 72, 29,
+        23, 83, 74, 30, 85, 31,
+    ]
+
+
 def test_project_qh_zero_and_flux_convention():
     mesh = unit_square_mesh(1)
     kappa = np.tile(np.eye(2), (mesh.n_elements, 1, 1))

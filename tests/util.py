@@ -397,8 +397,9 @@ def local_projection(elem: Element, u, grad_u, kappa) -> LocalWeakFunction:
 
 def matrix_system(matrix, rhs) -> SimpleNamespace:
     """A bare matrix and right-hand side in the shape ``solve_spd`` takes:
-    a system with an operator that holds the matrix and no factorization."""
-    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None)
+    a system with an operator that holds the matrix, no factorization and
+    no infinity norm."""
+    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None, norm_inf=None)
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
