@@ -18,7 +18,11 @@ catalog's source-point, n-multiple and grid rules in ``wg4.harness``.
 This is the only module that formats numbers: every CSV row comes from
 one ``%`` template over the stacked columns (``_rows``), in
 6-significant-digit scientific form, so that identical configurations
-produce byte-identical files.  Exit codes: 0 success, 2 configuration
+produce byte-identical files.  The field CSV's template holds its x,y
+columns already printed, with a ``%.5e`` left for u0.  It is made once
+per lattice and kept, keyed on the points array that
+``harness.sample_field`` returns, so a series of sources on one lattice
+only prints their values.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure, 1 anything else.
 """
 
@@ -260,8 +264,17 @@ def _rows(template: str, *columns) -> str:
     return (template * len(table)) % tuple(table.ravel().tolist())
 
 
+#: The last lattice's ``points`` array and its field-CSV template, x and y printed.
+_field_template: tuple[np.ndarray, str] | None = None
+
+
 def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
-    return "x,y,u0\n" + _rows("%.5e,%.5e,%.5e\n", points, values)
+    """The sampled-field CSV; ``points`` is the lattice ``harness.sample_field``
+    returned, whose x,y columns are printed once into a kept template."""
+    global _field_template
+    if _field_template is None or _field_template[0] is not points:
+        _field_template = (points, "x,y,u0\n" + _rows("%.5e,%.5e,%%.5e\n", points))
+    return _field_template[1] % tuple(values.tolist())
 
 
 def _mesh_csv(mesh: Mesh) -> str:

@@ -11,7 +11,13 @@ source point for the Gaussian scenario only,
 ``check_grid`` the sampling grid's rule.
 
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
-that ``mesh.locate_point`` finds for each point.
+that ``mesh.locate_point`` finds for each lattice point.  The lattice depends
+only on the mesh and the grid, so the last one is kept: its points, the
+element of each point and the basis values there, all read-only.  A
+call on the same mesh object and grid only gathers the coefficients,
+sums them against the kept basis and checks the result; any other mesh
+or grid replaces it.  The kept points are the array every such call
+returns, so a caller may key its own per-lattice work on it.
 
 ``solve_case`` reuses the operator slot of ``wg4.assembly``: a call on
 the mesh and coefficient field of the operator in the slot takes its
@@ -25,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -362,22 +369,33 @@ def check_grid(grid: int) -> int:
     return int(grid)
 
 
-def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the interior component on a uniform grid x grid lattice.
-
-    Returns (points, values) with points of shape (grid*grid, 2), ordered
-    row-major from the bottom-left corner.
-    """
-    grid = check_grid(grid)
-    mesh.check_elements("solution", u_h.n_elements)
+@lru_cache(maxsize=1)
+def _lattice(mesh: Mesh, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid x grid lattice of ``mesh``: its points, the element of
+    each point and the P2 basis there, read-only and kept for the next call."""
     x0, y0, x1, y1 = mesh.domain
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
     points = np.column_stack([gx.ravel(), gy.ravel()])
     elems = locate_point(mesh, points[:, 0], points[:, 1])
     corners = mesh.element_points(elems)
     local = np.einsum("pij,pj->pi", poly.inverse_jacobians(corners), points - corners[:, 0])
-    vals = poly.reference_basis(weakops.INTERIOR_DEGREE, local)
-    values = np.einsum("pi,pi->p", vals, u_h.interior[elems])
+    basis = poly.reference_basis(weakops.INTERIOR_DEGREE, local)
+    for array in (points, elems, basis):
+        array.flags.writeable = False
+    return points, elems, basis
+
+
+def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the interior component on a uniform grid x grid lattice.
+
+    Returns (points, values) with points of shape (grid*grid, 2), ordered
+    row-major from the bottom-left corner.  ``points`` is the cached,
+    read-only lattice array (see the module docstring).
+    """
+    grid = check_grid(grid)
+    mesh.check_elements("solution", u_h.n_elements)
+    points, elems, basis = _lattice(mesh, grid)
+    values = np.einsum("pi,pi->p", basis, u_h.interior[elems])
     if not np.isfinite(values).all():
         raise ValueError("sampled field contains non-finite values")
     return points, values

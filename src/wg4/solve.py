@@ -18,7 +18,11 @@ it, the solve is still accepted if x has a normwise backward error
 ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) within the same tolerance
 (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
 Algorithms, sec. 7.1): x is then the exact solution of a system within
-that relative distance of the one posed.  Otherwise SolverError is raised.
+that relative distance of the one posed.  Otherwise SolverError is raised,
+and it is raised whatever the backward error when refinement ends with
+a relative residual above 1: such an x is worse than x = 0.  A huge
+||A|| ||x|| can make the backward error tiny for a field that has
+diverged, as a whole-domain diffusion of 1e-10 at mu = 0 does.
 
 An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which the systems of later problems on the same mesh
@@ -77,7 +81,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
     Returns (free-dof vector, SolveReport).  The relative residual
     ||A x - b|| / ||b|| is at or below the configured tolerance, or, when
     refinement cannot reach it, the normwise backward error of x is, and
-    the report's ``backward_error`` says so.  Failure raises SolverError
+    the report's ``backward_error`` says so; a final relative residual
+    above 1 is never accepted.  Failure raises SolverError
     carrying the residual history.  The factorization is read from the
     system's operator, or made and stored there on first use.
     """
@@ -113,6 +118,9 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         if step == _REFINEMENT_STEPS:
             break
         x = x + lu.solve(r)
+    if rel > 1.0:  # x is worse than x = 0: no backward error can vouch for it
+        raise SolverError(f"refinement diverged to relative residual {rel:.3e}, "
+                          f"above that of x = 0", history)
     # the relative-residual target is out of reach: accept the last x if it
     # solves a nearby system; ||A||_inf is made on the first such fallback
     if operator.norm_inf is None:

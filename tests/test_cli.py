@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from util import uncached_sample
+
 import wg4
-from wg4 import cli
+from wg4 import cli, harness
 from wg4.assembly import Region
 from wg4.cli import ConfigError, main, parse_config
 from wg4.errors import check_doubling
-from wg4.harness import CATALOG, catalog_entry, check_grid
+from wg4.harness import CATALOG, DEFAULT_SOURCE, SECOND_SOURCE, catalog_entry, check_grid
 from wg4.mesh import check_partition, check_rectangle
 
 
@@ -205,6 +207,41 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: solver:")
+
+
+def test_diverged_refinement_exit_code(tmp_path, capsys):
+    # its tiny backward error used to accept an x whose residual is 2.6e5 times x = 0's
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "command": "solve", "case": "gaussian-source", "n": 4,
+        "regions": [{"shape": "rect", "bounds": [0, 0, 50, 50],
+                     "kappa": [[1e-10, 0], [0, 1e-10]], "mu": 0}],
+    }))
+    assert main(["solve", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("error: solver: refinement diverged")
+
+
+def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
+    # one process: two sources, then another grid, then another n; each CSV
+    # is the plain three-column format of its own op's lattice and values
+    seen = []
+    sample = harness.sample_field
+
+    def recording(mesh, u_h, grid):
+        seen.append((mesh, u_h))
+        return sample(mesh, u_h, grid)
+
+    monkeypatch.setattr(harness, "sample_field", recording)
+    for j, (source, n, grid) in enumerate([
+            (DEFAULT_SOURCE, 8, 9), (SECOND_SOURCE, 8, 9), (SECOND_SOURCE, 8, 7),
+            (SECOND_SOURCE, 16, 7)]):
+        out = tmp_path / f"field{j}.csv"
+        assert cli.run(parse_config(json.dumps({
+            "command": "ft-demo", "scenario": "gaussian-source", "n": n, "grid": grid,
+            "source": list(source), "out": str(out)}))) == 0
+        points, values = uncached_sample(*seen[-1], grid)
+        want = "x,y,u0\n" + cli._rows("%.5e,%.5e,%.5e\n", points, values)
+        assert out.read_bytes() == want.encode()
 
 
 def test_missing_config_file(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from util import element_block, fd_fourth_order_operator, unit_square_mesh
+from util import element_block, fd_fourth_order_operator, uncached_sample, unit_square_mesh
 
 from wg4 import harness, weakops
 from wg4.assembly import CoefficientField, ProblemSpec, assemble
@@ -280,6 +280,33 @@ def test_sample_field_rejects_another_meshs_solution():
     u_h = WeakFunction.zeros(unit_square_mesh(4))
     with pytest.raises(ValueError, match="^solution has 32 elements, mesh has 8$"):
         sample_field(unit_square_mesh(2), u_h, 5)
+
+
+def test_sample_field_keeps_one_lattice_per_mesh_and_grid():
+    # the same mesh and grid take the kept lattice; a changed grid or mesh never does
+    fields = {}
+    for n in (4, 8):
+        mesh, _, u_h, _ = solve_case(catalog_entry("sine"), n)
+        fields[n] = mesh, u_h
+    last = last_points = None
+    for n, grid in [(4, 5), (4, 5), (4, 6), (8, 6), (8, 6), (4, 6)]:
+        mesh, u_h = fields[n]
+        points, values = sample_field(mesh, u_h, grid)
+        want_points, want_values = uncached_sample(mesh, u_h, grid)
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(values, want_values)
+        assert (points is last_points) == ((n, grid) == last)
+        last, last_points = (n, grid), points
+
+
+def test_sampled_lattice_is_read_only():
+    mesh, _, u_h, _ = solve_case(catalog_entry("sine"), 4)
+    points, values = sample_field(mesh, u_h, 5)
+    for array in harness._lattice(mesh, 5):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        points[0, 0] = 0.5
+    assert values.flags.writeable  # the values are the caller's own
 
 
 def test_solve_case_region_override():

@@ -159,6 +159,17 @@ def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
     assert assembly.reusable_mesh(entry.domain, 8) is None
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e10, 1e-100])
+def test_diverged_refinement_raises(scale):
+    # one whole-domain region at mu = 0: refinement ends with a relative
+    # residual above 1, which the tiny backward error used to let through
+    region = Region(shape="rect", bounds=(0.0, 0.0, 50.0, 50.0), kappa=scale * np.eye(2),
+                    mu=0.0)
+    with pytest.raises(SolverError, match="^refinement diverged") as err:
+        solve_case(catalog_entry("gaussian-source"), 4, regions=[region])
+    assert err.value.residual_history[-1] > 1.0
+
+
 def test_high_contrast_solve_without_pivoting():
     # mu = 0 and a 1e5 diffusion contrast: the hardest system of the catalog
     _, _, _, report = solve_case(catalog_entry("boundary-indicator"), 16)

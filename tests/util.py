@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from wg4 import poly, weakops
+from wg4 import harness, poly, weakops
 from wg4.mesh import Mesh
 from wg4.assembly import CoefficientField, ProblemSpec
 from wg4.mesh import build_structured_mesh
@@ -417,6 +417,12 @@ def full_matrix(operator) -> sp.csr_matrix:
 
 def unit_square_mesh(n: int) -> Mesh:
     return build_structured_mesh((0.0, 0.0, 1.0, 1.0), n)
+
+
+def uncached_sample(mesh: Mesh, u_h, grid: int):
+    """``harness.sample_field``'s points and values, from a lattice made afresh."""
+    points, elems, basis = harness._lattice.__wrapped__(mesh, grid)
+    return points, np.einsum("pi,pi->p", basis, u_h.interior[elems])
 
 
 # ---------------------------------------------------------------------------
