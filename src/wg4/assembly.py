@@ -27,11 +27,12 @@ leading rows, cut at the first boundary column.  The load depends on the
 problem's data: the interior load vector, the boundary Qb/Qg values and
 the reduced right-hand side, lifted by the coupling block.  Tomography
 solves one problem per source on one medium, so the last operator
-assembled is kept in one process-wide slot, keyed on the mesh's domain
-and subdivision count and on exact equality of kappa and mu.
-``assemble`` and ``triple_bar_norm`` reuse it while the key matches; a
-miss empties the slot before assembling, so at most one factorization is
-alive.  The slot's arrays are shared by every caller and are read-only.
+assembled is kept in one process-wide slot, keyed on the mesh object
+(``wg4.harness`` hands every solve on one domain and n the same mesh)
+and on exact equality of kappa and mu.  ``assemble`` and
+``triple_bar_norm`` reuse it while the key matches; a miss empties the
+slot before assembling, so at most one factorization is alive.  The
+slot's arrays are shared by every caller and are read-only.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "AssembledSystem",
     "AssemblyError",
     "assemble",
-    "reusable_mesh",
     "empty_slot",
     "triple_bar_norm",
 ]
@@ -114,17 +114,17 @@ class Region:
     radius: float | None = None  # disk
 
     def __post_init__(self):
-        if self.shape == "rect":
-            if self.bounds is None:
-                raise ValueError("rect region requires bounds")
-            check_rectangle(self.bounds)
-        elif self.shape == "disk":
-            if self.center is None or self.radius is None:
-                raise ValueError("disk region requires center and radius")
-            if not (np.isfinite([*self.center, self.radius]).all() and self.radius > 0):
-                raise ValueError("disk center must be finite and radius finite and positive")
-        else:
+        keys = {"rect": ("bounds",), "disk": ("center", "radius")}.get(self.shape)
+        if keys is None:
             raise ValueError(f"unknown region shape {self.shape!r}")
+        for key in ("bounds", "center", "radius"):  # the shape's keys, and no other
+            given = getattr(self, key) is not None
+            if given != (key in keys):
+                raise ValueError(f"{self.shape} region {'takes no' if given else 'requires'} {key}")
+        if self.shape == "rect":
+            check_rectangle(self.bounds)
+        elif not (np.isfinite([*self.center, self.radius]).all() and self.radius > 0):
+            raise ValueError("disk center must be finite and radius finite and positive")
         # the field's checks, on the region's one kappa and mu
         _check_coefficients(np.asarray(self.kappa, dtype=float)[None], np.atleast_1d(self.mu),
                             indexed=False)
@@ -201,12 +201,8 @@ class Operator:
     norm_inf: float | None = None  # ||matrix||_inf, set by solve.solve_spd on a fallback
 
     def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
-        return (
-            self.mesh.domain == mesh.domain
-            and self.mesh.n == mesh.n
-            and np.array_equal(self.kappa, coeff.kappa)
-            and np.array_equal(self.mu, coeff.mu)
-        )
+        return (self.mesh is mesh and np.array_equal(self.kappa, coeff.kappa)
+                and np.array_equal(self.mu, coeff.mu))
 
 
 @dataclass
@@ -256,13 +252,6 @@ def _element_classes(mesh: Mesh, coeff: CoefficientField,
 
 #: The last operator assembled; see the module docstring.
 _slot: Operator | None = None
-
-
-def reusable_mesh(domain, n: int) -> Mesh | None:
-    """The slot's mesh if it was built on ``domain`` with ``n`` subdivisions."""
-    if _slot is not None and _slot.mesh.domain == tuple(domain) and _slot.mesh.n == n:
-        return _slot.mesh
-    return None
 
 
 def empty_slot() -> None:

@@ -6,9 +6,9 @@ Subcommands:
     ft-demo      forward-model scenario, sampled field output
     mesh-dump    mesh connectivity dump
 
-A JSON config and a command's flags go through one validator
-(``_validate``); its errors name the key as ``$.key`` in a config and as
-``--flag`` on the command line.  The validator checks types, ranges and
+A JSON config and a command's flags, which argparse only collects as
+text, go through one validator (``_validate``); its errors name the key
+as ``$.key`` in a config and as ``--flag`` on the command line.  The validator checks types, ranges and
 the allowed keys itself; every other input rule is the library's, and a
 ValueError the library raises while a key is parsed is reported at that
 key's path: the rectangle and partition rules of ``wg4.mesh``, the level
@@ -361,19 +361,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", help="output CSV path (overrides the config)")
 
     p_conv = sub.add_parser("convergence", help="error/order table over halving mesh sizes")
-    p_conv.add_argument("--case", required=True)
-    p_conv.add_argument("--levels", required=True, help="comma-separated, each double the last")
+    p_conv.add_argument("--case")
+    p_conv.add_argument("--levels", help="comma-separated, each double the last")
     p_conv.add_argument("--out", help="output CSV path")
 
     p_ft = sub.add_parser("ft-demo", help="forward-model scenario, sampled field CSV")
-    p_ft.add_argument("--scenario", required=True)
+    p_ft.add_argument("--scenario")
     p_ft.add_argument("--source", help="x,y source point (the Gaussian scenario only)")
-    p_ft.add_argument("--n", required=True, type=int)
-    p_ft.add_argument("--grid", type=int)
+    p_ft.add_argument("--n")
+    p_ft.add_argument("--grid")
     p_ft.add_argument("--out", help="output CSV path")
 
     p_mesh = sub.add_parser("mesh-dump", help="dump mesh connectivity as CSV")
-    p_mesh.add_argument("--n", required=True, type=int)
+    p_mesh.add_argument("--n")
     p_mesh.add_argument("--out", help="output CSV path")
     return parser
 
@@ -388,7 +388,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg = parse_config(text)
         cfg.out = args.out or cfg.out
         return cfg
-    doc = {key: value for key, value in vars(args).items() if value is not None}
+    doc = {key: _literal(value) if key in ("n", "grid") else value
+           for key, value in vars(args).items() if value is not None}
     for key in ("levels", "source"):
         if key in doc:
             doc[key] = [_literal(item) for item in doc[key].split(",")]

@@ -37,7 +37,7 @@ NORM_FIELDS = ("l2_e0", "tbar", "eb_edge", "eg_edge")
 @dataclass(frozen=True)
 class ErrorReport:
     n: int
-    h: float
+    h: float  # the domain's longer side over n
     l2_e0: float
     tbar: float
     eb_edge: float
@@ -73,9 +73,10 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
     emass = poly.edge_mass(weakops.EDGE_DEGREE)
     eb_sq, eg_sq = weight @ np.einsum("eki,ij,ekj->ek", edge_blocks, emass, edge_blocks)
 
+    x0, y0, x1, y1 = mesh.domain
     return ErrorReport(
         n=mesh.n,
-        h=1.0 / mesh.n,
+        h=max(x1 - x0, y1 - y0) / mesh.n,
         l2_e0=math.sqrt(max(l2_sq, 0.0)),
         tbar=assembly.triple_bar_norm(mesh, spec.coeff, e),
         eb_edge=math.sqrt(max(eb_sq, 0.0)),

@@ -19,16 +19,16 @@ sums them against the kept basis and checks the result; any other mesh
 or grid replaces it.  The kept points are the array every such call
 returns, so a caller may key its own per-lattice work on it.
 
-``solve_case`` reuses the operator slot of ``wg4.assembly``: a call on
-the mesh and coefficient field of the operator in the slot takes its
-mesh, matrices and factorization, and computes only the coefficient
-checks, the load and the solve.  A series of Gaussian sources on one
-medium, as in tomography, thus assembles and factors once.
+``CaseCatalogEntry.make_mesh`` keeps the last mesh built, for one domain
+and n.  ``solve_case`` solves on it and reuses the operator slot of
+``wg4.assembly``, which matches that mesh object and the coefficient
+values: a series of Gaussian sources on one medium, as in tomography,
+builds its mesh, assembles and factors once, and each call computes only
+the coefficient field, the load and the solve.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,16 +79,18 @@ def _zero(x, y):
 class CaseCatalogEntry:
     """One runnable scenario: coefficients, data fields and metadata.
 
-    ``problem(mesh)`` checks the mesh and returns ``builder(mesh)``, the
-    concrete ProblemSpec.  It needs the mesh because every scenario samples
-    its coefficients at the element centroids, and the boundary patches
-    resolve their data per edge from the subdivision count.
+    ``problem(mesh, regions)`` checks the mesh and returns
+    ``builder(mesh, regions)``, the concrete ProblemSpec, whose one
+    coefficient field lays the given regions after the case's own.  It
+    needs the mesh because every scenario samples its coefficients at the
+    element centroids, and the boundary patches resolve their data per
+    edge from the subdivision count.
     """
 
     name: str
     description: str
     domain: tuple[float, float, float, float]
-    builder: Callable[[Mesh], ProblemSpec]
+    builder: Callable[[Mesh, Sequence[Region]], ProblemSpec]
     has_exact: bool = False
     n_multiple: int = 1
 
@@ -97,16 +99,17 @@ class CaseCatalogEntry:
         if n % self.n_multiple:
             raise ValueError(f"must be divisible by {self.n_multiple}, got {n}")
 
-    def problem(self, mesh: Mesh) -> ProblemSpec:
+    def problem(self, mesh: Mesh, regions: Sequence[Region] = ()) -> ProblemSpec:
         if mesh.domain != self.domain:
             raise ValueError(
                 f"case {self.name!r} is defined on {self.domain}, got mesh on {mesh.domain}"
             )
         self.check_n(mesh.n)
-        return self.builder(mesh)
+        return self.builder(mesh, regions)
 
     def make_mesh(self, n: int) -> Mesh:
-        return build_structured_mesh(self.domain, n)
+        """The case's mesh at n, the kept one if the last mesh built was for its domain and n."""
+        return _mesh(self.domain, n)
 
 
 def case_poly_bump() -> CaseCatalogEntry:
@@ -138,9 +141,9 @@ def case_poly_bump() -> CaseCatalogEntry:
         bilap = 24.0 * g(y) + 2.0 * d2g(x) * d2g(y) + 24.0 * g(x)
         return c * c * bilap - 2.0 * c * mu * lap + mu * mu * u(x, y)
 
-    def build(mesh: Mesh) -> ProblemSpec:
+    def build(mesh: Mesh, regions: Sequence[Region]) -> ProblemSpec:
         return ProblemSpec(f=f, xi=_zero, nu=_zero, exact_u=u, exact_grad=grad_u,
-                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu))
+                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu, regions))
 
     return CaseCatalogEntry(
         name="poly-bump",
@@ -179,9 +182,9 @@ def case_sine() -> CaseCatalogEntry:
         gx, gy = grad_u(x, y)
         return c * np.where((x == 0) | (x == 1), gx * np.sign(x - 0.5), gy * np.sign(y - 0.5))
 
-    def build(mesh: Mesh) -> ProblemSpec:
+    def build(mesh: Mesh, regions: Sequence[Region]) -> ProblemSpec:
         return ProblemSpec(f=f, xi=u, nu=nu, exact_u=u, exact_grad=grad_u,
-                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu))
+                           coeff=CoefficientField.from_regions(mesh, c * np.eye(2), mu, regions))
 
     return CaseCatalogEntry(
         name="sine",
@@ -209,7 +212,7 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
     if variant not in ("indicator", "dirac"):
         raise ValueError(f"unknown boundary-patch variant {variant!r}")
 
-    def build(mesh: Mesh) -> ProblemSpec:
+    def build(mesh: Mesh, regions: Sequence[Region]) -> ProblemSpec:
         n = mesh.n
         value = 1.0 if variant == "indicator" else float(n)  # 1/|e| with |e| = 1/n
 
@@ -232,7 +235,8 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
             kappa=np.eye(2),
             mu=0.0,
         )
-        coeff = CoefficientField.from_regions(mesh, 1e-5 * np.eye(2), 0.0, [inclusion])
+        coeff = CoefficientField.from_regions(mesh, 1e-5 * np.eye(2), 0.0,
+                                              [inclusion, *regions])
         return ProblemSpec(f=_zero, xi=xi, nu=nu, coeff=coeff)
 
     return CaseCatalogEntry(
@@ -261,8 +265,8 @@ def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalo
     def f(x, y):
         return amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * eps))
 
-    def build(mesh: Mesh) -> ProblemSpec:
-        coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION)
+    def build(mesh: Mesh, regions: Sequence[Region]) -> ProblemSpec:
+        coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, regions)
         return ProblemSpec(f=f, xi=_zero, nu=_zero, coeff=coeff)
 
     return CaseCatalogEntry(
@@ -306,22 +310,17 @@ def solve_case(
     entry: CaseCatalogEntry,
     n: int,
     config: SolverConfig = SolverConfig(),
-    regions: Sequence[Region] | None = None,
+    regions: Sequence[Region] = (),
 ) -> tuple[Mesh, ProblemSpec, WeakFunction, SolveReport]:
-    """Build, assemble and solve one scenario at subdivision count n,
-    reusing the operator slot's mesh, matrices and factorization where
-    they match (see the module docstring).
+    """Build, assemble and solve one scenario at subdivision count n, on
+    the entry's kept mesh and with the operator slot's matrices and
+    factorization where they match (see the module docstring).
 
-    ``regions`` optionally overrides coefficient regions on top of the
-    case's own field (the inclusion hook of the Gaussian scenario).
+    ``regions`` are laid over the case's own coefficient regions (the
+    inclusion hook of the Gaussian scenario).
     """
-    mesh = assembly.reusable_mesh(entry.domain, n)
-    if mesh is None:
-        mesh = entry.make_mesh(n)
-    spec = entry.problem(mesh)
-    if regions:
-        coeff = CoefficientField.from_regions(mesh, spec.coeff.kappa, spec.coeff.mu, regions)
-        spec = dataclasses.replace(spec, coeff=coeff)
+    mesh = entry.make_mesh(n)
+    spec = entry.problem(mesh, regions)
     system = assembly.assemble(mesh, spec)
     try:
         x_free, report = solve_mod.solve_spd(system, config)
@@ -367,6 +366,12 @@ def check_grid(grid: int) -> int:
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     return int(grid)
+
+
+@lru_cache(maxsize=1)
+def _mesh(domain: tuple[float, float, float, float], n: int) -> Mesh:
+    """The mesh of ``domain`` in n x n cells, kept for the next call."""
+    return build_structured_mesh(domain, n)
 
 
 @lru_cache(maxsize=1)

@@ -295,6 +295,14 @@ def test_gaussian_demo_with_source(tmp_path):
      "--levels[1]: must be <= 1024, got 2048"),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "2049"],
      "--grid: must be <= 2048, got 2049"),
+    # missing flags and bad integers: the validator's messages, not argparse's
+    (["ft-demo", "--scenario", "gaussian-source"], "--n: required key missing"),
+    (["convergence", "--levels", "8,16"], "--case: required key missing"),
+    (["ft-demo", "--scenario", "gaussian-source", "--n", "x"],
+     "--n: expected an integer, got 'x'"),
+    (["mesh-dump", "--n", "4.5"], "--n: expected an integer, got 4.5"),
+    (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "x"],
+     "--grid: grid must be an integer >= 2, got 'x'"),
 ])
 def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
     # an input that stops being rejected must fail here, not run (or build a huge mesh)
@@ -335,6 +343,13 @@ def _region(**values):
      lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=1e300 * np.eye(2), mu=0.0)),
     (_region(mu=1e300), "$.regions[0]",
      lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=1e300)),
+    # a key of the other shape
+    (_region(radius=-3, center=[1e300, 0]), "$.regions[0]",
+     lambda: Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=0.0,
+                    center=(1e300, 0.0), radius=-3.0)),
+    (_region(shape="disk", center=[25, 15], radius=4), "$.regions[0]",
+     lambda: Region(shape="disk", center=(25.0, 15.0), radius=4.0, kappa=np.eye(2), mu=0.0,
+                    bounds=(0, 0, 1, 1))),
     # cells below 1e-150, a width past the float range, cells above 1e150
     ({"command": "mesh-dump", "n": 2, "domain": [0, 0, 1e-170, 1e-170]}, "$.domain",
      lambda: check_partition((0, 0, 1e-170, 1e-170), 2)),

@@ -8,6 +8,7 @@ from util import unit_square_mesh
 from wg4 import weakops
 from wg4.errors import ErrorReport, convergence_orders, error_report, orders_from_values
 from wg4.harness import case_sine
+from wg4.mesh import build_structured_mesh
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +94,12 @@ def test_convergence_orders_requires_doubling():
     assert orders["l2_e0"] == [pytest.approx(2.0)]
     with pytest.raises(ValueError):
         convergence_orders([report(2, 0.04), report(6, 0.01)])
+
+
+def test_error_report_h_is_the_longer_side_over_n(sine_setup):
+    mesh, spec, projected = sine_setup
+    assert error_report(mesh, spec, projected).h == 0.5
+    mesh = build_structured_mesh((-1.0, 2.0, 3.0, 5.0), 4)  # 4 wide, 3 high
+    spec = case_sine().builder(mesh, ())
+    projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
+    assert error_report(mesh, spec, projected).h == 1.0

@@ -6,6 +6,11 @@ set of arrays and the element loops became batched kernels; they pin the
 printed results of that refactor.  To rewrite one, run its command with
 ``--out tests/golden/<name>`` (the ``--domain`` dump goes through a
 ``solve --config`` file, as below).
+
+``convergence-poly-bump-8-32.csv`` and
+``ft-demo-gaussian-n32-grid21-second-source.csv`` are compared byte for
+byte only by the CI ``golden`` job, which pins numpy and scipy: their
+last digits may move with another BLAS.
 """
 
 import json

@@ -5,14 +5,16 @@ import pytest
 
 from util import element_block, fd_fourth_order_operator, uncached_sample, unit_square_mesh
 
-from wg4 import harness, weakops
-from wg4.assembly import CoefficientField, ProblemSpec, assemble
+from wg4 import assembly, harness, weakops
+from wg4.assembly import CoefficientField, ProblemSpec, Region, assemble
 from wg4.cli import _convergence_csv
 from wg4.errors import error_report
 from wg4.harness import (
     CATALOG,
     DIFFUSION,
     ABSORPTION,
+    SECOND_SOURCE,
+    UNIT_SQUARE,
     case_ft_boundary_patch,
     case_ft_gaussian,
     case_poly_bump,
@@ -386,3 +388,41 @@ def test_shared_arrays_are_read_only():
     for matrix in (system.matrix, system.operator.coupling):
         for array in (matrix.data, matrix.indices, matrix.indptr):
             assert not array.flags.writeable
+
+
+def test_make_mesh_keeps_the_last_mesh():
+    # the sources of one medium share a mesh; another n or domain builds a new one
+    mesh = case_ft_gaussian().make_mesh(8)
+    assert case_ft_gaussian(SECOND_SOURCE).make_mesh(8) is mesh
+    finer = case_ft_gaussian().make_mesh(16)
+    assert finer is not mesh and finer.n == 16
+    assert case_sine().make_mesh(16).domain == UNIT_SQUARE
+
+
+def test_emptied_slot_keeps_the_mesh_and_the_lattice():
+    entry = catalog_entry("gaussian-source")
+    mesh, _, u_h, _ = solve_case(entry, 8)
+    points, _ = sample_field(mesh, u_h, 9)
+    assembly.empty_slot()
+    again, _, u_again, _ = solve_case(entry, 8)
+    assert again is mesh
+    assert sample_field(again, u_again, 9)[0] is points
+
+
+@pytest.mark.parametrize("name", ["gaussian-source", "boundary-indicator"])
+def test_regions_laid_in_the_cases_one_field(name, monkeypatch):
+    # the caller's region covers the whole domain, so it wins over the case's own
+    calls = []
+    from_regions = CoefficientField.from_regions.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_regions(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientField, "from_regions", classmethod(counting))
+    entry = catalog_entry(name)
+    region = Region(shape="rect", bounds=entry.domain, kappa=2.0 * np.eye(2), mu=0.5)
+    _, spec, _, report = solve_case(entry, 8, regions=[region])
+    assert len(calls) == 1
+    assert np.all(spec.coeff.kappa == 2.0 * np.eye(2)) and np.all(spec.coeff.mu == 0.5)
+    assert report.residual <= 1e-10
