@@ -48,6 +48,7 @@ from .weakops import N_LOCAL, AssemblyError, WeakFunction, local_load, local_sys
 
 __all__ = [
     "Region",
+    "RegionError",
     "CoefficientField",
     "ProblemSpec",
     "Operator",
@@ -138,6 +139,15 @@ class Region:
         return np.hypot(x - cx, y - cy) <= self.radius
 
 
+class RegionError(ValueError):
+    """A region that holds no element centroid; ``index`` is its place in
+    the caller's list."""
+
+    def __init__(self, index: int):
+        super().__init__(f"regions[{index}]: holds no element centroid")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Piecewise-constant diffusion matrix and reaction scalar per element."""
@@ -152,12 +162,15 @@ class CoefficientField:
     def from_regions(cls, mesh: Mesh, kappa, mu, regions=()) -> "CoefficientField":
         """The background ``kappa`` (2x2 or one per element) and ``mu``
         (scalar or one per element), with each region's values at the
-        elements whose centroid it contains; later regions win."""
+        elements whose centroid it contains; later regions win.  A region
+        that contains no centroid raises RegionError."""
         kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (mesh.n_elements, 2, 2)).copy()
         mu = np.broadcast_to(np.asarray(mu, dtype=float), (mesh.n_elements,)).copy()
         cx, cy = mesh.centroids.T
-        for region in regions:
+        for i, region in enumerate(regions):
             inside = region.contains(cx, cy)
+            if not inside.any():
+                raise RegionError(i)
             kappa[inside] = region.kappa
             mu[inside] = region.mu
         return cls(kappa=kappa, mu=mu)
@@ -260,6 +273,11 @@ def empty_slot() -> None:
     _slot = None
 
 
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """The CSR row pointer of rows holding ``counts`` entries each."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+
 def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     """The operator of (mesh, coeff): the slot's if it matches, otherwise
     a new one, which takes the slot."""
@@ -272,7 +290,7 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     free = ~weakops.boundary_mask(mesh)
     order = weakops.solve_order(mesh)
     k = len(order)
-    numbering = np.empty(size, dtype=np.intp)  # each dof's row in the global system
+    numbering = np.empty(size, dtype=np.int32)  # each dof's row in the global system
     numbering[order] = np.arange(k)
     numbering[~free] = np.arange(k, size)
     idx = numbering[weakops.local_dofs(mesh)]
@@ -284,8 +302,17 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
-    del rows, cols  # 2 x 324 indices per element; free them before the slicing below
-    matrix, coupling = full[:k, :k], full[:k, k:]
+    del rows, cols  # 2 x 324 indices per element; free them before the split below
+    # the free rows' entries, split at column k into the two blocks; every
+    # free row holds its diagonal, so no row's segment is empty
+    end = full.indptr[k]
+    data, indices = full.data[:end], full.indices[:end]
+    left = indices < k
+    counts = np.add.reduceat(left, full.indptr[:k], dtype=np.int32)
+    matrix = sp.csr_matrix((data[left], indices[left], _indptr(counts)), shape=(k, k))
+    coupling = sp.csr_matrix((data[~left], indices[~left] - k,
+                              _indptr(np.diff(full.indptr[:k + 1]) - counts)),
+                             shape=(k, size - k))
     del full
     op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), free=free,
                   order=order, matrix=matrix, coupling=coupling, class_matrices=mats,

@@ -13,16 +13,25 @@ the allowed keys itself; every other input rule is the library's, and a
 ValueError the library raises while a key is parsed is reported at that
 key's path: the rectangle and partition rules of ``wg4.mesh``, the level
 doubling of ``wg4.errors``, the region checks of ``wg4.assembly``, and the
-catalog's source-point, n-multiple and grid rules in ``wg4.harness``.
+catalog's source-point, n-multiple and grid rules in ``wg4.harness``.  A
+region that holds no element centroid is found when the solve lays it,
+and reported at ``$.regions[i]``.  The two flag errors argparse finds, a
+flag given no value and a flag the command does not take, are reported
+at the flag in the same form (``_parse_args``).
 
-This is the only module that formats numbers: every CSV row comes from
-one ``%`` template over the stacked columns (``_rows``), in
-6-significant-digit scientific form, so that identical configurations
-produce byte-identical files.  The field CSV's template holds its x,y
-columns already printed, with a ``%.5e`` left for u0.  It is made once
-per lattice and kept, keyed on the points array that
+This is the only module that formats numbers, in 6-significant-digit
+scientific form, so that identical configurations produce byte-identical
+files.  The mesh dump and the convergence table come from one ``%``
+template over the stacked columns (``_rows``).  The field CSV's numbers
+come from ``_format_e5``, which writes the bytes of ``"%.5e" % v`` for a
+whole column at once: it scales each value into [1e5, 1e6) and rounds
+it, which gives the digits ``%`` prints unless the scaled value lies
+within 1e-6 of a half-integer; those near-ties, non-finite values,
+subnormals and exponents beyond +-300 are printed by ``%`` itself.  The
+field CSV is kept as a byte table with its x,y columns written, made
+once per lattice and keyed on the points array that
 ``harness.sample_field`` returns, so a series of sources on one lattice
-only prints their values.  Exit codes: 0 success, 2 configuration
+only writes their values.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure, 1 anything else.
 """
 
@@ -39,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import harness
-from .assembly import Region
+from .assembly import Region, RegionError
 from .errors import NORM_FIELDS, check_doubling, error_report
 from .mesh import Mesh, build_structured_mesh, check_partition, check_rectangle
 from .solve import SolverConfig, SolverError
@@ -264,17 +273,83 @@ def _rows(template: str, *columns) -> str:
     return (template * len(table)) % tuple(table.ravel().tolist())
 
 
-#: The last lattice's ``points`` array and its field-CSV template, x and y printed.
-_field_template: tuple[np.ndarray, str] | None = None
+#: 10**p from p = -_POW10_BIAS on, each within an ulp of exact.
+_POW10_BIAS = 297
+_POW10 = 10.0 ** np.arange(-_POW10_BIAS, 308)
+#: The place values of a mantissa's six digits; the last three are an exponent's.
+_PLACES = 10 ** np.arange(5, -1, -1, dtype=np.int32)[:, None]
+#: The bytes ``_format_e5`` writes per value: ``-d.ddddde+ddd`` at its longest.
+_E5_WIDTH = 13
+
+
+def _format_e5(values: np.ndarray, out: np.ndarray) -> int:
+    """Write ``"%.5e" % v`` of each value into its row of the uint8
+    (N, 13) ``out``, with NUL bytes where the text is shorter (no ``-``,
+    a two-digit exponent); returns how many values ``%`` printed.
+
+    With e = floor(log10|v|), corrected once, s = |v| 10**(5 - e) lies in
+    [1e5, 1e6).  The power is within an ulp of exact and the product
+    rounded once, so s is off by at most two ulps, 2.4e-10, and rint(s) is
+    the correctly rounded mantissa that ``%`` prints unless s lies within
+    1e-6 of a half-integer.  Those near-ties, non-finite values,
+    subnormals and |e| > 300 go to ``%``; a rounding up to 1e6 carries
+    into the exponent, and +-0 prints as ``0.00000e+00`` with its sign.
+    """
+    magnitude = np.abs(values)
+    zero = magnitude == 0
+    fast = (magnitude >= 1e-300) & (magnitude < 1e301)  # finite, normal and |e| <= 300
+    magnitude[~fast] = 1.0  # a finite stand-in, printed below by ``%`` or as zero
+    e = np.floor(np.log10(magnitude)).astype(np.int32)
+    s = magnitude * _POW10[_POW10_BIAS + 5 - e]
+    e += (s >= 1e6).astype(np.int32) - (s < 1e5)
+    s = magnitude * _POW10[_POW10_BIAS + 5 - e]
+    m = np.rint(s).astype(np.int32)
+    fallback = np.flatnonzero(~(fast | zero) | (np.abs(s - np.floor(s) - 0.5) < 1e-6))
+    carry = m == 1_000_000
+    m[carry] = 100_000
+    e += carry
+    m[zero] = 0
+    exponent = np.abs(e)
+    # rows 0-5 are m // 10**(5 - j) and rows 6-8 exponent // 10**(8 - j);
+    # a row less ten times the row above is its last digit
+    digits = np.concatenate([m // _PLACES, exponent // _PLACES[3:]])
+    digits[1:] -= 10 * digits[:-1]
+    digits[6] = exponent // 100  # the exponent's first row has no row above
+    digits += ord("0")
+    digits[6] *= exponent >= 100  # a NUL before a two-digit exponent
+    out[:, 0] = ord("-") * np.signbit(values)
+    out[:, 1] = digits[0]
+    out[:, 2] = ord(".")
+    out[:, 3:8] = digits[1:6].T
+    out[:, 8] = ord("e")
+    out[:, 9] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 10:] = digits[6:].T
+    for i in fallback:
+        text = ("%.5e" % values[i]).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return len(fallback)
+
+
+#: The last lattice's ``points`` array and its field-CSV table, (N, 3, 14)
+#: bytes: x, y and u0, each in a NUL-padded slot and followed by ``,``,
+#: ``,`` and a newline, with x and y written.
+_field_table: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
     """The sampled-field CSV; ``points`` is the lattice ``harness.sample_field``
-    returned, whose x,y columns are printed once into a kept template."""
-    global _field_template
-    if _field_template is None or _field_template[0] is not points:
-        _field_template = (points, "x,y,u0\n" + _rows("%.5e,%.5e,%%.5e\n", points))
-    return _field_template[1] % tuple(values.tolist())
+    returned, whose x,y columns are written once into a kept table."""
+    global _field_table
+    if _field_table is None or _field_table[0] is not points:
+        table = np.empty((len(points), 3, _E5_WIDTH + 1), dtype=np.uint8)
+        table[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
+        for j in (0, 1):
+            _format_e5(points[:, j], table[:, j, :-1])
+        _field_table = (points, table)
+    table = _field_table[1]
+    _format_e5(values, table[:, 2, :-1])
+    return "x,y,u0\n" + table.tobytes().translate(None, b"\0").decode()
 
 
 def _mesh_csv(mesh: Mesh) -> str:
@@ -309,7 +384,10 @@ def _convergence_csv(result: harness.ConvergenceResult) -> str:
 
 def _run_field_command(cfg: RunConfig) -> None:
     entry = harness.catalog_entry(cfg.case, cfg.source)
-    mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
+    try:
+        mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
+    except RegionError as exc:  # regions come only from a config
+        raise ConfigError(f"$.{exc}") from exc
     points, values = harness.sample_field(mesh, u_h, cfg.grid)
     if cfg.out:
         _write(cfg.out, _field_csv(points, values))
@@ -353,33 +431,53 @@ def _build_parser() -> argparse.ArgumentParser:
         "with simultaneous Dirichlet and Neumann boundary data.",
         epilog=_case_listing(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run a JSON configuration file")
-    p_solve.add_argument("--config", required=True, help="path to a JSON run configuration")
+    p_solve = sub.add_parser("solve", help="run a JSON configuration file", exit_on_error=False)
+    p_solve.add_argument("--config", help="path to a JSON run configuration")
     p_solve.add_argument("--out", help="output CSV path (overrides the config)")
 
-    p_conv = sub.add_parser("convergence", help="error/order table over halving mesh sizes")
+    p_conv = sub.add_parser("convergence", help="error/order table over halving mesh sizes",
+                            exit_on_error=False)
     p_conv.add_argument("--case")
     p_conv.add_argument("--levels", help="comma-separated, each double the last")
     p_conv.add_argument("--out", help="output CSV path")
 
-    p_ft = sub.add_parser("ft-demo", help="forward-model scenario, sampled field CSV")
+    p_ft = sub.add_parser("ft-demo", help="forward-model scenario, sampled field CSV",
+                          exit_on_error=False)
     p_ft.add_argument("--scenario")
     p_ft.add_argument("--source", help="x,y source point (the Gaussian scenario only)")
     p_ft.add_argument("--n")
     p_ft.add_argument("--grid")
     p_ft.add_argument("--out", help="output CSV path")
 
-    p_mesh = sub.add_parser("mesh-dump", help="dump mesh connectivity as CSV")
+    p_mesh = sub.add_parser("mesh-dump", help="dump mesh connectivity as CSV", exit_on_error=False)
     p_mesh.add_argument("--n")
     p_mesh.add_argument("--out", help="output CSV path")
     return parser
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """argparse's namespace of ``argv``.  Its errors, such as a flag given
+    no value, and the first argument it leaves over, such as a flag the
+    command does not take, are ConfigErrors at the flag."""
+    try:
+        args, extra = _build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(str(exc).removeprefix("argument ")) from exc
+    if extra:
+        flags = [token.split("=")[0] for token in extra if token.startswith("-")]
+        raise ConfigError(f"{flags[0]}: unknown key" if flags
+                          else f"unexpected argument {extra[0]!r}")
+    return args
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "solve":
+        if args.config is None:
+            raise ConfigError("--config: required key missing")
         try:
             with open(args.config) as fh:
                 text = fh.read()
@@ -406,9 +504,8 @@ def _literal(text: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return run(_config_from_args(_parse_args(argv)))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

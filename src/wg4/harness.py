@@ -81,7 +81,8 @@ class CaseCatalogEntry:
 
     ``problem(mesh, regions)`` checks the mesh and returns
     ``builder(mesh, regions)``, the concrete ProblemSpec, whose one
-    coefficient field lays the given regions after the case's own.  It
+    coefficient field lays the given regions over the case's own
+    coefficients, each of which must hold an element centroid.  It
     needs the mesh because every scenario samples its coefficients at the
     element centroids, and the boundary patches resolve their data per
     edge from the subdivision count.
@@ -235,8 +236,10 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
             kappa=np.eye(2),
             mu=0.0,
         )
-        coeff = CoefficientField.from_regions(mesh, 1e-5 * np.eye(2), 0.0,
-                                              [inclusion, *regions])
+        # the inclusion is part of the background, so regions[i] is the caller's
+        inside = inclusion.contains(*mesh.centroids.T)
+        kappa = np.where(inside[:, None, None], inclusion.kappa, 1e-5 * np.eye(2))
+        coeff = CoefficientField.from_regions(mesh, kappa, 0.0, regions)
         return ProblemSpec(f=_zero, xi=xi, nu=nu, coeff=coeff)
 
     return CaseCatalogEntry(

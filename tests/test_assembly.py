@@ -10,6 +10,7 @@ from util import (
     full_matrix,
     quadratic_problem,
     random_triangle,
+    sliced_blocks,
     unit_square_mesh,
 )
 
@@ -19,6 +20,7 @@ from wg4.assembly import (
     CoefficientField,
     ProblemSpec,
     Region,
+    RegionError,
     assemble,
     triple_bar_norm,
 )
@@ -105,6 +107,20 @@ def test_region_sampling_at_centroids():
     for i in inside:
         cx, cy = mesh.centroids[i]
         assert 0.25 <= cx <= 0.375 and 0.25 <= cy <= 0.375
+
+
+def test_region_without_a_centroid_named_by_the_callers_index():
+    mesh = unit_square_mesh(4)
+    whole = Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=0.0)
+    # a disk between the centroids of the elements it overlaps
+    between = Region(shape="disk", center=(0.125, 0.125), radius=0.01, kappa=np.eye(2), mu=0.0)
+    with pytest.raises(RegionError, match=r"^regions\[1\]: holds no element centroid$") as exc:
+        CoefficientField.from_regions(mesh, np.eye(2), 0.0, [whole, between])
+    assert exc.value.index == 1
+    # the boundary patch's own inclusion does not shift the caller's indices
+    entry = catalog_entry("boundary-indicator")
+    with pytest.raises(RegionError, match=r"^regions\[0\]"):
+        entry.problem(entry.make_mesh(8), [between])
 
 
 def test_region_validation():
@@ -324,3 +340,21 @@ def test_boundary_lift_equals_full_matrix_product(case):
     lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.operator.order]
     assert np.abs(system.boundary_values).max() > 0
     assert np.array_equal(system.rhs, lifted)
+
+
+@pytest.mark.parametrize("case,n,regions", [
+    ("sine", 8, ()),
+    ("gaussian-source", 8, (Region(shape="disk", center=(25.0, 15.0), radius=12.0,
+                                   kappa=0.5 * np.eye(2), mu=0.5),)),
+])
+def test_operator_blocks_equal_the_sliced_full_matrix(case, n, regions):
+    # the blocks split from the free rows are the slices of the whole
+    # system, bit for bit and dtype for dtype
+    entry = catalog_entry(case)
+    mesh = entry.make_mesh(n)
+    op = assemble(mesh, entry.problem(mesh, regions)).operator
+    for got, want in zip((op.matrix, op.coupling), sliced_blocks(op)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -222,8 +222,9 @@ def test_diverged_refinement_exit_code(tmp_path, capsys):
 
 
 def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
-    # one process: two sources, then another grid, then another n; each CSV
-    # is the plain three-column format of its own op's lattice and values
+    # one process: two sources, then another grid, then another n, then a
+    # field with negative values and a grid-101 field; each CSV is the
+    # plain three-column format of its own op's lattice and values
     seen = []
     sample = harness.sample_field
 
@@ -232,16 +233,73 @@ def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
         return sample(mesh, u_h, grid)
 
     monkeypatch.setattr(harness, "sample_field", recording)
-    for j, (source, n, grid) in enumerate([
-            (DEFAULT_SOURCE, 8, 9), (SECOND_SOURCE, 8, 9), (SECOND_SOURCE, 8, 7),
-            (SECOND_SOURCE, 16, 7)]):
+    gaussian = {"scenario": "gaussian-source"}
+    for j, (scenario, n, grid) in enumerate([
+            ({**gaussian, "source": list(DEFAULT_SOURCE)}, 8, 9),
+            ({**gaussian, "source": list(SECOND_SOURCE)}, 8, 9),
+            ({**gaussian, "source": list(SECOND_SOURCE)}, 8, 7),
+            ({**gaussian, "source": list(SECOND_SOURCE)}, 16, 7),
+            ({"scenario": "boundary-indicator"}, 16, 33),
+            (gaussian, 8, 101)]):
         out = tmp_path / f"field{j}.csv"
         assert cli.run(parse_config(json.dumps({
-            "command": "ft-demo", "scenario": "gaussian-source", "n": n, "grid": grid,
-            "source": list(source), "out": str(out)}))) == 0
+            "command": "ft-demo", **scenario, "n": n, "grid": grid, "out": str(out)}))) == 0
         points, values = uncached_sample(*seen[-1], grid)
         want = "x,y,u0\n" + cli._rows("%.5e,%.5e,%.5e\n", points, values)
         assert out.read_bytes() == want.encode()
+        if j == 4:
+            assert (values < 0).any()
+
+
+def _percent_e5_cases(rng: np.random.Generator) -> np.ndarray:
+    """Values that test every path of ``cli._format_e5``."""
+    count = 50_000
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    decades = np.concatenate([decades, 10.0 ** np.arange(-323, 309)])
+    # within rounding of a half-way value m + 1/2 at the printed scale, and
+    # integers whose seventh digit is a final 5: exact ties
+    halves = (rng.integers(100_000, 1_000_000, count) + 0.5) * 10.0 ** rng.integers(-30, 30, count)
+    exact_ties = (rng.integers(100_000, 1_000_000, count) * 10 + 5) * 10.0 ** rng.integers(0, 9, count)
+    return np.concatenate([
+        rng.standard_normal(count) * 10.0 ** rng.uniform(-300, 300, count),  # 3-digit exponents
+        rng.standard_normal(count) * 10.0 ** rng.uniform(-20, 20, count),
+        decades, np.nextafter(decades, np.inf), np.nextafter(decades, -np.inf), -decades,
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        exact_ties, -exact_ties / 1e7, exact_ties / 10,
+        rng.uniform(-1.0, 1.0, 1000) * 2.2250738585072014e-308,  # subnormals
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max, 999999.5,
+         9.999995, 1e-300, 9.999999999e300],
+    ])
+
+
+def test_format_e5_prints_what_percent_prints():
+    # the scale table's powers are within an ulp of the decimal ones
+    exact = np.array([float(f"1e{p}") for p in range(-cli._POW10_BIAS, len(cli._POW10)
+                                                      - cli._POW10_BIAS)])
+    assert np.all(np.abs(cli._POW10 - exact) <= np.spacing(exact))
+    values = _percent_e5_cases(np.random.default_rng(20261019))
+    assert len(values) >= 200_000
+    table = np.zeros((len(values), cli._E5_WIDTH + 1), dtype=np.uint8)
+    table[:, -1] = ord("\n")
+    fallbacks = cli._format_e5(values, table[:, :-1])
+    got = table.tobytes().translate(None, b"\0").decode().splitlines()
+    want = ("%.5e\n" * len(values) % tuple(values.tolist())).splitlines()
+    wrong = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+    assert fallbacks > 0
+    # ordinary values are nearly all printed without ``%``
+    assert cli._format_e5(values[50_000:100_000], table[:50_000, :-1]) < 10
+
+
+def test_region_without_a_centroid_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "command": "solve", "case": "gaussian-source", "n": 4,
+        "regions": [{"shape": "rect", "bounds": [100, 100, 200, 200],
+                     "kappa": [[1, 0], [0, 1]], "mu": 0}],
+    }))
+    assert main(["solve", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config: $.regions[0]: holds no element centroid\n"
 
 
 def test_missing_config_file(capsys):
@@ -303,6 +361,10 @@ def test_gaussian_demo_with_source(tmp_path):
     (["mesh-dump", "--n", "4.5"], "--n: expected an integer, got 4.5"),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "x"],
      "--grid: grid must be an integer >= 2, got 'x'"),
+    # a flag the command does not take, and a flag without its value
+    (["convergence", "--case", "sine", "--levels", "2,4", "--n", "4"], "--n: unknown key"),
+    (["ft-demo", "--scenario", "sine", "--n"], "--n: expected one argument"),
+    (["solve"], "--config: required key missing"),
 ])
 def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
     # an input that stops being rejected must fail here, not run (or build a huge mesh)

@@ -415,6 +415,24 @@ def full_matrix(operator) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
 
 
+def sliced_blocks(operator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The operator's reduced matrix and coupling block, made the plain
+    way: the whole system summed in the free-first numbering, converted
+    to CSR, and both blocks sliced from its leading rows."""
+    mesh = operator.mesh
+    k = len(operator.order)
+    size = weakops.dof_count(mesh)
+    numbering = np.empty(size, dtype=np.intp)
+    numbering[operator.order] = np.arange(k)
+    numbering[~operator.free] = np.arange(k, size)
+    idx = numbering[weakops.local_dofs(mesh)]
+    rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
+    cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
+    values = operator.class_matrices[operator.classes].ravel()
+    full = sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+    return full[:k, :k], full[:k, k:]
+
+
 def unit_square_mesh(n: int) -> Mesh:
     return build_structured_mesh((0.0, 0.0, 1.0, 1.0), n)
 
