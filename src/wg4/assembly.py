@@ -25,7 +25,12 @@ with the free dofs first, in that order, and the boundary dofs last, in
 layout order, so the reduced matrix and the coupling block are its
 leading rows, cut at the first boundary column.  The load depends on the
 problem's data: the interior load vector, the boundary Qb/Qg values and
-the reduced right-hand side, lifted by the coupling block.  Tomography
+the reduced right-hand side, lifted by the coupling block unless every
+boundary value is zero.  An operator that ``assemble`` finds already
+factored is being reused, and from then on it also keeps the load's
+source-independent geometry, ``weakops.load_quadrature`` (0.8 MB at
+n=32), so each later load only evaluates its source; a one-shot solve
+keeps nothing extra through its factorization.  Tomography
 solves one problem per source on one medium, so the last operator
 assembled is kept in one process-wide slot, keyed on the mesh object
 (``wg4.harness`` hands every solve on one domain and n the same mesh)
@@ -71,7 +76,19 @@ def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True)
     """Every kappa (E, 2, 2) must be symmetric with eigenvalues in
     COEFFICIENT_RANGE, and every mu (E,) 0 or in COEFFICIENT_RANGE; the
     message names the first element that is not, as ``kappa[i]`` or,
-    unless ``indexed``, as ``kappa``."""
+    unless ``indexed``, as ``kappa``.
+
+    Symmetry is ``np.isclose`` of the off-diagonal pair, both ways round.
+    The eigenvalues of [[a, b], [b, c]], with b the lower entry as
+    ``np.linalg.eigvalsh`` reads it, are taken in closed form on the
+    matrix divided by its largest entry s, so that no product in them
+    under- or overflows: lambda_max / s = (a + c) / 2s + hypot((a - c) / 2s,
+    b / s), and lambda_min = det / lambda_max, as (A / s) C - (b / s) b over
+    lambda_max / s, with A the diagonal entry of larger magnitude and C
+    the other.  A positive diagonal kappa gets its entries back exactly,
+    so 1e-200 I, diag(1e100, 1e-100) and the range's edges are judged as
+    ``eigvalsh`` judges them.
+    """
 
     def name(what: str, i: int) -> str:
         return f"{what}[{i}]" if indexed else what
@@ -79,20 +96,26 @@ def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True)
     if np.shape(kappa)[1:] != (2, 2) or np.shape(mu) != (len(kappa),):
         raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
                          f"{np.shape(kappa)} and {np.shape(mu)}")
-    finite = np.isfinite(kappa).all(axis=(1, 2))
-    symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
-    ok = finite & symmetric
-    safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
-    eigenvalues = np.linalg.eigvalsh(safe)  # ascending
-    definite = eigenvalues[:, 0] > 0
     low, high = COEFFICIENT_RANGE
-    in_range = (low <= eigenvalues[:, 0]) & (eigenvalues[:, 1] <= high)
-    bad = np.flatnonzero(~(ok & in_range))
+    a, upper, b, c = kappa.reshape(-1, 4).T
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite kappa, rejected below
+        finite = np.isfinite(kappa).all(axis=(1, 2))
+        gap = np.abs(upper - b)
+        symmetric = (gap <= 1e-14 + 1e-5 * np.abs(b)) & (gap <= 1e-14 + 1e-5 * np.abs(upper))
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        scale[~(scale > 0)] = 1.0
+        x, y, z = a / scale, b / scale, c / scale
+        largest = (x + z) / 2 + np.hypot((x - z) / 2, y)
+        larger = np.abs(a) >= np.abs(c)
+        det = np.where(larger, x, z) * np.where(larger, c, a) - y * b  # det / s
+        smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
+        largest *= scale
+    bad = np.flatnonzero(~(finite & symmetric & (low <= smallest) & (largest <= high)))
     if len(bad):
         i = bad[0]
-        extreme = eigenvalues[i, 0] if eigenvalues[i, 0] < low else eigenvalues[i, 1]
+        extreme = smallest[i] if smallest[i] < low else largest[i]
         reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
-                  else "not positive definite" if not definite[i]
+                  else "not positive definite" if not smallest[i] > 0
                   else f"eigenvalue {extreme:g} outside [{low:g}, {high:g}]")
         raise ValueError(f"{name('kappa', i)}: {reason}")
     bad = np.flatnonzero(~((mu == 0) | ((low <= mu) & (mu <= high))))
@@ -212,6 +235,7 @@ class Operator:
     classes: np.ndarray  # (E,), each element's class
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
     norm_inf: float | None = None  # ||matrix||_inf, set by solve.solve_spd on a fallback
+    load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once reused
 
     def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
         return (self.mesh is mesh and np.array_equal(self.kappa, coeff.kappa)
@@ -330,8 +354,15 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     symmetrically: the operator of (mesh, spec.coeff), from the slot when
     it matches, and the load of the problem's data."""
     op = _operator(mesh, spec.coeff)
+    quadrature = op.load_quadrature
+    if quadrature is None:
+        quadrature = weakops.load_quadrature(mesh.element_points())
+        if op.lu is not None:  # the operator is being reused: keep the points for the next load
+            for array in quadrature:
+                array.flags.writeable = False
+            op.load_quadrature = quadrature
     b = WeakFunction.zeros(mesh)
-    b.interior[:] = local_load(mesh.element_points(), spec.f)
+    b.interior[:] = local_load(quadrature, spec.f)
     if not np.isfinite(b.coeffs).all():
         raise AssemblyError("source projection produced non-finite values")
 
@@ -343,7 +374,10 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
     if not np.isfinite(values.coeffs).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    rhs = b.coeffs[op.order] - op.coupling @ values.coeffs[~op.free]
+    rhs = b.coeffs[op.order]
+    lifted = values.coeffs[~op.free]
+    if lifted.any():  # zero boundary values lift by zero, and b - 0.0 is b
+        rhs -= op.coupling @ lifted
     return AssembledSystem(operator=op, rhs=rhs, boundary_values=values.coeffs)
 
 

@@ -8,16 +8,20 @@ Subcommands:
 
 A JSON config and a command's flags, which argparse only collects as
 text, go through one validator (``_validate``); its errors name the key
-as ``$.key`` in a config and as ``--flag`` on the command line.  The validator checks types, ranges and
-the allowed keys itself; every other input rule is the library's, and a
+as ``$.key`` in a config and as ``--flag`` on the command line.  The
+validator checks types, ranges and the allowed keys itself; every other
+input rule is the library's, and a
 ValueError the library raises while a key is parsed is reported at that
 key's path: the rectangle and partition rules of ``wg4.mesh``, the level
 doubling of ``wg4.errors``, the region checks of ``wg4.assembly``, and the
 catalog's source-point, n-multiple and grid rules in ``wg4.harness``.  A
 region that holds no element centroid is found when the solve lays it,
-and reported at ``$.regions[i]``.  The two flag errors argparse finds, a
+and reported at ``$.regions[i]``.  An empty ``out`` is rejected at
+``$.out`` or ``--out``.  The errors argparse finds, a missing command, a
 flag given no value and a flag the command does not take, are reported
-at the flag in the same form (``_parse_args``).
+at the command or the flag in the same form (``_parse_args``), on every
+Python version; a flag's value that starts with a minus sign, as in
+``--source -1,2``, reaches the validator as that flag's value.
 
 This is the only module that formats numbers, in 6-significant-digit
 scientific form, so that identical configurations produce byte-identical
@@ -31,8 +35,9 @@ subnormals and exponents beyond +-300 are printed by ``%`` itself.  The
 field CSV is kept as a byte table with its x,y columns written, made
 once per lattice and keyed on the points array that
 ``harness.sample_field`` returns, so a series of sources on one lattice
-only writes their values.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure, 1 anything else.
+only writes their values; the file is written from those bytes.
+Exit codes: 0 success, 2 configuration error, 3 solver failure, 1
+anything else.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -112,6 +118,12 @@ def _as_number(value, path: str) -> float:
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         raise _type_error(path, "a string", value)
+    return value
+
+
+def _as_path(value, path: str) -> str:
+    if _as_str(value, path) == "":
+        raise _type_error(path, "a non-empty path", value)
     return value
 
 
@@ -209,17 +221,17 @@ def _run_config(scenario: str | None = None, **fields) -> RunConfig:
 _REGION = {"shape": (True, _as_str), "kappa": (True, _as_kappa), "mu": (True, _as_number),
            "bounds": (False, _as_rect), "center": (False, _as_point), "radius": (False, _as_number)}
 #: Keys shared by the two commands that solve and sample a field.
-_FIELD = {"out": (False, _as_str), "grid": (False, _as_grid), "solver": (False, _as_solver),
+_FIELD = {"out": (False, _as_path), "grid": (False, _as_grid), "solver": (False, _as_solver),
           "source": (False, _as_point),
           "regions": (False, partial(_items, parse=_as_region, expected="a list"))}
 #: Per command, each top-level key but ``command`` -> (required, value parser).
 _SCHEMA = {
     "solve": {"case": (True, _as_case), "n": (True, _as_int), **_FIELD},
     "convergence": {"case": (True, _as_exact_case), "levels": (True, _as_levels),
-                    "out": (False, _as_str), "solver": (False, _as_solver)},
+                    "out": (False, _as_path), "solver": (False, _as_solver)},
     "ft-demo": {"scenario": (True, _one_of(harness.FT_SCENARIOS, "scenario")),
                 "n": (True, _as_int), **_FIELD},
-    "mesh-dump": {"n": (True, _as_int), "out": (False, _as_str), "domain": (False, _as_rect)},
+    "mesh-dump": {"n": (True, _as_int), "out": (False, _as_path), "domain": (False, _as_rect)},
 }
 
 
@@ -261,9 +273,9 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _write(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _rows(template: str, *columns) -> str:
@@ -337,9 +349,10 @@ def _format_e5(values: np.ndarray, out: np.ndarray) -> int:
 _field_table: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
-    """The sampled-field CSV; ``points`` is the lattice ``harness.sample_field``
-    returned, whose x,y columns are written once into a kept table."""
+def _field_csv(points: np.ndarray, values: np.ndarray) -> bytes:
+    """The sampled-field CSV's bytes; ``points`` is the lattice that
+    ``harness.sample_field`` returned, whose x,y columns are written once
+    into a kept table."""
     global _field_table
     if _field_table is None or _field_table[0] is not points:
         table = np.empty((len(points), 3, _E5_WIDTH + 1), dtype=np.uint8)
@@ -349,7 +362,7 @@ def _field_csv(points: np.ndarray, values: np.ndarray) -> str:
         _field_table = (points, table)
     table = _field_table[1]
     _format_e5(values, table[:, 2, :-1])
-    return "x,y,u0\n" + table.tobytes().translate(None, b"\0").decode()
+    return b"x,y,u0\n" + table.tobytes().translate(None, b"\0")
 
 
 def _mesh_csv(mesh: Mesh) -> str:
@@ -410,7 +423,7 @@ def run(cfg: RunConfig) -> int:
     else:  # mesh-dump
         text = _mesh_csv(build_structured_mesh(cfg.domain or harness.UNIT_SQUARE, cfg.n))
     if cfg.out:
-        _write(cfg.out, text)
+        _write(cfg.out, text.encode())
     else:
         print(text, end="")
     return 0
@@ -433,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         exit_on_error=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")  # a missing one is reported by _parse_args
 
     p_solve = sub.add_parser("solve", help="run a JSON configuration file", exit_on_error=False)
     p_solve.add_argument("--config", help="path to a JSON run configuration")
@@ -459,14 +472,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A flag, and a value that argparse would take for one, such as ``-1,2``.
+_FLAG = re.compile(r"--\w[\w-]*")
+_DASHED_VALUE = re.compile(r"-[\d.]")
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """argparse's namespace of ``argv``.  Its errors, such as a flag given
-    no value, and the first argument it leaves over, such as a flag the
-    command does not take, are ConfigErrors at the flag."""
+    """argparse's namespace of ``argv``.  A missing command, argparse's
+    errors, such as a flag given no value, and the first argument it
+    leaves over, such as a flag the command does not take, are
+    ConfigErrors at the command or the flag.  A value that starts with a
+    dash and a digit or point, such as ``--source -1,2``, is joined to
+    its flag as ``--source=-1,2``, so that it reaches the validator."""
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and _FLAG.fullmatch(tokens[-1]) and _DASHED_VALUE.match(token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args, extra = _build_parser().parse_known_args(argv)
+        args, extra = _build_parser().parse_known_args(tokens)
     except argparse.ArgumentError as exc:
         raise ConfigError(str(exc).removeprefix("argument ")) from exc
+    if args.command is None:
+        raise ConfigError(f"command: required key missing; one of {', '.join(_SCHEMA)}")
     if extra:
         flags = [token.split("=")[0] for token in extra if token.startswith("-")]
         raise ConfigError(f"{flags[0]}: unknown key" if flags
@@ -484,7 +513,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text)
-        cfg.out = args.out or cfg.out
+        if args.out is not None:
+            cfg.out = _as_path(args.out, "--out")
         return cfg
     doc = {key: _literal(value) if key in ("n", "grid") else value
            for key, value in vars(args).items() if value is not None}

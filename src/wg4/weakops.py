@@ -56,7 +56,10 @@ affine map x = v0 + J X: the affine-mapped bases take the reference
 values at the mapped points, their gradients map by J^-T, and their
 traces on a local edge depend only on the edge and its orientation.
 Loads (``local_load``) and projections are batched the same way over all
-elements or edges.
+elements or edges.  A load takes the source at the triangle rule's points
+mapped onto each element, from ``load_quadrature``, which depends only on
+the mesh: a caller that loads many sources on one mesh can keep those
+points and their determinants and pay only for the source's values.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ __all__ = [
     "weak_gradient_matrix",
     "AssemblyError",
     "local_system",
+    "load_quadrature",
     "local_load",
     "interior_moments",
     "project_Qb",
@@ -324,18 +328,27 @@ def _weighted_interior_basis() -> np.ndarray:
     return table
 
 
-def interior_moments(points: np.ndarray, u) -> np.ndarray:
-    """Moments (E, 6) of ``u`` against the P2 basis of each triangle
-    ``points`` (E, 3, 2), divided by the triangle's 2|T|."""
+def load_quadrature(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``local_load`` needs of the triangles ``points`` (E, 3, 2):
+    their 2|T| (E,) and the triangle rule's points mapped onto them
+    (E, q, 2).  None of it depends on the source, so a caller that loads
+    many sources on one mesh may keep it."""
     rule = poly.triangle_quadrature(poly.DEFAULT_TRIANGLE_DEGREE)
-    pts = poly.map_to_triangles(rule, points)
-    return u(pts[..., 0], pts[..., 1]) @ _weighted_interior_basis()
+    return poly.jacobian_determinants(points), poly.map_to_triangles(rule, points)
 
 
-def local_load(points: np.ndarray, f) -> np.ndarray:
+def interior_moments(mapped: np.ndarray, u) -> np.ndarray:
+    """Moments (E, 6) of ``u`` against the P2 basis of each triangle,
+    divided by the triangle's 2|T|, from the quadrature points ``mapped``
+    (E, q, 2) of ``load_quadrature``."""
+    return u(mapped[..., 0], mapped[..., 1]) @ _weighted_interior_basis()
+
+
+def local_load(quadrature: tuple[np.ndarray, np.ndarray], f) -> np.ndarray:
     """Load vectors (E, 6) of the source against the interior basis of
-    each triangle ``points`` (E, 3, 2)."""
-    return poly.jacobian_determinants(points)[:, None] * interior_moments(points, f)
+    each triangle, from its ``load_quadrature``."""
+    det, mapped = quadrature
+    return det[:, None] * interior_moments(mapped, f)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +405,8 @@ def project_Qh(mesh: Mesh, u, grad_u, kappa) -> WeakFunction:
 
     out = WeakFunction.zeros(mesh)
     mass = poly.reference_mass(INTERIOR_DEGREE)
-    out.interior[:] = np.linalg.solve(mass, interior_moments(mesh.element_points(), u).T).T
+    mapped = load_quadrature(mesh.element_points())[1]
+    out.interior[:] = np.linalg.solve(mass, interior_moments(mapped, u).T).T
     segments = mesh.edge_points()
     out.edges[:, :2] = project_Qb(segments, u)
     out.edges[:, 2:] = project_Qg(segments, flux)

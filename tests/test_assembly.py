@@ -2,10 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from util import (
     Element,
     LocalWeakFunction,
+    eigvalsh_check_coefficients,
     element_mass_matrix,
     full_matrix,
     quadratic_problem,
@@ -80,7 +83,7 @@ def test_local_system_symmetric_psd():
 
 
 def test_local_load_constant_source(geom):
-    load = weakops.local_load(geom.points, lambda x, y: np.ones_like(x))[0]
+    load = weakops.local_load(weakops.load_quadrature(geom.points), lambda x, y: np.ones_like(x))[0]
     # Leading basis function is identically 1, so its load is |T|.
     assert load[0] == pytest.approx(geom.tri.area, rel=1e-13)
 
@@ -336,7 +339,8 @@ def test_boundary_lift_equals_full_matrix_product(case):
     spec = entry.problem(mesh)
     system = assemble(mesh, spec)
     b = np.zeros(weakops.dof_count(mesh))
-    b[: 6 * mesh.n_elements] = weakops.local_load(mesh.element_points(), spec.f).ravel()
+    quadrature = weakops.load_quadrature(mesh.element_points())
+    b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
     lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.operator.order]
     assert np.abs(system.boundary_values).max() > 0
     assert np.array_equal(system.rhs, lifted)
@@ -358,3 +362,92 @@ def test_operator_blocks_equal_the_sliced_full_matrix(case, n, regions):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the coefficient checks against their eigvalsh form
+# ---------------------------------------------------------------------------
+
+
+def check_outcome(check, kappa, mu, indexed=True):
+    """The message ``check`` raises for (kappa, mu), or None."""
+    try:
+        check(np.asarray(kappa, dtype=float), np.asarray(mu, dtype=float), indexed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_checks_agree(kappa, mu):
+    for indexed in (True, False):
+        want = check_outcome(eigvalsh_check_coefficients, kappa, mu, indexed)
+        assert check_outcome(assembly._check_coefficients, kappa, mu, indexed) == want
+
+
+EDGES = [v for edge in assembly.COEFFICIENT_RANGE
+         for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+SPECIAL = [*EDGES, 1.0, 0.3, 1e-200, 1e200, 1e-300, 1e300, 0.0, -0.0, -1.0, -1e-100, 5e-324,
+           np.nan, np.inf, -np.inf]
+
+
+def coefficient_battery(rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
+    """(kappa, mu) pairs at the range edges and their neighbours, on
+    diagonal, near-singular, anisotropic and barely asymmetric kappa."""
+    kappas = []
+    for t in SPECIAL:  # a scalar kappa, and a diagonal one against 1 and the range edges
+        kappas += [np.diag([t, t]), np.diag([t, 1.0]), np.diag([1.0, t]), np.diag([1e100, t]),
+                   np.diag([t, 1e100]), np.diag([3.7, t]), np.diag([t, 3.7]),
+                   np.diag([t, 1e-100]), [[1.0, t], [t, 1.0]], [[1.0, 0.0], [t, 1.0]]]
+    # exactly singular and indefinite kappa
+    kappas += [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, -2.0], [-2.0, 1.0]],
+               [[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2))]
+    # near-singular and strongly anisotropic: diag(l, l r) turned by a random angle
+    for scale in (1e-90, 1e-5, 1.0, 1e5, 1e90):
+        for ratio in (1.0, 1e-4, 1e-8):
+            for angle in rng.uniform(0.0, np.pi, 4):
+                c, s = np.cos(angle), np.sin(angle)
+                turn = np.array([[c, -s], [s, c]])
+                k = turn @ np.diag([scale, scale * ratio]) @ turn.T
+                kappas.append(0.5 * (k + k.T))
+    # off-diagonal pairs at the symmetry tolerance |u - l| <= 1e-14 + 1e-5 |other|, both ways
+    for lower in (0.0, 0.5, -0.5, 3e-10):
+        for direction in (1.0, -1.0):
+            edge = lower + direction * (1e-14 + 1e-5 * abs(lower))
+            for upper in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                kappas += [[[1.0, upper], [lower, 1.0]], [[1.0, lower], [upper, 1.0]]]
+    mus = [*SPECIAL, 0.5]
+    return [(np.asarray(k, dtype=float), mu) for k in kappas for mu in rng.choice(mus, 3)]
+
+
+def test_coefficient_checks_equal_their_eigvalsh_form():
+    rng = np.random.default_rng(0)
+    battery = coefficient_battery(rng)
+    for kappa, mu in battery:
+        assert_checks_agree(kappa[None], [mu])
+    # in a batch, both name the same first bad element
+    kappas, mus = np.array([k for k, _ in battery]), np.array([m for _, m in battery])
+    for _ in range(200):
+        pick = rng.choice(len(battery), 12, replace=False)
+        assert_checks_agree(kappas[pick], mus[pick])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-120.0, 120.0), st.floats(0.0, 8.0), st.sampled_from([1.0, -1.0]),
+       st.floats(0.0, np.pi), st.sampled_from([0.0, 1e-15, -1e-9, 1e-3]),
+       st.one_of(st.sampled_from(SPECIAL), st.floats()))
+def test_coefficient_checks_agree_off_the_edges(exponent, spread, sign, angle, skew, mu):
+    # kappa = R diag(l, sign l 10^-spread) R^T, of condition number 1e8 at
+    # most, so both forms find each eigenvalue to about 1e-8; an eigenvalue
+    # that close to a range edge, or a printed one that close to a
+    # rounding tie, is left to the seeded battery above
+    big = 10.0**exponent
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    kappa = turn @ np.diag([big, sign * big * 10.0**-spread]) @ turn.T
+    kappa = 0.5 * (kappa + kappa.T)
+    kappa[0, 1] += skew * abs(kappa[0, 1])
+    for value in np.linalg.eigvalsh(kappa):
+        for edge in assembly.COEFFICIENT_RANGE:
+            assume(abs(value - edge) > 1e-6 * edge)
+        assume(f"{value * (1 - 1e-7):g}" == f"{value * (1 + 1e-7):g}")
+    assert_checks_agree(kappa[None], [mu])

@@ -85,7 +85,7 @@ def test_project_qh_edge_blocks_match_per_edge_projection(setup):
 
 def test_loads_match_per_element_quadrature(setup):
     mesh, spec, _ = setup
-    got = weakops.local_load(mesh.element_points(), spec.f)
+    got = weakops.local_load(weakops.load_quadrature(mesh.element_points()), spec.f)
     want = np.array([element_load(make_triangle(mesh.vertices[v]), spec.f)
                      for v in mesh.element_vertices])
     assert _close(got, want)

@@ -135,6 +135,10 @@ def test_bad_region_values_rejected(region, fragment):
                  "regions": [{"shape": "disk", "center": [25, 15], "radius": 4,
                               "kappa": [[1, 0], [0]], "mu": 0.0}]}),
      "$.regions[0].kappa[1]: expected a row of two numbers, got [0]"),
+    (json.dumps({"command": "ft-demo", "scenario": "gaussian-source", "n": 8, "out": ""}),
+     "$.out: expected a non-empty path, got ''"),
+    (json.dumps({"command": "mesh-dump", "n": 2, "out": ""}),
+     "$.out: expected a non-empty path, got ''"),
 ])
 def test_invalid_configs_rejected(text, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -365,12 +369,40 @@ def test_gaussian_demo_with_source(tmp_path):
     (["convergence", "--case", "sine", "--levels", "2,4", "--n", "4"], "--n: unknown key"),
     (["ft-demo", "--scenario", "sine", "--n"], "--n: expected one argument"),
     (["solve"], "--config: required key missing"),
+    # a value that starts with a minus sign reaches the validator
+    (["convergence", "--case", "sine", "--levels", "-2,-4"], "--levels[0]: must be >= 1, got -2"),
+    (["ft-demo", "--scenario", "gaussian-source", "--n", "4", "--source", "-1,2"],
+     "--source: source point (-1, 2) lies outside the domain"),
+    (["ft-demo", "--scenario", "gaussian-source", "--n", "4", "--source", "-.5,-2"],
+     "--source: source point (-0.5, -2) lies outside the domain"),
+    (["mesh-dump", "--n", "2", "--bogus", "-1"], "--bogus: unknown key"),
+    # an empty output path
+    (["mesh-dump", "--n", "2", "--out", ""], "--out: expected a non-empty path, got ''"),
+    (["convergence", "--case", "sine", "--levels", "8", "--out", ""],
+     "--out: expected a non-empty path, got ''"),
 ])
 def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
     # an input that stops being rejected must fail here, not run (or build a huge mesh)
     monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail(f"accepted {cfg}"))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {message}")
+
+
+def test_missing_command_is_a_config_error(capsys):
+    # argparse prints its usage for this on some Python versions and raises on others
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config: command: required key missing; "
+                            "one of solve, convergence, ft-demo, mesh-dump\n")
+
+
+def test_empty_out_flag_of_solve_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail(f"accepted {cfg}"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"command": "mesh-dump", "n": 2, "out": str(tmp_path / "m.csv")}))
+    assert main(["solve", "--config", str(config), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: config: --out: expected a non-empty path, got ''\n"
 
 
 @pytest.mark.parametrize("doc,attr,value", [

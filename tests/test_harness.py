@@ -11,6 +11,7 @@ from wg4.cli import _convergence_csv
 from wg4.errors import error_report
 from wg4.harness import (
     CATALOG,
+    DEFAULT_SOURCE,
     DIFFUSION,
     ABSORPTION,
     SECOND_SOURCE,
@@ -426,3 +427,52 @@ def test_regions_laid_in_the_cases_one_field(name, monkeypatch):
     assert len(calls) == 1
     assert np.all(spec.coeff.kappa == 2.0 * np.eye(2)) and np.all(spec.coeff.mu == 0.5)
     assert report.residual <= 1e-10
+
+
+def test_warm_load_equals_a_cold_one(monkeypatch):
+    # from the second source on one operator, the load's quadrature points
+    # are kept on it; every load is still the cold local_load's, bit for bit
+    calls = []
+
+    def recording(quadrature, f):
+        calls.append((quadrature, weakops.local_load(quadrature, f)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(assembly, "local_load", recording)
+    sources = [DEFAULT_SOURCE, SECOND_SOURCE, (25.0, 25.0), (0.0, 50.0)]
+    solutions = [solve_case(case_ft_gaussian(source), 8) for source in sources]
+    op = assembly._slot
+    assert op.load_quadrature is not None
+    assert all(not array.flags.writeable for array in op.load_quadrature)
+    kept = [quadrature is op.load_quadrature for quadrature, _ in calls]
+    assert kept == [False, True, True, True]
+    for (mesh, spec, u_h, _), (_, load) in zip(solutions, calls):
+        cold = weakops.local_load(weakops.load_quadrature(mesh.element_points()), spec.f)
+        assert load.tobytes() == cold.tobytes()
+    # and a warm solve is the cold solve
+    assembly.empty_slot()
+    _, _, cold_u, _ = solve_case(case_ft_gaussian(sources[-1]), 8)
+    assert solutions[-1][2].coeffs.tobytes() == cold_u.coeffs.tobytes()
+
+
+def test_cold_solves_keep_no_quadrature_points():
+    solve_case(catalog_entry("gaussian-source"), 8)
+    assert assembly._slot.load_quadrature is None
+    run_convergence(case_sine(), [4, 8])  # one operator per level, each assembled once
+    assert assembly._slot.load_quadrature is None
+
+
+def test_zero_boundary_values_lift_by_nothing():
+    # the gaussian scenario's boundary data is zero: its right-hand side is
+    # the load in the solve order, as b - coupling @ 0 would give it
+    entry = catalog_entry("gaussian-source")
+    mesh = entry.make_mesh(8)
+    spec = entry.problem(mesh)
+    system = assemble(mesh, spec)
+    op = system.operator
+    b = np.zeros(weakops.dof_count(mesh))
+    b[: 6 * mesh.n_elements] = weakops.local_load(
+        weakops.load_quadrature(mesh.element_points()), spec.f).ravel()
+    assert not system.boundary_values.any()
+    lifted = b[op.order] - op.coupling @ system.boundary_values[~op.free]
+    assert system.rhs.tobytes() == lifted.tobytes()

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from wg4 import harness, poly, weakops
 from wg4.mesh import Mesh
-from wg4.assembly import CoefficientField, ProblemSpec
+from wg4.assembly import COEFFICIENT_RANGE, CoefficientField, ProblemSpec
 from wg4.mesh import build_structured_mesh
 
 FD_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -431,6 +431,38 @@ def sliced_blocks(operator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     values = operator.class_matrices[operator.classes].ravel()
     full = sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
     return full[:k, :k], full[:k, k:]
+
+
+def eigvalsh_check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
+    """``assembly._check_coefficients`` as it was before its eigenvalues
+    were taken in closed form: symmetry by ``np.isclose`` over the whole
+    matrix and the eigenvalues by ``np.linalg.eigvalsh``."""
+
+    def name(what: str, i: int) -> str:
+        return f"{what}[{i}]" if indexed else what
+
+    finite = np.isfinite(kappa).all(axis=(1, 2))
+    symmetric = np.isclose(kappa, kappa.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
+    ok = finite & symmetric
+    safe = np.where(ok[:, None, None], kappa, np.eye(2))  # eigvalsh needs finite input
+    eigenvalues = np.linalg.eigvalsh(safe)  # ascending
+    definite = eigenvalues[:, 0] > 0
+    low, high = COEFFICIENT_RANGE
+    in_range = (low <= eigenvalues[:, 0]) & (eigenvalues[:, 1] <= high)
+    bad = np.flatnonzero(~(ok & in_range))
+    if len(bad):
+        i = bad[0]
+        extreme = eigenvalues[i, 0] if eigenvalues[i, 0] < low else eigenvalues[i, 1]
+        reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
+                  else "not positive definite" if not definite[i]
+                  else f"eigenvalue {extreme:g} outside [{low:g}, {high:g}]")
+        raise ValueError(f"{name('kappa', i)}: {reason}")
+    bad = np.flatnonzero(~((mu == 0) | ((low <= mu) & (mu <= high))))
+    if len(bad):
+        value = mu[bad[0]]
+        need = ("finite" if not np.isfinite(value) else "nonnegative" if value < 0
+                else f"0 or in [{low:g}, {high:g}]")
+        raise ValueError(f"{name('mu', bad[0])}: must be {need}, got {value}")
 
 
 def unit_square_mesh(n: int) -> Mesh:
