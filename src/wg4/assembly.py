@@ -179,6 +179,11 @@ class CoefficientField:
     mu: np.ndarray  # (n_elements,)
 
     def __post_init__(self):
+        for name in ("kappa", "mu"):  # float arrays; any nested sequence of numbers will do
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: expected an array of numbers; {exc}") from exc
         _check_coefficients(self.kappa, self.mu)
 
     @classmethod

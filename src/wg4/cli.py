@@ -6,22 +6,26 @@ Subcommands:
     ft-demo      forward-model scenario, sampled field output
     mesh-dump    mesh connectivity dump
 
-A JSON config and a command's flags, which argparse only collects as
-text, go through one validator (``_validate``); its errors name the key
-as ``$.key`` in a config and as ``--flag`` on the command line.  The
-validator checks types, ranges and the allowed keys itself; every other
-input rule is the library's, and a
-ValueError the library raises while a key is parsed is reported at that
-key's path: the rectangle and partition rules of ``wg4.mesh``, the level
-doubling of ``wg4.errors``, the region checks of ``wg4.assembly``, and the
-catalog's source-point, n-multiple and grid rules in ``wg4.harness``.  A
-region that holds no element centroid is found when the solve lays it,
-and reported at ``$.regions[i]``.  An empty ``out`` is rejected at
-``$.out`` or ``--out``.  The errors argparse finds, a missing command, a
-flag given no value and a flag the command does not take, are reported
-at the command or the flag in the same form (``_parse_args``), on every
-Python version; a flag's value that starts with a minus sign, as in
-``--source -1,2``, reaches the validator as that flag's value.
+A JSON config and a command's flags go through one validator
+(``_validate``); its errors name the key as ``$.key`` in a config and as
+``--flag`` on the command line.  The flags are read by ``_read_flags``
+from the table ``_FLAGS``: the first argument is the command, and each
+``--flag value`` or ``--flag=value`` after it gives that flag's text,
+the token after a flag being its value unless it starts with ``--``, so
+``--source -1,2`` reads as written.  Flag names are given in full, and
+a repeated flag keeps its last value; ``-h`` or ``--help`` prints
+each command's flags and the cases.  A missing or unknown command, a
+flag the command does not take, a flag given no value and a stray
+argument are reported in the validator's form, at the command or the
+flag.  The validator checks types, ranges and the allowed keys itself;
+every other input rule is the library's, and a ValueError the library
+raises while a key is parsed is reported at that key's path: the
+rectangle and partition rules of ``wg4.mesh``, the level doubling of
+``wg4.errors``, the region checks of ``wg4.assembly``, and the catalog's
+source-point, n-multiple and grid rules in ``wg4.harness``.  A region
+that holds no element centroid is found when the solve lays it, and
+reported at ``$.regions[i]``.  An empty ``out`` is rejected at ``$.out``
+or ``--out``.
 
 This is the only module that formats numbers, in 6-significant-digit
 scientific form, so that identical configurations produce byte-identical
@@ -42,14 +46,13 @@ anything else.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -273,11 +276,6 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def _rows(template: str, *columns) -> str:
     """One ``template`` line per row of the stacked columns: a single
     ``%`` over the flattened table, with no per-row loop."""
@@ -403,7 +401,7 @@ def _run_field_command(cfg: RunConfig) -> None:
         raise ConfigError(f"$.{exc}") from exc
     points, values = harness.sample_field(mesh, u_h, cfg.grid)
     if cfg.out:
-        _write(cfg.out, _field_csv(points, values))
+        Path(cfg.out).write_bytes(_field_csv(points, values))
     print(f"{cfg.case}: n={mesh.n} dofs={u_h.coeffs.size} "
           f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}")
     if spec.has_exact:
@@ -423,104 +421,81 @@ def run(cfg: RunConfig) -> int:
     else:  # mesh-dump
         text = _mesh_csv(build_structured_mesh(cfg.domain or harness.UNIT_SQUARE, cfg.n))
     if cfg.out:
-        _write(cfg.out, text.encode())
+        Path(cfg.out).write_bytes(text.encode())
     else:
         print(text, end="")
     return 0
 
 
-def _case_listing() -> str:
-    lines = ["cases:"]
-    for name, entry in sorted(harness.CATALOG.items()):
-        lines.append(f"  {name:20s} {entry.description}")
-    lines.append("ft-demo scenarios: " + ", ".join(harness.FT_SCENARIOS))
-    return "\n".join(lines)
+#: Per command, the flags it takes: config keys of ``_SCHEMA``, but for
+#: ``solve``'s ``--config``, which names a JSON config file.
+_FLAGS = {
+    "solve": ("config", "out"),
+    "convergence": ("case", "levels", "out"),
+    "ft-demo": ("scenario", "source", "n", "grid", "out"),
+    "mesh-dump": ("n", "out"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wg4",
-        description="Weak Galerkin solver for fourth-order elliptic problems "
-        "with simultaneous Dirichlet and Neumann boundary data.",
-        epilog=_case_listing(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        exit_on_error=False,
-    )
-    sub = parser.add_subparsers(dest="command")  # a missing one is reported by _parse_args
-
-    p_solve = sub.add_parser("solve", help="run a JSON configuration file", exit_on_error=False)
-    p_solve.add_argument("--config", help="path to a JSON run configuration")
-    p_solve.add_argument("--out", help="output CSV path (overrides the config)")
-
-    p_conv = sub.add_parser("convergence", help="error/order table over halving mesh sizes",
-                            exit_on_error=False)
-    p_conv.add_argument("--case")
-    p_conv.add_argument("--levels", help="comma-separated, each double the last")
-    p_conv.add_argument("--out", help="output CSV path")
-
-    p_ft = sub.add_parser("ft-demo", help="forward-model scenario, sampled field CSV",
-                          exit_on_error=False)
-    p_ft.add_argument("--scenario")
-    p_ft.add_argument("--source", help="x,y source point (the Gaussian scenario only)")
-    p_ft.add_argument("--n")
-    p_ft.add_argument("--grid")
-    p_ft.add_argument("--out", help="output CSV path")
-
-    p_mesh = sub.add_parser("mesh-dump", help="dump mesh connectivity as CSV", exit_on_error=False)
-    p_mesh.add_argument("--n")
-    p_mesh.add_argument("--out", help="output CSV path")
-    return parser
+def _usage() -> str:
+    """The help text: each command's flags, the cases and the ft-demo scenarios."""
+    return "\n".join([
+        "usage: wg4 COMMAND [--flag VALUE | --flag=VALUE]...", "",
+        "Weak Galerkin solver for fourth-order elliptic problems with simultaneous",
+        "Dirichlet and Neumann boundary data.", "", "commands and their flags:",
+        *(f"  {command:12s} {' '.join('--' + key for key in keys)}"
+          for command, keys in _FLAGS.items()),
+        "cases:", *(f"  {name:20s} {entry.description}"
+                    for name, entry in sorted(harness.CATALOG.items())),
+        "ft-demo scenarios: " + ", ".join(harness.FT_SCENARIOS)])
 
 
-#: A flag, and a value that argparse would take for one, such as ``-1,2``.
-_FLAG = re.compile(r"--\w[\w-]*")
-_DASHED_VALUE = re.compile(r"-[\d.]")
+def _read_flags(argv: list[str]) -> dict:
+    """``{"command": argv[0], key: value}`` for each ``--key value`` or
+    ``--key=value`` after the command, the value as text.  The token
+    after a flag is its value unless it starts with ``--``, and a
+    repeated flag keeps its last value.  ``-h`` or ``--help`` in place
+    of the command or a flag prints the usage and exits 0."""
+    flags = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage())
+            raise SystemExit(0)
+        if not flags:
+            if token not in _FLAGS:
+                raise ConfigError(f"command: must be one of {', '.join(_FLAGS)}, got {token!r}")
+            flags["command"] = token
+            continue
+        if not token.startswith("--"):
+            raise ConfigError(f"unexpected argument {token!r}")
+        key, eq, value = token[2:].partition("=")
+        if key not in _FLAGS[flags["command"]]:
+            raise ConfigError(f"--{key}: unknown key")
+        value = value if eq else next(tokens, "--")  # no token left reads as a flag
+        if value.startswith("--") and not eq:
+            raise ConfigError(f"--{key}: expected one argument")
+        flags[key] = value
+    if not flags:
+        raise ConfigError(f"command: required key missing; one of {', '.join(_FLAGS)}")
+    return flags
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """argparse's namespace of ``argv``.  A missing command, argparse's
-    errors, such as a flag given no value, and the first argument it
-    leaves over, such as a flag the command does not take, are
-    ConfigErrors at the command or the flag.  A value that starts with a
-    dash and a digit or point, such as ``--source -1,2``, is joined to
-    its flag as ``--source=-1,2``, so that it reaches the validator."""
-    tokens = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and _FLAG.fullmatch(tokens[-1]) and _DASHED_VALUE.match(token):
-            tokens[-1] += "=" + token
-        else:
-            tokens.append(token)
-    try:
-        args, extra = _build_parser().parse_known_args(tokens)
-    except argparse.ArgumentError as exc:
-        raise ConfigError(str(exc).removeprefix("argument ")) from exc
-    if args.command is None:
-        raise ConfigError(f"command: required key missing; one of {', '.join(_SCHEMA)}")
-    if extra:
-        flags = [token.split("=")[0] for token in extra if token.startswith("-")]
-        raise ConfigError(f"{flags[0]}: unknown key" if flags
-                          else f"unexpected argument {extra[0]!r}")
-    return args
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "solve":
-        if args.config is None:
+def _config_from_flags(flags: dict) -> RunConfig:
+    if flags["command"] == "solve":
+        if "config" not in flags:
             raise ConfigError("--config: required key missing")
         try:
-            with open(args.config) as fh:
-                text = fh.read()
+            text = Path(flags["config"]).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text)
-        if args.out is not None:
-            cfg.out = _as_path(args.out, "--out")
+        if "out" in flags:
+            cfg.out = _as_path(flags["out"], "--out")
         return cfg
-    doc = {key: _literal(value) if key in ("n", "grid") else value
-           for key, value in vars(args).items() if value is not None}
-    for key in ("levels", "source"):
-        if key in doc:
-            doc[key] = [_literal(item) for item in doc[key].split(",")]
+    doc = {key: [_literal(item) for item in value.split(",")] if key in ("levels", "source")
+           else _literal(value) if key in ("n", "grid") else value
+           for key, value in flags.items()}
     return _validate(doc, "", "--")
 
 
@@ -535,7 +510,7 @@ def _literal(text: str):
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(_config_from_args(_parse_args(argv)))
+        return run(_config_from_flags(_read_flags(sys.argv[1:] if argv is None else argv)))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

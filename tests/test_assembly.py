@@ -292,6 +292,28 @@ def test_coefficient_field_names_first_bad_element():
         CoefficientField(kappa=kappa, mu=mu[1:])
 
 
+@pytest.mark.parametrize("kappa,mu", [
+    ([[[2, 0.5], [0.5, 1]], [[1, 0], [0, 1]]], [0, 0.25]),  # nested lists
+    (np.array([[[2, 0.5], [0.5, 1]], [[1, 0], [0, 1]]]), [0, 0.25]),  # an array and a list
+])
+def test_coefficient_field_takes_nested_sequences(kappa, mu):
+    field = CoefficientField(kappa=kappa, mu=mu)
+    assert field.kappa.dtype == field.mu.dtype == np.float64
+    np.testing.assert_array_equal(field.kappa, [[[2, 0.5], [0.5, 1]], [[1, 0], [0, 1]]])
+    np.testing.assert_array_equal(field.mu, [0, 0.25])
+
+
+@pytest.mark.parametrize("kappa,mu,name", [
+    ([[[1, 0], [0, "one"]]], [0.0], "kappa"),
+    ([[[1, 0], [0, 1]], [[1, 0]]], [0.0, 0.0], "kappa"),  # ragged
+    (np.eye(2)[None], ["zero"], "mu"),
+    (np.eye(2)[None], [[0.0, 1.0], [2.0]], "mu"),  # ragged
+])
+def test_coefficient_field_names_a_field_it_cannot_convert(kappa, mu, name):
+    with pytest.raises(ValueError, match=f"^{name}: expected an array of numbers"):
+        CoefficientField(kappa=kappa, mu=mu)
+
+
 def test_field_of_another_mesh_rejected_with_both_counts():
     coarse, fine = unit_square_mesh(4), unit_square_mesh(8)
     zero = np.vectorize(lambda x, y: 0.0, otypes=[float])

@@ -1,5 +1,5 @@
-import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -311,13 +311,18 @@ def test_missing_config_file(capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
-def test_help_lists_every_case(capsys):
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["ft-demo", "--help"]])
+def test_help_lists_every_case(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--help"])
+        main(argv)
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for name in CATALOG:
         assert name in out
+    for command, keys in cli._FLAGS.items():
+        assert command in out
+        for key in keys:
+            assert f"--{key}" in out
 
 
 @pytest.mark.parametrize("source,fragment", [
@@ -357,7 +362,7 @@ def test_gaussian_demo_with_source(tmp_path):
      "--levels[1]: must be <= 1024, got 2048"),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--grid", "2049"],
      "--grid: must be <= 2048, got 2049"),
-    # missing flags and bad integers: the validator's messages, not argparse's
+    # missing flags and bad integers
     (["ft-demo", "--scenario", "gaussian-source"], "--n: required key missing"),
     (["convergence", "--levels", "8,16"], "--case: required key missing"),
     (["ft-demo", "--scenario", "gaussian-source", "--n", "x"],
@@ -376,6 +381,10 @@ def test_gaussian_demo_with_source(tmp_path):
     (["ft-demo", "--scenario", "gaussian-source", "--n", "4", "--source", "-.5,-2"],
      "--source: source point (-0.5, -2) lies outside the domain"),
     (["mesh-dump", "--n", "2", "--bogus", "-1"], "--bogus: unknown key"),
+    # a command that does not exist, an abbreviated flag and a stray argument
+    (["bogus"], "command: must be one of solve, convergence, ft-demo, mesh-dump, got 'bogus'"),
+    (["mesh-dump", "--n", "2", "--o", "m.csv"], "--o: unknown key"),
+    (["mesh-dump", "--n", "2", "m.csv"], "unexpected argument 'm.csv'"),
     # an empty output path
     (["mesh-dump", "--n", "2", "--out", ""], "--out: expected a non-empty path, got ''"),
     (["convergence", "--case", "sine", "--levels", "8", "--out", ""],
@@ -389,7 +398,7 @@ def test_flag_errors_name_the_flag(argv, message, capsys, monkeypatch):
 
 
 def test_missing_command_is_a_config_error(capsys):
-    # argparse prints its usage for this on some Python versions and raises on others
+    # the same message on every Python version, with no usage text
     assert main([]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -521,16 +530,41 @@ FLAG_CASES = [
 
 @pytest.mark.parametrize("argv,doc", FLAG_CASES)
 def test_flags_give_the_config_of_their_json(argv, doc):
-    from_flags = cli._config_from_args(cli._build_parser().parse_args(argv))
+    from_flags = cli._config_from_flags(cli._read_flags(argv))
     assert from_flags == parse_config(json.dumps(doc))
 
 
 def test_flag_cases_cover_every_flag():
-    parser = cli._build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, sub in commands.choices.items():
+    for command, keys in cli._FLAGS.items():
         if command == "solve":  # its flags name a config file, not config keys
             continue
-        flags = {flag for action in sub._actions for flag in action.option_strings}
+        flags = {f"--{key}" for key in keys}
         covered = {arg for argv, _ in FLAG_CASES if argv[0] == command for arg in argv}
-        assert flags - {"-h", "--help"} <= covered, command
+        assert flags <= covered, command
+
+
+def test_read_flags_takes_the_token_after_a_flag_as_its_value():
+    assert cli._read_flags(["mesh-dump", "--n", "3", "--out", "-x.csv"]) == {
+        "command": "mesh-dump", "n": "3", "out": "-x.csv"}
+    assert cli._read_flags(["mesh-dump", "--out=--x.csv", "--n=-3"]) == {
+        "command": "mesh-dump", "out": "--x.csv", "n": "-3"}
+
+
+def test_read_flags_keeps_the_last_of_a_repeated_flag():
+    assert cli._read_flags(["mesh-dump", "--n", "3", "--n=4", "--out", "a", "--n", "5"]) == {
+        "command": "mesh-dump", "n": "5", "out": "a"}
+
+
+def test_module_entry_point_reads_sys_argv():
+    # the console script and ``python -m wg4.cli`` call main() with no argv
+    src = Path(wg4.__file__).resolve().parents[1]
+    golden = Path(__file__).parent / "golden" / "mesh-dump-n3.csv"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "wg4.cli", "mesh-dump", "--n", "3"],
+                          capture_output=True, env=env, check=True)
+    assert done.stdout == golden.read_bytes()
+    done = subprocess.run([sys.executable, "-m", "wg4.cli", "bogus"], capture_output=True,
+                          env=env, text=True)
+    assert done.returncode == 2
+    assert done.stderr == ("error: config: command: must be one of solve, convergence, "
+                           "ft-demo, mesh-dump, got 'bogus'\n")

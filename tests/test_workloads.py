@@ -40,7 +40,7 @@ EXPECTED_ARGV = {
 @pytest.mark.parametrize("table,name", sorted(EXPECTED_ARGV))
 def test_process_workload_argv_parses(table, name):
     work = getattr(workloads, table)[name]
-    cfg = cli._config_from_args(cli._build_parser().parse_args(list(work.argv)))
+    cfg = cli._config_from_flags(cli._read_flags(list(work.argv)))
     assert (cfg.command, cfg.case, cfg.n, cfg.levels) == EXPECTED_ARGV[table, name]
     if work.grid:
         assert cfg.grid == work.grid
