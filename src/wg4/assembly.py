@@ -18,26 +18,21 @@ eliminated symmetrically.
 An assembled system has two parts.  The operator depends only on the
 mesh and the coefficient field: the free-dof mask, the order of the free
 dofs (``weakops.solve_order``), the reduced matrix in that order, its
-coupling block to the boundary dofs, the class matrices, and the SuperLU
-factorization of the reduced matrix, which ``solve.solve_spd`` fills in
-on first use.  The element matrices are summed straight into a numbering
-with the free dofs first, in that order, and the boundary dofs last, in
-layout order, so the reduced matrix and the coupling block are its
-leading rows, cut at the first boundary column.  The load depends on the
-problem's data: the interior load vector, the boundary Qb/Qg values and
-the reduced right-hand side, lifted by the coupling block unless every
-boundary value is zero.  An operator that ``assemble`` finds already
-factored is being reused, and from then on it also keeps the load's
-source-independent geometry, ``weakops.load_quadrature`` (0.8 MB at
-n=32), so each later load only evaluates its source; a one-shot solve
-keeps nothing extra through its factorization.  Tomography
-solves one problem per source on one medium, so the last operator
-assembled is kept in one process-wide slot, keyed on the mesh object
-(``wg4.harness`` hands every solve on one domain and n the same mesh)
-and on exact equality of kappa and mu.  ``assemble`` and
-``triple_bar_norm`` reuse it while the key matches; a miss empties the
-slot before assembling, so at most one factorization is alive.  The
-slot's arrays are shared by every caller and are read-only.
+coupling block to the boundary dofs, and the SuperLU factorization of
+the reduced matrix, which ``solve.solve_spd`` fills in on first use.
+The element matrices are summed straight into a numbering with the free
+dofs first, in that order, and the boundary dofs last, in layout order,
+so the reduced matrix and the coupling block are its leading rows, cut
+at the first boundary column.  The load depends on the problem's data:
+the interior load vector, the boundary Qb/Qg values and the reduced
+right-hand side, lifted by the coupling block unless every boundary
+value is zero.  ``assemble`` builds the operator, or takes one built
+for the same mesh and coefficients, as ``wg4.harness.ForwardModel``
+does for each source on one medium.  An operator taken factored also
+keeps the load's source-independent ``weakops.load_quadrature`` (0.8 MB
+at n=32), so each later load only evaluates its source, while a
+one-shot solve keeps nothing extra through its factorization.  An
+operator's arrays are shared by its systems and are read-only.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ __all__ = [
     "AssembledSystem",
     "AssemblyError",
     "assemble",
-    "empty_slot",
     "triple_bar_norm",
 ]
 
@@ -131,7 +125,7 @@ class Region:
     """Axis-aligned rectangle or disk carrying coefficient values."""
 
     shape: str  # "rect" | "disk"
-    kappa: np.ndarray  # (2, 2) SPD
+    kappa: tuple[tuple[float, float], tuple[float, float]]  # SPD; any 2x2 array will do
     mu: float
     bounds: tuple[float, float, float, float] | None = None  # rect: x0, y0, x1, y1
     center: tuple[float, float] | None = None  # disk
@@ -146,12 +140,17 @@ class Region:
             if given != (key in keys):
                 raise ValueError(f"{self.shape} region {'takes no' if given else 'requires'} {key}")
         if self.shape == "rect":
-            check_rectangle(self.bounds)
-        elif not (np.isfinite([*self.center, self.radius]).all() and self.radius > 0):
+            object.__setattr__(self, "bounds", check_rectangle(self.bounds))
+        elif np.isfinite([*self.center, self.radius]).all() and self.radius > 0:
+            object.__setattr__(self, "center", tuple(map(float, self.center)))
+        else:
             raise ValueError("disk center must be finite and radius finite and positive")
-        # the field's checks, on the region's one kappa and mu
-        _check_coefficients(np.asarray(self.kappa, dtype=float)[None], np.atleast_1d(self.mu),
-                            indexed=False)
+        # the field's checks, on the region's one kappa and mu, kept as floats in
+        # tuples so that equal regions compare equal and hash alike
+        kappa = np.asarray(self.kappa, dtype=float)
+        _check_coefficients(kappa[None], np.atleast_1d(self.mu), indexed=False)
+        object.__setattr__(self, "kappa", tuple(map(tuple, kappa.tolist())))
+        object.__setattr__(self, "mu", float(self.mu))
 
     def contains(self, x, y):
         """Whether the points (x, y), scalars or arrays, lie in the region."""
@@ -230,21 +229,13 @@ class Operator:
     coefficient field; see the module docstring."""
 
     mesh: Mesh
-    kappa: np.ndarray  # the coefficient field it was assembled for
-    mu: np.ndarray
     free: np.ndarray  # boolean mask over all dofs
     order: np.ndarray  # the free dofs, in the order of matrix's rows
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
-    class_matrices: np.ndarray  # (C, 18, 18), one per element class
-    classes: np.ndarray  # (E,), each element's class
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
     norm_inf: float | None = None  # ||matrix||_inf, set by solve.solve_spd on a fallback
-    load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once reused
-
-    def matches(self, mesh: Mesh, coeff: CoefficientField) -> bool:
-        return (self.mesh is mesh and np.array_equal(self.kappa, coeff.kappa)
-                and np.array_equal(self.mu, coeff.mu))
+    load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once factored
 
 
 @dataclass
@@ -259,10 +250,6 @@ class AssembledSystem:
     def matrix(self) -> sp.csr_matrix:
         return self.operator.matrix
 
-    @property
-    def free(self) -> np.ndarray:
-        return self.operator.free
-
     def expand(self, x_free: np.ndarray) -> WeakFunction:
         """Recombine a free-dof solution with the boundary values."""
         coeffs = self.boundary_values.copy()
@@ -270,15 +257,16 @@ class AssembledSystem:
         return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
 
 
-def _element_classes(mesh: Mesh, coeff: CoefficientField,
-                     flipped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One representative element per class of elements sharing their
-    local geometry and coefficients, and each element's class.
-
-    The geometry is the centroid-relative vertices, rounded at 1e-12 of
-    the domain's size, and each local edge's p1 -> p2 orientation and
-    sigma sign; the representative is the class's first element.
+def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices (C, 18, 18) of one element per class of elements that
+    share their coefficients and geometry (centroid-relative vertices,
+    rounded at 1e-12 of the domain's size, and each local edge's p1 -> p2
+    orientation and sigma sign), from one ``local_system`` call, and each
+    element's class (E,); the representative is the class's first element.
     """
+    mesh.check_elements("coefficient field", len(coeff.kappa))
+    verts = mesh.element_vertices
+    flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
     x0, y0, x1, y1 = mesh.domain
     rel = mesh.element_points() - mesh.centroids[:, None, :]
     rows = np.hstack([
@@ -289,17 +277,9 @@ def _element_classes(mesh: Mesh, coeff: CoefficientField,
         coeff.mu[:, None],
     ])
     _, first, classes = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, classes.reshape(-1)
-
-
-#: The last operator assembled; see the module docstring.
-_slot: Operator | None = None
-
-
-def empty_slot() -> None:
-    """Drop the slot's operator, and with it its factorization."""
-    global _slot
-    _slot = None
+    mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
+                        coeff.kappa[first], coeff.mu[first])
+    return mats, classes.reshape(-1)
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -308,13 +288,8 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
 
 
 def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
-    """The operator of (mesh, coeff): the slot's if it matches, otherwise
-    a new one, which takes the slot."""
-    global _slot
-    mesh.check_elements("coefficient field", len(coeff.kappa))
-    if _slot is not None and _slot.matches(mesh, coeff):
-        return _slot
-    _slot = None  # free the old factorization before building the next
+    """The operator of (mesh, coeff), not yet factored."""
+    mats, classes = _class_matrices(mesh, coeff)
     size = weakops.dof_count(mesh)
     free = ~weakops.boundary_mask(mesh)
     order = weakops.solve_order(mesh)
@@ -323,11 +298,6 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     numbering[order] = np.arange(k)
     numbering[~free] = np.arange(k, size)
     idx = numbering[weakops.local_dofs(mesh)]
-    verts = mesh.element_vertices
-    flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
-    first, classes = _element_classes(mesh, coeff, flipped)
-    mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
-                        coeff.kappa[first], coeff.mu[first])
     rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
@@ -343,22 +313,19 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
                               _indptr(np.diff(full.indptr[:k + 1]) - counts)),
                              shape=(k, size - k))
     del full
-    op = Operator(mesh=mesh, kappa=coeff.kappa.copy(), mu=coeff.mu.copy(), free=free,
-                  order=order, matrix=matrix, coupling=coupling, class_matrices=mats,
-                  classes=classes)
-    shared = (op.kappa, op.mu, free, order, mats, classes, matrix.data, matrix.indices,
-              matrix.indptr, coupling.data, coupling.indices, coupling.indptr)
+    shared = (free, order, matrix.data, matrix.indices, matrix.indptr, coupling.data,
+              coupling.indices, coupling.indptr)
     for array in shared:
         array.flags.writeable = False
-    _slot = op
-    return op
+    return Operator(mesh=mesh, free=free, order=order, matrix=matrix, coupling=coupling)
 
 
-def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
+def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) -> AssembledSystem:
     """The system of ``spec`` on ``mesh`` with boundary dofs eliminated
-    symmetrically: the operator of (mesh, spec.coeff), from the slot when
-    it matches, and the load of the problem's data."""
-    op = _operator(mesh, spec.coeff)
+    symmetrically: the operator of (mesh, spec.coeff), built afresh
+    unless an earlier system's ``operator`` of the two is given, and the
+    load of the problem's data."""
+    op = _operator(mesh, spec.coeff) if operator is None else operator
     quadrature = op.load_quadrature
     if quadrature is None:
         quadrature = weakops.load_quadrature(mesh.element_points())
@@ -388,8 +355,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> AssembledSystem:
 
 def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     """Discrete energy norm: square root of the assembled quadratic form,
-    summed class by class with the class matrices of the operator of
-    (mesh, coeff).
+    summed class by class with the element matrices of (mesh, coeff).
 
     ``w`` is a WeakFunction or a full-length coefficient vector (boundary
     blocks included; they are zero for error functions).
@@ -399,9 +365,9 @@ def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     if coeffs.shape != (size,):
         raise ValueError(f"expected coefficient vector of length {size}")
     local = coeffs[weakops.local_dofs(mesh)]
-    op = _operator(mesh, coeff)
+    mats, classes = _class_matrices(mesh, coeff)
     total = 0.0
-    for c, mat in enumerate(op.class_matrices):
-        members = local[op.classes == c]
+    for c, mat in enumerate(mats):
+        members = local[classes == c]
         total += float(np.sum((members @ mat) * members))
     return float(np.sqrt(max(total, 0.0)))

@@ -35,11 +35,14 @@ come from ``_format_e5``, which writes the bytes of ``"%.5e" % v`` for a
 whole column at once: it scales each value into [1e5, 1e6) and rounds
 it, which gives the digits ``%`` prints unless the scaled value lies
 within 1e-6 of a half-integer; those near-ties, non-finite values,
-subnormals and exponents beyond +-300 are printed by ``%`` itself.  The
-field CSV is kept as a byte table with its x,y columns written, made
-once per lattice and keyed on the points array that
-``harness.sample_field`` returns, so a series of sources on one lattice
-only writes their values; the file is written from those bytes.
+subnormals and exponents beyond +-300 are printed by ``%`` itself.
+
+A field command runs on a ``harness.ForwardModel``.  The CLI keeps the
+last one under the config's case, n and regions, with the field CSV's
+bytes for its last grid, so a series of sources on one medium factors
+and writes the x,y columns once.  Any other key or command drops the
+kept model before a new one is built: one factorization at most.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 1
 anything else.
 """
@@ -341,26 +344,43 @@ def _format_e5(values: np.ndarray, out: np.ndarray) -> int:
     return len(fallback)
 
 
-#: The last lattice's ``points`` array and its field-CSV table, (N, 3, 14)
-#: bytes: x, y and u0, each in a NUL-padded slot and followed by ``,``,
-#: ``,`` and a newline, with x and y written.
-_field_table: tuple[np.ndarray, np.ndarray] | None = None
+@dataclass
+class _Kept:
+    """The last field command's model under its key, and its field CSV as
+    (N, 3, 14) bytes: x, y and u0, each NUL-padded and followed by ``,``,
+    ``,`` and a newline, with x and y written."""
+
+    key: tuple
+    model: harness.ForwardModel
+    table: np.ndarray | None = None
 
 
-def _field_csv(points: np.ndarray, values: np.ndarray) -> bytes:
-    """The sampled-field CSV's bytes; ``points`` is the lattice that
-    ``harness.sample_field`` returned, whose x,y columns are written once
-    into a kept table."""
-    global _field_table
-    if _field_table is None or _field_table[0] is not points:
-        table = np.empty((len(points), 3, _E5_WIDTH + 1), dtype=np.uint8)
-        table[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
+#: The one kept model; see the module docstring.
+_kept: _Kept | None = None
+
+
+def _kept_model(cfg: RunConfig) -> _Kept | None:
+    """The kept model of a field command's case, n and regions, built
+    anew if the last one had another key; for any other command, none."""
+    global _kept
+    key = (cfg.case, cfg.n, tuple(cfg.regions)) if cfg.command in ("solve", "ft-demo") else None
+    if _kept is None or _kept.key != key:
+        _kept = None  # free the old factorization before the next is made
+        if key:
+            _kept = _Kept(key, harness.ForwardModel(harness.CATALOG[cfg.case], cfg.n, cfg.regions))
+    return _kept
+
+
+def _field_csv(kept: _Kept, points: np.ndarray, values: np.ndarray) -> bytes:
+    """The sampled-field CSV's bytes; the kept x,y columns serve while the
+    table has a row per point, as a model's lattice is fixed by its size."""
+    if kept.table is None or len(kept.table) != len(points):
+        kept.table = np.empty((len(points), 3, _E5_WIDTH + 1), dtype=np.uint8)
+        kept.table[:, :, -1] = np.frombuffer(b",,\n", np.uint8)
         for j in (0, 1):
-            _format_e5(points[:, j], table[:, j, :-1])
-        _field_table = (points, table)
-    table = _field_table[1]
-    _format_e5(values, table[:, 2, :-1])
-    return b"x,y,u0\n" + table.tobytes().translate(None, b"\0")
+            _format_e5(points[:, j], kept.table[:, j, :-1])
+    _format_e5(values, kept.table[:, 2, :-1])
+    return b"x,y,u0\n" + kept.table.tobytes().translate(None, b"\0")
 
 
 def _mesh_csv(mesh: Mesh) -> str:
@@ -393,15 +413,15 @@ def _convergence_csv(result: harness.ConvergenceResult) -> str:
             + _rows("%d,%.5e" + ",%.5e,%s" * len(NORM_FIELDS) + "\n", *columns))
 
 
-def _run_field_command(cfg: RunConfig) -> None:
-    entry = harness.catalog_entry(cfg.case, cfg.source)
+def _run_field_command(cfg: RunConfig, kept: _Kept) -> None:
+    model, mesh = kept.model, kept.model.mesh
     try:
-        mesh, spec, u_h, report = harness.solve_case(entry, cfg.n, cfg.solver, cfg.regions)
+        spec, u_h, report = model.solve(harness.catalog_entry(cfg.case, cfg.source), cfg.solver)
     except RegionError as exc:  # regions come only from a config
         raise ConfigError(f"$.{exc}") from exc
-    points, values = harness.sample_field(mesh, u_h, cfg.grid)
+    points, values = model.sample(u_h, cfg.grid)
     if cfg.out:
-        Path(cfg.out).write_bytes(_field_csv(points, values))
+        Path(cfg.out).write_bytes(_field_csv(kept, points, values))
     print(f"{cfg.case}: n={mesh.n} dofs={u_h.coeffs.size} "
           f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}")
     if spec.has_exact:
@@ -412,8 +432,9 @@ def _run_field_command(cfg: RunConfig) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
-    if cfg.command in ("solve", "ft-demo"):
-        _run_field_command(cfg)
+    kept = _kept_model(cfg)
+    if kept is not None:
+        _run_field_command(cfg, kept)
         return 0
     if cfg.command == "convergence":
         result = harness.run_convergence(harness.catalog_entry(cfg.case), cfg.levels, cfg.solver)

@@ -10,28 +10,21 @@ source point for the Gaussian scenario only,
 ``CaseCatalogEntry.check_n`` holds a case's n-multiple rule, and
 ``check_grid`` the sampling grid's rule.
 
+``ForwardModel`` serves tomography, where one medium meets many sources.
+It holds a case's mesh at n under the caller's regions, the operator of
+``wg4.assembly`` with its factorization and load quadrature, and the
+lattice of the last grid it sampled, so each later source costs only
+its coefficient field, load, triangular solves and sampling.
+``solve_case`` solves on a model of its own and drops it, so a one-shot
+solve, and each level of ``run_convergence``, keeps nothing.
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
-that ``mesh.locate_point`` finds for each lattice point.  The lattice depends
-only on the mesh and the grid, so the last one is kept: its points, the
-element of each point and the basis values there, all read-only.  A
-call on the same mesh object and grid only gathers the coefficients,
-sums them against the kept basis and checks the result; any other mesh
-or grid replaces it.  The kept points are the array every such call
-returns, so a caller may key its own per-lattice work on it.
-
-``CaseCatalogEntry.make_mesh`` keeps the last mesh built, for one domain
-and n.  ``solve_case`` solves on it and reuses the operator slot of
-``wg4.assembly``, which matches that mesh object and the coefficient
-values: a series of Gaussian sources on one medium, as in tomography,
-builds its mesh, assembles and factors once, and each call computes only
-the coefficient field, the load and the solve.
+that ``mesh.locate_point`` finds for each lattice point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +39,7 @@ from .weakops import WeakFunction
 
 __all__ = [
     "CaseCatalogEntry",
+    "ForwardModel",
     "CATALOG",
     "case_poly_bump",
     "case_sine",
@@ -109,8 +103,8 @@ class CaseCatalogEntry:
         return self.builder(mesh, regions)
 
     def make_mesh(self, n: int) -> Mesh:
-        """The case's mesh at n, the kept one if the last mesh built was for its domain and n."""
-        return _mesh(self.domain, n)
+        """The case's mesh at n."""
+        return build_structured_mesh(self.domain, n)
 
 
 def case_poly_bump() -> CaseCatalogEntry:
@@ -309,29 +303,50 @@ def catalog_entry(name: str, source: tuple[float, float] | None = None) -> CaseC
     return case_ft_gaussian(source)
 
 
+class ForwardModel:
+    """One case's mesh at n under ``regions``, solved for each source on
+    one operator (see the module docstring).  ``solve(entry, config)``
+    returns (spec, solution, report) for ``entry``, the model's case with
+    any source; the first solve builds and factors the operator, and a
+    failed factorization is tried again by the next.  ``sample(u_h,
+    grid)`` is ``sample_field`` on the lattice kept while the grid stays."""
+
+    def __init__(self, entry: CaseCatalogEntry, n: int, regions: Sequence[Region] = ()):
+        self.case, self.regions = entry.name, tuple(regions)
+        self.mesh = entry.make_mesh(n)
+        self.operator: assembly.Operator | None = None
+        self.lattice: tuple | None = None  # (grid, points, elements, basis)
+
+    def solve(self, entry: CaseCatalogEntry, config: SolverConfig = SolverConfig()
+              ) -> tuple[ProblemSpec, WeakFunction, SolveReport]:
+        if entry.name != self.case:
+            raise ValueError(f"case {entry.name!r} given to a model of case {self.case!r}")
+        spec = entry.problem(self.mesh, self.regions)
+        system = assembly.assemble(self.mesh, spec, self.operator)
+        self.operator = system.operator
+        x_free, report = solve_mod.solve_spd(system, config)
+        return spec, system.expand(x_free), report
+
+    def sample(self, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.lattice is None or self.lattice[0] != grid:
+            self.lattice = (grid, *_lattice(self.mesh, check_grid(grid)))
+        return sample_field(self.mesh, u_h, grid, self.lattice[1:])
+
+
 def solve_case(
     entry: CaseCatalogEntry,
     n: int,
     config: SolverConfig = SolverConfig(),
     regions: Sequence[Region] = (),
 ) -> tuple[Mesh, ProblemSpec, WeakFunction, SolveReport]:
-    """Build, assemble and solve one scenario at subdivision count n, on
-    the entry's kept mesh and with the operator slot's matrices and
-    factorization where they match (see the module docstring).
+    """Build, assemble and solve one scenario at subdivision count n on a
+    ``ForwardModel`` of its own, which it drops.
 
     ``regions`` are laid over the case's own coefficient regions (the
     inclusion hook of the Gaussian scenario).
     """
-    mesh = entry.make_mesh(n)
-    spec = entry.problem(mesh, regions)
-    system = assembly.assemble(mesh, spec)
-    try:
-        x_free, report = solve_mod.solve_spd(system, config)
-    except solve_mod.SolverError:
-        if system.operator.lu is None:  # the factorization failed; keep no operator without one
-            assembly.empty_slot()
-        raise
-    return mesh, spec, system.expand(x_free), report
+    model = ForwardModel(entry, n, regions)
+    return (model.mesh, *model.solve(entry, config))
 
 
 @dataclass
@@ -346,7 +361,8 @@ def run_convergence(
     levels: Sequence[int],
     config: SolverConfig = SolverConfig(),
 ) -> ConvergenceResult:
-    """Solve a case over halving mesh sizes and tabulate errors and orders."""
+    """Solve a case over halving mesh sizes, each with ``solve_case``, and
+    tabulate errors and orders."""
     if not entry.has_exact:
         raise ValueError(f"case {entry.name!r} has no exact solution")
     check_doubling(levels)
@@ -371,16 +387,9 @@ def check_grid(grid: int) -> int:
     return int(grid)
 
 
-@lru_cache(maxsize=1)
-def _mesh(domain: tuple[float, float, float, float], n: int) -> Mesh:
-    """The mesh of ``domain`` in n x n cells, kept for the next call."""
-    return build_structured_mesh(domain, n)
-
-
-@lru_cache(maxsize=1)
 def _lattice(mesh: Mesh, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid x grid lattice of ``mesh``: its points, the element of
-    each point and the P2 basis there, read-only and kept for the next call."""
+    each point and the P2 basis there, all read-only."""
     x0, y0, x1, y1 = mesh.domain
     gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
     points = np.column_stack([gx.ravel(), gy.ravel()])
@@ -393,16 +402,17 @@ def _lattice(mesh: Mesh, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return points, elems, basis
 
 
-def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_field(mesh: Mesh, u_h: WeakFunction, grid: int,
+                 lattice: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the interior component on a uniform grid x grid lattice.
 
     Returns (points, values) with points of shape (grid*grid, 2), ordered
-    row-major from the bottom-left corner.  ``points`` is the cached,
-    read-only lattice array (see the module docstring).
+    row-major from the bottom-left corner, and read-only.  ``lattice``,
+    a model's kept (points, elements, basis) of the grid, saves making it.
     """
     grid = check_grid(grid)
     mesh.check_elements("solution", u_h.n_elements)
-    points, elems, basis = _lattice(mesh, grid)
+    points, elems, basis = lattice or _lattice(mesh, grid)
     values = np.einsum("pi,pi->p", basis, u_h.interior[elems])
     if not np.isfinite(values).all():
         raise ValueError("sampled field contains non-finite values")

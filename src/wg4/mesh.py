@@ -25,7 +25,7 @@ A mesh is a struct of arrays, built without per-entity Python loops:
 
 Edges are numbered in order of first appearance, scanning elements in
 order and each element's local edges in order.  The arrays are read-only:
-a mesh is shared by every solve that reuses it.
+a forward model shares its mesh with every source it solves.
 """
 
 from __future__ import annotations

@@ -25,14 +25,15 @@ a relative residual above 1: such an x is worse than x = 0.  A huge
 diverged, as a whole-domain diffusion of 1e-10 at mu = 0 does.
 
 An assembled system's matrix belongs to its operator (see
-``wg4.assembly``), which the systems of later problems on the same mesh
-and coefficients share.  Its rows come in ``weakops.solve_order``, an
-order that leaves the minimum-degree ordering less fill than the dof
-layout's; the solve sees only the matrix.  The factorization is kept on
-the operator: the first solve makes it, and every later solve on the
-operator only runs the triangular solves, the refinement and the
-acceptance tests above.  ||A||_inf, which only the backward error needs,
-is kept there too, made by the first solve that falls back to that test.
+``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
+system of each later source on its medium.  Its rows come in
+``weakops.solve_order``, an order that leaves the minimum-degree
+ordering less fill than the dof layout's; the solve sees only the
+matrix.  The factorization is kept on the operator: the first solve
+makes it, and every later solve on the operator only runs the
+triangular solves, the refinement and the acceptance tests above.
+||A||_inf, which only the backward error needs, is kept there too, made
+by the first solve that falls back to that test.
 """
 
 from __future__ import annotations

@@ -136,6 +136,22 @@ def test_region_validation():
         Region(shape="blob", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=0.0)
 
 
+def test_equal_regions_compare_equal_and_hash_alike():
+    # kappa was an ndarray: == raised ValueError and hash() TypeError
+    disk = Region(shape="disk", center=(25, 15), radius=4.0, kappa=np.eye(2), mu=0.5)
+    same = Region(shape="disk", center=[25.0, 15.0], radius=4.0,
+                  kappa=[[1.0, 0.0], [0.0, 1.0]], mu=np.float64(0.5))
+    assert disk == same and hash(disk) == hash(same)
+    assert disk.kappa == ((1.0, 0.0), (0.0, 1.0)) and disk.center == (25.0, 15.0)
+    rect = Region(shape="rect", bounds=[0, 0, 1, 1], kappa=np.eye(2), mu=0.0)
+    assert rect == Region(shape="rect", bounds=(0.0, 0.0, 1.0, 1.0), kappa=np.eye(2), mu=0)
+    assert hash(rect) == hash(Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=0))
+    for i, j in [(0, 0), (0, 1), (1, 1)]:
+        kappa = np.eye(2)
+        kappa[i, j] = kappa[j, i] = kappa[i, j] + 0.25
+        assert Region(shape="disk", center=(25, 15), radius=4.0, kappa=kappa, mu=0.5) != disk
+
+
 def test_region_faults_name_no_element():
     # a region has one kappa and one mu; an element index read like a row of kappa
     with pytest.raises(ValueError, match=r"^kappa: not positive definite$"):
@@ -151,7 +167,7 @@ def test_free_dof_count_n1():
     system = assemble(mesh, spec)
     # 12 interior dofs plus the 4 dofs of the single interior edge.
     assert system.matrix.shape == (16, 16)
-    assert system.free.sum() == 16
+    assert system.operator.free.sum() == 16
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -238,7 +254,7 @@ def test_triple_bar_norm_matches_full_quadratic_form():
     w = rng.normal(size=weakops.dof_count(mesh))
     w[weakops.boundary_mask(mesh)] = 0.0
     norm = triple_bar_norm(mesh, spec.coeff, w)
-    quad = float(w @ (full_matrix(system.operator) @ w))
+    quad = float(w @ (full_matrix(system.operator, spec.coeff) @ w))
     assert norm**2 == pytest.approx(quad, rel=1e-10)
 
 
@@ -343,12 +359,13 @@ def test_assembled_matrices_exactly_symmetric(case, n):
     # which is A only when the symmetry is exact
     entry = catalog_entry(case)
     mesh = entry.make_mesh(n)
-    system = assemble(mesh, entry.problem(mesh))
+    spec = entry.problem(mesh)
+    system = assemble(mesh, spec)
     assert (system.matrix != system.matrix.T).nnz == 0
-    full = full_matrix(system.operator)
+    full = full_matrix(system.operator, spec.coeff)
     assert (full != full.T).nnz == 0
     # the coupling block's rows come in the solve order, its columns in layout order
-    rows, fixed = system.operator.order, ~system.free
+    rows, fixed = system.operator.order, ~system.operator.free
     assert (full[rows][:, fixed] != system.operator.coupling).nnz == 0
 
 
@@ -363,7 +380,8 @@ def test_boundary_lift_equals_full_matrix_product(case):
     b = np.zeros(weakops.dof_count(mesh))
     quadrature = weakops.load_quadrature(mesh.element_points())
     b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
-    lifted = (b - full_matrix(system.operator) @ system.boundary_values)[system.operator.order]
+    lifted = (b - full_matrix(system.operator, spec.coeff) @ system.boundary_values)[
+        system.operator.order]
     assert np.abs(system.boundary_values).max() > 0
     assert np.array_equal(system.rhs, lifted)
 
@@ -378,8 +396,9 @@ def test_operator_blocks_equal_the_sliced_full_matrix(case, n, regions):
     # system, bit for bit and dtype for dtype
     entry = catalog_entry(case)
     mesh = entry.make_mesh(n)
-    op = assemble(mesh, entry.problem(mesh, regions)).operator
-    for got, want in zip((op.matrix, op.coupling), sliced_blocks(op)):
+    spec = entry.problem(mesh, regions)
+    op = assemble(mesh, spec).operator
+    for got, want in zip((op.matrix, op.coupling), sliced_blocks(op, spec.coeff)):
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)

@@ -122,8 +122,7 @@ def test_class_matrices_match_reference_kernel(domain, field):
         coeff = CoefficientField.from_regions(mesh, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4)
     else:
         coeff = _random_field(mesh, np.random.default_rng(41))
-    op = assembly._operator(mesh, coeff)
-    mats, classes = op.class_matrices, op.classes
+    mats, classes = assembly._class_matrices(mesh, coeff)
     assert len(mats) == (5 if field == "uniform" else mesh.n_elements)
     for i in range(mesh.n_elements):
         geom = reference_geometry(Element.of_mesh(mesh, i))
@@ -172,7 +171,6 @@ def test_per_element_field_needs_one_kernel_call(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(assembly, "local_system", counted)
-    assembly.empty_slot()
     zero = np.vectorize(lambda x, y: 0.0, otypes=[float])
     assembly.assemble(mesh, ProblemSpec(f=zero, xi=zero, nu=zero, coeff=coeff))
     assert calls == [mesh.n_elements]

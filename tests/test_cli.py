@@ -230,13 +230,13 @@ def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
     # field with negative values and a grid-101 field; each CSV is the
     # plain three-column format of its own op's lattice and values
     seen = []
-    sample = harness.sample_field
+    sample = harness.ForwardModel.sample
 
-    def recording(mesh, u_h, grid):
-        seen.append((mesh, u_h))
-        return sample(mesh, u_h, grid)
+    def recording(model, u_h, grid):
+        seen.append((model.mesh, u_h))
+        return sample(model, u_h, grid)
 
-    monkeypatch.setattr(harness, "sample_field", recording)
+    monkeypatch.setattr(harness.ForwardModel, "sample", recording)
     gaussian = {"scenario": "gaussian-source"}
     for j, (scenario, n, grid) in enumerate([
             ({**gaussian, "source": list(DEFAULT_SOURCE)}, 8, 9),
@@ -253,6 +253,33 @@ def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
         assert out.read_bytes() == want.encode()
         if j == 4:
             assert (values < 0).any()
+
+
+def test_changed_case_n_or_regions_build_a_new_model(tmp_path):
+    # the CLI keeps one model under its case, n and regions; another source,
+    # grid or tolerance keeps it, and another command drops it
+    disk = {"shape": "disk", "center": [25, 15], "radius": 12, "kappa": [[0.5, 0], [0, 0.5]],
+            "mu": 0.5}
+
+    def model(**changes):
+        config = {"command": "solve", "case": "gaussian-source", "n": 4, "grid": 3, **changes}
+        config = {key: value for key, value in config.items() if value is not None}
+        assert cli.run(parse_config(json.dumps(config))) == 0
+        return cli._kept.model if cli._kept else None
+
+    first = model()
+    assert first.operator.lu is not None
+    assert model(source=list(SECOND_SOURCE), grid=5, solver={"tolerance": 1e-8}) is first
+    assert model(out=str(tmp_path / "field.csv")) is first
+    changed = [model(n=8), model(regions=[disk]), model(regions=[disk, disk]),
+               model(case="sine"), model(case="sine", regions=[{**disk, "center": [0.5, 0.5],
+                                                                     "radius": 0.3}])]
+    assert len({id(m) for m in [first, *changed]}) == 6
+    assert model(command="mesh-dump", case=None, grid=None) is None
+
+    # equal regions from another config are the same key
+    assert model(case="sine") is model(case="sine")
+    assert model(regions=[disk]) is model(regions=[dict(disk)])
 
 
 def _percent_e5_cases(rng: np.random.Generator) -> np.ndarray:

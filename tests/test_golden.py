@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from wg4 import assembly
 from wg4.cli import main, parse_config, run
 from wg4.harness import DEFAULT_SOURCE, SECOND_SOURCE
 
@@ -86,7 +85,6 @@ def test_ft_demo_sources_in_one_process(tmp_path):
     """The default source, a second source, then the default source again
     in one process: the last run reuses the operator of the first and
     must write the same bytes."""
-    assembly.empty_slot()
     fields = []
     for k, source in enumerate([DEFAULT_SOURCE, SECOND_SOURCE, DEFAULT_SOURCE]):
         out = tmp_path / f"field-{k}.csv"

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wg4.errors import error_report
 from wg4.harness import (
     CATALOG,
     DEFAULT_SOURCE,
+    ForwardModel,
     DIFFUSION,
     ABSORPTION,
     SECOND_SOURCE,
@@ -285,17 +287,15 @@ def test_sample_field_rejects_another_meshs_solution():
         sample_field(unit_square_mesh(2), u_h, 5)
 
 
-def test_sample_field_keeps_one_lattice_per_mesh_and_grid():
-    # the same mesh and grid take the kept lattice; a changed grid or mesh never does
-    fields = {}
-    for n in (4, 8):
-        mesh, _, u_h, _ = solve_case(catalog_entry("sine"), n)
-        fields[n] = mesh, u_h
+def test_model_keeps_the_lattice_of_its_last_grid():
+    # the same model and grid take the kept lattice; a changed grid or model never does
+    entry = catalog_entry("sine")
+    models = {n: ForwardModel(entry, n) for n in (4, 8)}
+    fields = {n: model.solve(entry)[1] for n, model in models.items()}
     last = last_points = None
     for n, grid in [(4, 5), (4, 5), (4, 6), (8, 6), (8, 6), (4, 6)]:
-        mesh, u_h = fields[n]
-        points, values = sample_field(mesh, u_h, grid)
-        want_points, want_values = uncached_sample(mesh, u_h, grid)
+        points, values = models[n].sample(fields[n], grid)
+        want_points, want_values = uncached_sample(models[n].mesh, fields[n], grid)
         assert np.array_equal(points, want_points)
         assert np.array_equal(values, want_values)
         assert (points is last_points) == ((n, grid) == last)
@@ -303,9 +303,10 @@ def test_sample_field_keeps_one_lattice_per_mesh_and_grid():
 
 
 def test_sampled_lattice_is_read_only():
-    mesh, _, u_h, _ = solve_case(catalog_entry("sine"), 4)
-    points, values = sample_field(mesh, u_h, 5)
-    for array in harness._lattice(mesh, 5):
+    entry = catalog_entry("sine")
+    model = ForwardModel(entry, 4)
+    points, values = model.sample(model.solve(entry)[1], 5)
+    for array in model.lattice[1:]:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         points[0, 0] = 0.5
@@ -391,23 +392,51 @@ def test_shared_arrays_are_read_only():
             assert not array.flags.writeable
 
 
-def test_make_mesh_keeps_the_last_mesh():
+def test_model_keeps_its_mesh_for_every_source():
     # the sources of one medium share a mesh; another n or domain builds a new one
-    mesh = case_ft_gaussian().make_mesh(8)
-    assert case_ft_gaussian(SECOND_SOURCE).make_mesh(8) is mesh
-    finer = case_ft_gaussian().make_mesh(16)
+    model = ForwardModel(case_ft_gaussian(), 8)
+    mesh = model.mesh
+    for source in (DEFAULT_SOURCE, SECOND_SOURCE):
+        model.solve(case_ft_gaussian(source))
+        assert model.mesh is mesh
+    finer = ForwardModel(case_ft_gaussian(), 16).mesh
     assert finer is not mesh and finer.n == 16
-    assert case_sine().make_mesh(16).domain == UNIT_SQUARE
+    assert ForwardModel(case_sine(), 16).mesh.domain == UNIT_SQUARE
+    assert case_sine().make_mesh(4) is not case_sine().make_mesh(4)  # no mesh is kept
 
 
-def test_emptied_slot_keeps_the_mesh_and_the_lattice():
+def test_model_without_its_operator_keeps_the_mesh_and_the_lattice():
     entry = catalog_entry("gaussian-source")
-    mesh, _, u_h, _ = solve_case(entry, 8)
-    points, _ = sample_field(mesh, u_h, 9)
-    assembly.empty_slot()
-    again, _, u_again, _ = solve_case(entry, 8)
-    assert again is mesh
-    assert sample_field(again, u_again, 9)[0] is points
+    model = ForwardModel(entry, 8)
+    mesh = model.mesh
+    points, _ = model.sample(model.solve(entry)[1], 9)
+    model.operator = None
+    _, u_again, _ = model.solve(entry)
+    assert model.mesh is mesh
+    assert model.sample(u_again, 9)[0] is points
+
+
+def test_model_solves_a_second_source_without_assembling_or_factoring(monkeypatch):
+    entry = catalog_entry("gaussian-source")
+    model = ForwardModel(entry, 8)
+    model.solve(entry)
+    lu = model.operator.lu
+    kernel_calls = []
+    kernel = assembly.local_system
+    monkeypatch.setattr(assembly, "local_system",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    second = case_ft_gaussian(SECOND_SOURCE)
+    _, warm, _ = model.solve(second)
+    assert kernel_calls == [] and model.operator.lu is lu
+    _, _, cold, _ = solve_case(second, 8)
+    assert len(kernel_calls) == 1
+    assert warm.coeffs.tobytes() == cold.coeffs.tobytes()
+
+
+def test_model_refuses_another_case():
+    model = ForwardModel(case_ft_gaussian(), 4)
+    with pytest.raises(ValueError, match="^case 'sine' given to a model of case 'gaussian-source'$"):
+        model.solve(case_sine())
 
 
 @pytest.mark.parametrize("name", ["gaussian-source", "boundary-indicator"])
@@ -440,26 +469,40 @@ def test_warm_load_equals_a_cold_one(monkeypatch):
 
     monkeypatch.setattr(assembly, "local_load", recording)
     sources = [DEFAULT_SOURCE, SECOND_SOURCE, (25.0, 25.0), (0.0, 50.0)]
-    solutions = [solve_case(case_ft_gaussian(source), 8) for source in sources]
-    op = assembly._slot
+    model = ForwardModel(case_ft_gaussian(), 8)
+    solutions = [model.solve(case_ft_gaussian(source)) for source in sources]
+    op = model.operator
     assert op.load_quadrature is not None
     assert all(not array.flags.writeable for array in op.load_quadrature)
     kept = [quadrature is op.load_quadrature for quadrature, _ in calls]
     assert kept == [False, True, True, True]
-    for (mesh, spec, u_h, _), (_, load) in zip(solutions, calls):
-        cold = weakops.local_load(weakops.load_quadrature(mesh.element_points()), spec.f)
+    for (spec, u_h, _), (_, load) in zip(solutions, calls):
+        cold = weakops.local_load(weakops.load_quadrature(model.mesh.element_points()), spec.f)
         assert load.tobytes() == cold.tobytes()
     # and a warm solve is the cold solve
-    assembly.empty_slot()
     _, _, cold_u, _ = solve_case(case_ft_gaussian(sources[-1]), 8)
-    assert solutions[-1][2].coeffs.tobytes() == cold_u.coeffs.tobytes()
+    assert solutions[-1][1].coeffs.tobytes() == cold_u.coeffs.tobytes()
 
 
-def test_cold_solves_keep_no_quadrature_points():
-    solve_case(catalog_entry("gaussian-source"), 8)
-    assert assembly._slot.load_quadrature is None
-    run_convergence(case_sine(), [4, 8])  # one operator per level, each assembled once
-    assert assembly._slot.load_quadrature is None
+def test_cold_solves_keep_no_quadrature_points(monkeypatch):
+    entry = catalog_entry("gaussian-source")
+    model = ForwardModel(entry, 8)
+    model.solve(entry)
+    assert model.operator.lu is not None and model.operator.load_quadrature is None
+    # one operator per level, each assembled once and gone before the next level's
+    operators = []
+    assemble = assembly.assemble
+
+    def recording(*args):
+        assert all(ref() is None for ref in operators)
+        system = assemble(*args)
+        assert system.operator.load_quadrature is None
+        operators.append(weakref.ref(system.operator))
+        return system
+
+    monkeypatch.setattr(assembly, "assemble", recording)
+    run_convergence(case_sine(), [4, 8])
+    assert len(operators) == 2 and all(ref() is None for ref in operators)
 
 
 def test_zero_boundary_values_lift_by_nothing():

@@ -1,9 +1,13 @@
-"""Module boundaries of wg4: no module reaches into a sibling's private names.
+"""Module boundaries of wg4: no module reaches into a sibling's private
+names, and none keeps process-wide state of its own.
 
 A name with one leading underscore belongs to the module that defines it.
 The checker parses every module of the package and reports
 ``from .sibling import _name`` and ``sibling._name``, where ``sibling``
-is a wg4 module bound by an import.
+is a wg4 module bound by an import.  A second checker reports every
+``global`` statement and every ``lru_cache`` with a bounded size: the
+only process-wide state wg4 keeps is the CLI's one forward model
+(``cli._kept``), besides tables that depend on no argument.
 """
 
 import ast
@@ -60,3 +64,50 @@ def test_checker_reports_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_reads_a_siblings_private_names(path):
     assert violations(path.read_text(), path.name) == []
+
+
+#: The one ``global`` statement wg4 has: the CLI's kept forward model.
+KEPT_MODEL = ["cli.py:_kept_model: global _kept"]
+
+
+def process_state(source: str, filename: str) -> list[str]:
+    """One ``file:function: ...`` entry per ``global`` statement and per
+    ``lru_cache`` that is not ``lru_cache(maxsize=None)``."""
+    found = []
+    for func in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.append(f"{filename}:{func.name}: global {', '.join(node.names)}")
+        for deco in map(ast.unparse, func.decorator_list):
+            if "lru_cache" in deco and not deco.endswith("lru_cache(maxsize=None)"):
+                found.append(f"{filename}:{func.name}: {deco}")
+    return found
+
+
+def test_state_checker_reports_globals_and_bounded_caches():
+    source = "\n".join([
+        "import functools",
+        "from functools import lru_cache",
+        "_kept = None",
+        "def keep(x):",
+        "    global _kept",
+        "    _kept = x",
+        "@lru_cache(maxsize=1)",
+        "def mesh(n): ...",
+        "@functools.lru_cache",
+        "def lattice(n): ...",
+        "@lru_cache(maxsize=None)",
+        "def table(): ...",
+    ])
+    assert process_state(source, "m.py") == [
+        "m.py:keep: global _kept",
+        "m.py:mesh: lru_cache(maxsize=1)",
+        "m.py:lattice: functools.lru_cache",
+    ]
+
+
+def test_no_module_keeps_state_but_the_clis_one_model():
+    found = [entry for path in MODULES for entry in process_state(path.read_text(), path.name)]
+    assert found == KEPT_MODEL

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +14,7 @@ from wg4.assembly import Region, assemble
 from wg4.harness import (
     ABSORPTION,
     SECOND_SOURCE,
+    ForwardModel,
     case_ft_gaussian,
     case_sine,
     catalog_entry,
@@ -72,9 +76,7 @@ class _RecordingLinalg:
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """A recording stand-in for scipy.sparse.linalg, with the operator
-    slot emptied first."""
-    assembly.empty_slot()
+    """A recording stand-in for scipy.sparse.linalg."""
     recorder = _RecordingLinalg()
     monkeypatch.setattr(wg4.solve, "spla", recorder)
     return recorder
@@ -112,28 +114,34 @@ def test_solve_order_leaves_less_fill():
 
 
 def test_second_source_reuses_the_factorization(recorder):
-    solve_case(case_ft_gaussian(), 8)
-    _, _, warm, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
+    model = ForwardModel(case_ft_gaussian(), 8)
+    model.solve(case_ft_gaussian())
+    _, warm, _ = model.solve(case_ft_gaussian(SECOND_SOURCE))
     assert len(recorder.factors) == 1
-    assembly.empty_slot()
     _, _, cold, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
     assert len(recorder.factors) == 2
-    assert np.array_equal(warm.coeffs, cold.coeffs)
+    assert warm.coeffs.tobytes() == cold.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("change", ["kappa", "n", "domain"])
 def test_changed_operator_key_refactors(recorder, change):
-    mesh, spec, _, _ = solve_case(catalog_entry("gaussian-source"), 8)
+    # a model's operator serves only its own mesh and medium
+    entry = catalog_entry("gaussian-source")
+    model = ForwardModel(entry, 8)
+    spec, _, _ = model.solve(entry)
     if change == "kappa":
         region = Region(shape="disk", center=(25.0, 15.0), radius=4.0,
                         kappa=2.0 * np.eye(2), mu=ABSORPTION)
-        solve_case(catalog_entry("gaussian-source"), 8, regions=[region])
+        ForwardModel(entry, 8, [region]).solve(entry)
     elif change == "n":
-        solve_case(catalog_entry("gaussian-source"), 16)
+        ForwardModel(entry, 16).solve(entry)
     else:
         # the sine case has the same coefficient values on the unit square
-        other_mesh, other, _, _ = solve_case(case_sine(), 8)
-        assert other_mesh.domain != mesh.domain
+        with pytest.raises(ValueError, match="given to a model of case 'gaussian-source'"):
+            model.solve(case_sine())
+        other_model = ForwardModel(case_sine(), 8)
+        other, _, _ = other_model.solve(case_sine())
+        assert other_model.mesh.domain != model.mesh.domain
         assert np.array_equal(other.coeff.kappa, spec.coeff.kappa)
         assert np.array_equal(other.coeff.mu, spec.coeff.mu)
     assert len(recorder.factors) == 2
@@ -141,9 +149,10 @@ def test_changed_operator_key_refactors(recorder, change):
 
 def test_unmet_tolerance_keeps_the_operator(recorder):
     entry = catalog_entry("gaussian-source")
+    model = ForwardModel(entry, 8)
     with pytest.raises(SolverError):
-        solve_case(entry, 8, SolverConfig(tolerance=1e-300))
-    _, _, _, report = solve_case(entry, 8)
+        model.solve(entry, SolverConfig(tolerance=1e-300))
+    _, _, report = model.solve(entry)
     assert len(recorder.factors) == 1
     assert report.residual <= 1e-10
 
@@ -154,9 +163,27 @@ def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
 
     monkeypatch.setattr(recorder, "splu", fail)
     entry = catalog_entry("gaussian-source")
+    operators = []
+    assemble = assembly.assemble
+
+    def recording(*args):
+        system = assemble(*args)
+        operators.append(weakref.ref(system.operator))
+        return system
+
+    monkeypatch.setattr(assembly, "assemble", recording)
     with pytest.raises(SolverError, match="factorization failed"):
         solve_case(entry, 8)
-    assert assembly._slot is None
+    gc.collect()  # the traceback that pytest kept
+    assert operators[0]() is None
+    # a model keeps no factorization from the failure, and its next solve makes one
+    model = ForwardModel(entry, 8)
+    with pytest.raises(SolverError, match="factorization failed"):
+        model.solve(entry)
+    assert model.operator.lu is None
+    monkeypatch.undo()
+    _, _, report = model.solve(entry)
+    assert model.operator.lu is not None and report.residual <= 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e10, 1e-100])

@@ -8,7 +8,7 @@ benchmark's tracing; this test fails first.
 import importlib.util
 from pathlib import Path
 
-from wg4 import assembly, cli
+from wg4 import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -21,8 +21,7 @@ def _tracer():
 
 
 def test_benchmark_tracer_records_kernel_and_solve(tmp_path):
-    tracer = _tracer()
-    assembly.empty_slot()  # a fresh operator, so the element kernel runs
+    tracer = _tracer()  # no model is kept between tests, so the element kernel runs
     tracer.install()
     try:
         code = cli.main(["ft-demo", "--scenario", "gaussian-source", "--n", "4", "--grid", "3",

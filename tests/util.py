@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from wg4 import harness, poly, weakops
+from wg4 import assembly, harness, poly, weakops
 from wg4.mesh import Mesh
 from wg4.assembly import COEFFICIENT_RANGE, CoefficientField, ProblemSpec
 from wg4.mesh import build_structured_mesh
@@ -403,20 +403,21 @@ def matrix_system(matrix, rhs) -> SimpleNamespace:
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
-def full_matrix(operator) -> sp.csr_matrix:
-    """The operator's matrix over all dofs, boundary rows and columns
-    included, assembled from its class matrices."""
+def full_matrix(operator, coeff) -> sp.csr_matrix:
+    """The matrix over all dofs of the operator of ``coeff``, boundary rows
+    and columns included, assembled from its class matrices."""
     mesh = operator.mesh
     idx = weakops.local_dofs(mesh)
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
-    values = operator.class_matrices[operator.classes].ravel()
+    mats, classes = assembly._class_matrices(mesh, coeff)
+    values = mats[classes].ravel()
     size = weakops.dof_count(mesh)
     return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def sliced_blocks(operator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The operator's reduced matrix and coupling block, made the plain
+def sliced_blocks(operator, coeff) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The reduced matrix and coupling block of the operator of ``coeff``, made the plain
     way: the whole system summed in the free-first numbering, converted
     to CSR, and both blocks sliced from its leading rows."""
     mesh = operator.mesh
@@ -428,8 +429,8 @@ def sliced_blocks(operator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     idx = numbering[weakops.local_dofs(mesh)]
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
-    values = operator.class_matrices[operator.classes].ravel()
-    full = sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+    mats, classes = assembly._class_matrices(mesh, coeff)
+    full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     return full[:k, :k], full[:k, k:]
 
 
@@ -471,7 +472,7 @@ def unit_square_mesh(n: int) -> Mesh:
 
 def uncached_sample(mesh: Mesh, u_h, grid: int):
     """``harness.sample_field``'s points and values, from a lattice made afresh."""
-    points, elems, basis = harness._lattice.__wrapped__(mesh, grid)
+    points, elems, basis = harness._lattice(mesh, grid)
     return points, np.einsum("pi,pi->p", basis, u_h.interior[elems])
 
 
