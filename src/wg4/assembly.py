@@ -28,11 +28,16 @@ the interior load vector, the boundary Qb/Qg values and the reduced
 right-hand side, lifted by the coupling block unless every boundary
 value is zero.  ``assemble`` builds the operator, or takes one built
 for the same mesh and coefficients, as ``wg4.harness.ForwardModel``
-does for each source on one medium.  An operator taken factored also
-keeps the load's source-independent ``weakops.load_quadrature`` (0.8 MB
-at n=32), so each later load only evaluates its source, while a
-one-shot solve keeps nothing extra through its factorization.  An
-operator's arrays are shared by its systems and are read-only.
+does for each source point: the model lays its coefficient field once,
+and each source's spec shares it and differs only in ``f``.  An
+operator taken factored also keeps the load's source-independent
+``weakops.load_quadrature`` (0.8 MB at n=32), so each later load only
+evaluates its source, while a one-shot solve keeps nothing extra
+through its factorization.  An operator's arrays are shared by its
+systems and are read-only.
+
+A ``Region`` is checked when it is built: each of its numbers must have
+its field's shape, and a ValueError names the field that does not.
 """
 
 from __future__ import annotations
@@ -120,6 +125,29 @@ def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True)
         raise ValueError(f"{name('mu', bad[0])}: must be {need}, got {value}")
 
 
+#: Each number field of a region: its shape, and what a message calls it.
+_REGION_NUMBERS = {"kappa": ((2, 2), "a 2x2 matrix of numbers"), "mu": ((), "a number"),
+                   "bounds": ((4,), "four numbers"), "center": ((2,), "two numbers"),
+                   "radius": ((), "a number")}
+
+
+def _region_floats(key: str, value):
+    """A region's field ``key`` as a float, or as tuples of floats so
+    that equal regions compare equal and hash alike; a ValueError names
+    the field unless ``value`` holds numbers of the field's shape."""
+    shape, what = _REGION_NUMBERS[key]
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if array.shape != shape or array.dtype.kind not in "iuf":
+        raise ValueError(f"{key}: expected {what}, got {value!r}")
+    floats = array.astype(float)
+    if floats.ndim == 2:
+        return tuple(map(tuple, floats.tolist()))
+    return tuple(floats.tolist()) if floats.ndim else float(floats)
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned rectangle or disk carrying coefficient values."""
@@ -139,18 +167,14 @@ class Region:
             given = getattr(self, key) is not None
             if given != (key in keys):
                 raise ValueError(f"{self.shape} region {'takes no' if given else 'requires'} {key}")
+        for key in ("kappa", "mu", *keys):
+            object.__setattr__(self, key, _region_floats(key, getattr(self, key)))
         if self.shape == "rect":
             object.__setattr__(self, "bounds", check_rectangle(self.bounds))
-        elif np.isfinite([*self.center, self.radius]).all() and self.radius > 0:
-            object.__setattr__(self, "center", tuple(map(float, self.center)))
-        else:
+        elif not (np.isfinite([*self.center, self.radius]).all() and self.radius > 0):
             raise ValueError("disk center must be finite and radius finite and positive")
-        # the field's checks, on the region's one kappa and mu, kept as floats in
-        # tuples so that equal regions compare equal and hash alike
-        kappa = np.asarray(self.kappa, dtype=float)
-        _check_coefficients(kappa[None], np.atleast_1d(self.mu), indexed=False)
-        object.__setattr__(self, "kappa", tuple(map(tuple, kappa.tolist())))
-        object.__setattr__(self, "mu", float(self.mu))
+        # the field's checks, on the region's one kappa and mu
+        _check_coefficients(np.array(self.kappa)[None], np.array([self.mu]), indexed=False)
 
     def contains(self, x, y):
         """Whether the points (x, y), scalars or arrays, lie in the region."""

@@ -23,8 +23,8 @@ raises while a key is parsed is reported at that key's path: the
 rectangle and partition rules of ``wg4.mesh``, the level doubling of
 ``wg4.errors``, the region checks of ``wg4.assembly``, and the catalog's
 source-point, n-multiple and grid rules in ``wg4.harness``.  A region
-that holds no element centroid is found when the solve lays it, and
-reported at ``$.regions[i]``.  An empty ``out`` is rejected at ``$.out``
+that holds no element centroid is found when the model lays the medium,
+and reported at ``$.regions[i]``.  An empty ``out`` is rejected at ``$.out``
 or ``--out``.
 
 This is the only module that formats numbers, in 6-significant-digit
@@ -37,9 +37,10 @@ it, which gives the digits ``%`` prints unless the scaled value lies
 within 1e-6 of a half-integer; those near-ties, non-finite values,
 subnormals and exponents beyond +-300 are printed by ``%`` itself.
 
-A field command runs on a ``harness.ForwardModel``.  The CLI keeps the
-last one under the config's case, n and regions, with the field CSV's
-bytes for its last grid, so a series of sources on one medium factors
+A field command runs on a ``harness.ForwardModel`` and hands it only
+the config's source point.  The CLI keeps the last model under the
+config's case, n and regions, with the field CSV's bytes for its last
+grid, so a series of sources on one medium lays the medium, factors
 and writes the x,y columns once.  Any other key or command drops the
 kept model before a new one is built: one factorization at most.
 
@@ -252,10 +253,10 @@ def _validate(doc: dict, path: str, sep: str) -> RunConfig:
     cfg = _parse_object(doc, path, table, _run_config, sep)
     if cfg.domain:
         _at(f"{path}{sep}domain", check_partition, cfg.domain, cfg.n)
-    if cfg.case:
-        entry = _at(f"{path}{sep}source", harness.catalog_entry, cfg.case, cfg.source)
-        if cfg.n:
-            _at(f"{path}{sep}n", entry.check_n, cfg.n)
+    if cfg.source is not None:
+        _at(f"{path}{sep}source", harness.check_source, cfg.case, cfg.source)
+    if cfg.case and cfg.n:
+        _at(f"{path}{sep}n", harness.CATALOG[cfg.case].check_n, cfg.n)
     return cfg
 
 
@@ -364,10 +365,13 @@ def _kept_model(cfg: RunConfig) -> _Kept | None:
     anew if the last one had another key; for any other command, none."""
     global _kept
     key = (cfg.case, cfg.n, tuple(cfg.regions)) if cfg.command in ("solve", "ft-demo") else None
-    if _kept is None or _kept.key != key:
+    if _kept is not None and _kept.key != key:
         _kept = None  # free the old factorization before the next is made
-        if key:
+    if key and _kept is None:
+        try:
             _kept = _Kept(key, harness.ForwardModel(harness.CATALOG[cfg.case], cfg.n, cfg.regions))
+        except RegionError as exc:  # regions come only from a config
+            raise ConfigError(f"$.{exc}") from exc
     return _kept
 
 
@@ -415,10 +419,7 @@ def _convergence_csv(result: harness.ConvergenceResult) -> str:
 
 def _run_field_command(cfg: RunConfig, kept: _Kept) -> None:
     model, mesh = kept.model, kept.model.mesh
-    try:
-        spec, u_h, report = model.solve(harness.catalog_entry(cfg.case, cfg.source), cfg.solver)
-    except RegionError as exc:  # regions come only from a config
-        raise ConfigError(f"$.{exc}") from exc
+    spec, u_h, report = model.solve(cfg.source, cfg.solver)
     points, values = model.sample(u_h, cfg.grid)
     if cfg.out:
         Path(cfg.out).write_bytes(_field_csv(kept, points, values))

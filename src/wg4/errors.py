@@ -103,7 +103,10 @@ def orders_from_values(values: Sequence[float]) -> list[float]:
 
 
 def check_doubling(levels: Sequence[int]) -> None:
-    """Raise ValueError unless each subdivision count doubles the last."""
+    """Raise ValueError unless there are levels and each subdivision
+    count doubles the last."""
+    if len(levels) == 0:
+        raise ValueError("no levels given")
     for a, b in zip(levels, levels[1:]):
         if b != 2 * a:
             raise ValueError(f"levels must double: got n={a} followed by n={b}")

@@ -5,16 +5,19 @@ studies; three forward-model scenarios mimic fluorescence-tomography
 setups (localized boundary data over a strongly discontinuous diffusion
 coefficient, and interior Gaussian light sources).  ``CATALOG`` holds one
 entry per case under the entry's own name.  The catalog's input rules
-live here, and the CLI's validator calls them: ``catalog_entry`` takes a
-source point for the Gaussian scenario only,
-``CaseCatalogEntry.check_n`` holds a case's n-multiple rule, and
-``check_grid`` the sampling grid's rule.
+live here, and the CLI's validator calls them: ``check_source`` holds
+the source-point rules (only the Gaussian scenario takes a point, and
+it must lie in the closed domain), ``CaseCatalogEntry.check_n`` a case's
+n-multiple rule, and ``check_grid`` the sampling grid's rule.
 
 ``ForwardModel`` serves tomography, where one medium meets many sources.
-It holds a case's mesh at n under the caller's regions, the operator of
-``wg4.assembly`` with its factorization and load quadrature, and the
-lattice of the last grid it sampled, so each later source costs only
-its coefficient field, load, triangular solves and sampling.
+Its constructor lays the medium once: the case's mesh at n, and the
+ProblemSpec of ``CaseCatalogEntry.problem`` with the caller's regions,
+which builds and checks the coefficient field.  The model keeps the
+operator of ``wg4.assembly`` with its factorization and load
+quadrature, and the lattice of the last grid it sampled.  A source
+point only swaps the spec's ``f``, so each later source costs its load,
+triangular solves and sampling.
 ``solve_case`` solves on a model of its own and drops it, so a one-shot
 solve, and each level of ``run_convergence``, keeps nothing.
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
@@ -24,7 +27,9 @@ that ``mesh.locate_point`` finds for each lattice point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +54,7 @@ __all__ = [
     "solve_case",
     "sample_field",
     "check_grid",
+    "check_source",
     "ConvergenceResult",
 ]
 
@@ -60,6 +66,7 @@ ABSORPTION = 0.01
 UNIT_SQUARE = (0.0, 0.0, 1.0, 1.0)
 FT_DOMAIN = (0.0, 0.0, 50.0, 50.0)
 GAUSSIAN_EPSILON = 100.0 / 64.0
+GAUSSIAN_AMPLITUDE = math.sqrt(2.0 * math.pi * GAUSSIAN_EPSILON)
 DEFAULT_SOURCE = (13.3065, 0.0730994)
 SECOND_SOURCE = (49.8272, 13.5234)
 
@@ -245,30 +252,29 @@ def case_ft_boundary_patch(variant: str) -> CaseCatalogEntry:
     )
 
 
-def case_ft_gaussian(source: tuple[float, float] = DEFAULT_SOURCE) -> CaseCatalogEntry:
+def _gaussian(x0: float, y0: float, x, y):
+    """The source about (x0, y0), sqrt(2 pi eps) exp(-r^2 / (2 eps)), at (x, y)."""
+    return GAUSSIAN_AMPLITUDE * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * GAUSSIAN_EPSILON))
+
+
+def case_ft_gaussian() -> CaseCatalogEntry:
     """Interior Gaussian light source on the 50 x 50 domain.
 
-    The source is sqrt(2 pi eps) exp(-r^2 / (2 eps)) centered at the given
-    point near the boundary.  The medium is uniform, with the manufactured
-    cases' diffusion and absorption; ``solve_case``'s regions lay
-    inclusions over it, for example at the disks of radius 4 about
-    (25, 15) and of radius 3 about (35, 20).  Boundary data is not part
-    of the scenario definition and is taken homogeneous (xi = nu = 0).
+    The source is ``_gaussian`` about DEFAULT_SOURCE, near the boundary;
+    ``ForwardModel.solve`` moves it to any point that ``check_source``
+    allows.  The medium is uniform, with the manufactured cases'
+    diffusion and absorption; a model's regions lay inclusions over it,
+    for example at the disks of radius 4 about (25, 15) and of radius 3
+    about (35, 20).  Boundary data is not part of the scenario definition
+    and is taken homogeneous (xi = nu = 0).
     """
-    x0, y0 = float(source[0]), float(source[1])
-    eps = GAUSSIAN_EPSILON
-    amplitude = math.sqrt(2.0 * math.pi * eps)
-
-    def f(x, y):
-        return amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * eps))
-
     def build(mesh: Mesh, regions: Sequence[Region]) -> ProblemSpec:
         coeff = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, regions)
-        return ProblemSpec(f=f, xi=_zero, nu=_zero, coeff=coeff)
+        return ProblemSpec(f=partial(_gaussian, *DEFAULT_SOURCE), xi=_zero, nu=_zero, coeff=coeff)
 
     return CaseCatalogEntry(
         name="gaussian-source",
-        description=f"Gaussian source at ({x0:g}, {y0:g}) on the 50 x 50 domain",
+        description="Gaussian source at (%g, %g) on the 50 x 50 domain" % DEFAULT_SOURCE,
         domain=FT_DOMAIN,
         builder=build,
     )
@@ -285,43 +291,52 @@ CATALOG: dict[str, CaseCatalogEntry] = {entry.name: entry for entry in (
 FT_SCENARIOS = tuple(name for name, entry in CATALOG.items() if not entry.has_exact)
 
 
-def catalog_entry(name: str, source: tuple[float, float] | None = None) -> CaseCatalogEntry:
-    """The catalog case ``name``; a ``source`` point, which only the
-    Gaussian scenario takes and which must lie in its closed domain,
-    moves its source."""
+def catalog_entry(name: str) -> CaseCatalogEntry:
+    """The catalog case ``name``."""
     if name not in CATALOG:
         raise KeyError(f"unknown case {name!r}; available: {', '.join(sorted(CATALOG))}")
-    if source is None:
-        return CATALOG[name]
-    if name != _GAUSSIAN.name:
+    return CATALOG[name]
+
+
+def check_source(case: str, point) -> tuple[float, float]:
+    """``point`` as two floats; raise ValueError unless ``case`` is the
+    Gaussian scenario, the only one that takes a source point, and the
+    point is two numbers in its closed domain."""
+    if case != _GAUSSIAN.name:
         raise ValueError(f"only the {_GAUSSIAN.name} scenario takes a source point")
+    if not (isinstance(point, (tuple, list, np.ndarray)) and len(point) == 2 and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in point)):
+        raise ValueError(f"source point must be two numbers, got {point!r}")
     x0, y0, x1, y1 = _GAUSSIAN.domain
-    x, y = source
+    x, y = point
     if not (x0 <= x <= x1 and y0 <= y <= y1):
         raise ValueError(f"source point ({x:g}, {y:g}) lies outside the domain "
                          f"{_GAUSSIAN.domain}")
-    return case_ft_gaussian(source)
+    return float(x), float(y)
 
 
 class ForwardModel:
-    """One case's mesh at n under ``regions``, solved for each source on
-    one operator (see the module docstring).  ``solve(entry, config)``
-    returns (spec, solution, report) for ``entry``, the model's case with
-    any source; the first solve builds and factors the operator, and a
-    failed factorization is tried again by the next.  ``sample(u_h,
-    grid)`` is ``sample_field`` on the lattice kept while the grid stays."""
+    """One case's medium, solved for each source on one operator (see
+    the module docstring).  It builds the case's mesh at n and its
+    ProblemSpec with ``regions`` laid over the coefficients, once.
+    ``solve(source, config)`` returns (spec, solution, report) for the
+    case's own source, or for ``source``, a point that ``check_source``
+    allows, swapped into the spec; the first solve builds and factors
+    the operator, and a failed factorization is tried again by the next.
+    ``sample(u_h, grid)`` is ``sample_field`` on the lattice kept while
+    the grid stays."""
 
     def __init__(self, entry: CaseCatalogEntry, n: int, regions: Sequence[Region] = ()):
-        self.case, self.regions = entry.name, tuple(regions)
+        self.case = entry.name
         self.mesh = entry.make_mesh(n)
+        self.spec = entry.problem(self.mesh, regions)
         self.operator: assembly.Operator | None = None
         self.lattice: tuple | None = None  # (grid, points, elements, basis)
 
-    def solve(self, entry: CaseCatalogEntry, config: SolverConfig = SolverConfig()
+    def solve(self, source: tuple[float, float] | None = None, config: SolverConfig = SolverConfig()
               ) -> tuple[ProblemSpec, WeakFunction, SolveReport]:
-        if entry.name != self.case:
-            raise ValueError(f"case {entry.name!r} given to a model of case {self.case!r}")
-        spec = entry.problem(self.mesh, self.regions)
+        spec = self.spec if source is None else replace(
+            self.spec, f=partial(_gaussian, *check_source(self.case, source)))
         system = assembly.assemble(self.mesh, spec, self.operator)
         self.operator = system.operator
         x_free, report = solve_mod.solve_spd(system, config)
@@ -346,7 +361,7 @@ def solve_case(
     inclusion hook of the Gaussian scenario).
     """
     model = ForwardModel(entry, n, regions)
-    return (model.mesh, *model.solve(entry, config))
+    return (model.mesh, *model.solve(config=config))
 
 
 @dataclass

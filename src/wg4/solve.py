@@ -26,7 +26,7 @@ diverged, as a whole-domain diffusion of 1e-10 at mu = 0 does.
 
 An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
-system of each later source on its medium.  Its rows come in
+system of each later source point on the medium it laid once.  Its rows come in
 ``weakops.solve_order``, an order that leaves the minimum-degree
 ordering less fill than the dof layout's; the solve sees only the
 matrix.  The factorization is kept on the operator: the first solve

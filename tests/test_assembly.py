@@ -161,6 +161,28 @@ def test_region_faults_name_no_element():
         Region(shape="rect", bounds=(0, 0, 1, 1), kappa=np.eye(2), mu=-0.5)
 
 
+_DISK = {"shape": "disk", "center": (25.0, 15.0), "radius": 4.0, "kappa": np.eye(2), "mu": 0.5}
+
+
+@pytest.mark.parametrize("change,message", [
+    # before: numpy's UFuncTypeError, a bare TypeError twice, a message naming
+    # no field, "not enough values to unpack", and a disk accepted until used
+    ({"mu": "x"}, "mu: expected a number, got 'x'"),
+    ({"mu": None}, "mu: expected a number, got None"),
+    ({"radius": "1"}, "radius: expected a number, got '1'"),
+    ({"kappa": "ab"}, "kappa: expected a 2x2 matrix of numbers, got 'ab'"),
+    ({"kappa": [[1.0, 0.0], [0.0]]},
+     "kappa: expected a 2x2 matrix of numbers, got [[1.0, 0.0], [0.0]]"),
+    ({"shape": "rect", "center": None, "radius": None, "bounds": (0, 0, 1)},
+     "bounds: expected four numbers, got (0, 0, 1)"),
+    ({"center": (0,)}, "center: expected two numbers, got (0,)"),
+])
+def test_region_names_its_malformed_field(change, message):
+    with pytest.raises(ValueError) as err:
+        Region(**{**_DISK, **change})
+    assert str(err.value) == message
+
+
 def test_free_dof_count_n1():
     mesh = unit_square_mesh(1)
     spec = case_sine().problem(mesh)

@@ -14,7 +14,7 @@ from wg4 import cli, harness
 from wg4.assembly import Region
 from wg4.cli import ConfigError, main, parse_config
 from wg4.errors import check_doubling
-from wg4.harness import CATALOG, DEFAULT_SOURCE, SECOND_SOURCE, catalog_entry, check_grid
+from wg4.harness import CATALOG, DEFAULT_SOURCE, SECOND_SOURCE, check_grid, check_source
 from wg4.mesh import check_partition, check_rectangle
 
 
@@ -331,6 +331,7 @@ def test_region_without_a_centroid_is_a_config_error(tmp_path, capsys):
     }))
     assert main(["solve", "--config", str(config)]) == 2
     assert capsys.readouterr().err == "error: config: $.regions[0]: holds no element centroid\n"
+    assert cli._kept is None  # the model failed to lay its medium, and none is kept
 
 
 def test_missing_config_file(capsys):
@@ -498,12 +499,12 @@ def _region(**values):
     (["ft-demo", "--scenario", "boundary-indicator", "--n", "12"], "--n",
      lambda: CATALOG["boundary-indicator"].check_n(12)),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--source", "1,2"], "--source",
-     lambda: catalog_entry("boundary-dirac", (1.0, 2.0))),
+     lambda: check_source("boundary-dirac", (1.0, 2.0))),
     # a Gaussian source outside the scenario's domain
     ({"command": "ft-demo", "scenario": "gaussian-source", "n": 8, "source": [1e308, 1e308]},
-     "$.source", lambda: catalog_entry("gaussian-source", (1e308, 1e308))),
+     "$.source", lambda: check_source("gaussian-source", (1e308, 1e308))),
     (["ft-demo", "--scenario", "gaussian-source", "--n", "8", "--source", "25,-1"], "--source",
-     lambda: catalog_entry("gaussian-source", (25.0, -1.0))),
+     lambda: check_source("gaussian-source", (25.0, -1.0))),
 ])
 def test_library_rules_reported_at_their_key(args, path, library, tmp_path, capsys, monkeypatch):
     # the CLI reports the library's own message, at the key or flag that broke the rule

@@ -23,6 +23,7 @@ from wg4.harness import (
     case_poly_bump,
     case_sine,
     catalog_entry,
+    check_source,
     run_convergence,
     sample_field,
     solve_case,
@@ -155,10 +156,8 @@ def test_gaussian_case_fields():
 
 
 def test_gaussian_second_source():
-    entry = case_ft_gaussian(harness.SECOND_SOURCE)
-    mesh = entry.make_mesh(8)
-    spec = entry.problem(mesh)
-    assert spec.f(*harness.SECOND_SOURCE) == pytest.approx(
+    spec, _, _ = ForwardModel(case_ft_gaussian(), 8).solve(SECOND_SOURCE)
+    assert spec.f(*SECOND_SOURCE) == pytest.approx(
         math.sqrt(2 * math.pi * harness.GAUSSIAN_EPSILON), rel=1e-13
     )
 
@@ -167,20 +166,37 @@ def test_catalog_entry_lookup():
     assert set(CATALOG) == {
         "poly-bump", "sine", "boundary-indicator", "boundary-dirac", "gaussian-source"
     }
+    assert all(catalog_entry(name) is entry for name, entry in CATALOG.items())
     with pytest.raises(KeyError):
         catalog_entry("unknown")
-    with pytest.raises(ValueError):
-        catalog_entry("sine", source=(1.0, 2.0))
+
+
+def test_source_point_rules():
+    for name in CATALOG.keys() - {"gaussian-source"}:
+        with pytest.raises(ValueError, match="^only the gaussian-source scenario takes a source"):
+            check_source(name, (1.0, 2.0))
     for point in ((1e308, 1e308), (-0.5, 10.0), (10.0, 50.5), (float("nan"), 1.0)):
         with pytest.raises(ValueError, match=r"lies outside the domain \(0.0, 0.0, 50.0, 50.0\)$"):
-            catalog_entry("gaussian-source", source=point)
+            check_source("gaussian-source", point)
     for corner in ((0.0, 0.0), (50.0, 50.0)):  # the domain is closed
-        catalog_entry("gaussian-source", source=corner)
-    entry = catalog_entry("gaussian-source", source=(10.0, 10.0))
-    mesh = entry.make_mesh(4)
-    assert entry.problem(mesh).f(10.0, 10.0) == pytest.approx(
+        assert check_source("gaussian-source", corner) == corner
+    assert check_source("gaussian-source", np.array([10, 20])) == (10.0, 20.0)
+    model = ForwardModel(case_ft_gaussian(), 4)
+    assert model.solve((10.0, 10.0))[0].f(10.0, 10.0) == pytest.approx(
         math.sqrt(2 * math.pi * harness.GAUSSIAN_EPSILON)
     )
+    with pytest.raises(ValueError, match="^only the gaussian-source scenario"):
+        ForwardModel(case_sine(), 4).solve((0.5, 0.5))
+
+
+@pytest.mark.parametrize("point", [
+    (1.0,), (1.0, 2.0, 3.0), "12", 12.0, None, (1.0, "2"), (True, 1.0), ((1.0, 2.0), (3.0, 4.0)),
+    (1.0, None)])
+def test_source_point_must_be_two_numbers(point):
+    # before, (1.0,) raised "not enough values to unpack (expected 2, got 1)"
+    with pytest.raises(ValueError) as err:
+        check_source("gaussian-source", point)
+    assert str(err.value) == f"source point must be two numbers, got {point!r}"
 
 
 def test_problem_rejects_wrong_domain():
@@ -206,6 +222,12 @@ def test_run_convergence_orders_near_reference():
 def test_run_convergence_requires_exact_case():
     with pytest.raises(ValueError):
         run_convergence(case_ft_gaussian(), [8, 16])
+
+
+def test_run_convergence_requires_levels():
+    # an empty list used to give an empty table
+    with pytest.raises(ValueError, match="^no levels given$"):
+        run_convergence(case_sine(), [])
 
 
 def test_run_convergence_checks_levels_before_solving(monkeypatch):
@@ -291,7 +313,7 @@ def test_model_keeps_the_lattice_of_its_last_grid():
     # the same model and grid take the kept lattice; a changed grid or model never does
     entry = catalog_entry("sine")
     models = {n: ForwardModel(entry, n) for n in (4, 8)}
-    fields = {n: model.solve(entry)[1] for n, model in models.items()}
+    fields = {n: model.solve()[1] for n, model in models.items()}
     last = last_points = None
     for n, grid in [(4, 5), (4, 5), (4, 6), (8, 6), (8, 6), (4, 6)]:
         points, values = models[n].sample(fields[n], grid)
@@ -305,7 +327,7 @@ def test_model_keeps_the_lattice_of_its_last_grid():
 def test_sampled_lattice_is_read_only():
     entry = catalog_entry("sine")
     model = ForwardModel(entry, 4)
-    points, values = model.sample(model.solve(entry)[1], 5)
+    points, values = model.sample(model.solve()[1], 5)
     for array in model.lattice[1:]:
         assert not array.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -397,7 +419,7 @@ def test_model_keeps_its_mesh_for_every_source():
     model = ForwardModel(case_ft_gaussian(), 8)
     mesh = model.mesh
     for source in (DEFAULT_SOURCE, SECOND_SOURCE):
-        model.solve(case_ft_gaussian(source))
+        model.solve(source)
         assert model.mesh is mesh
     finer = ForwardModel(case_ft_gaussian(), 16).mesh
     assert finer is not mesh and finer.n == 16
@@ -409,34 +431,35 @@ def test_model_without_its_operator_keeps_the_mesh_and_the_lattice():
     entry = catalog_entry("gaussian-source")
     model = ForwardModel(entry, 8)
     mesh = model.mesh
-    points, _ = model.sample(model.solve(entry)[1], 9)
+    points, _ = model.sample(model.solve()[1], 9)
     model.operator = None
-    _, u_again, _ = model.solve(entry)
+    _, u_again, _ = model.solve()
     assert model.mesh is mesh
     assert model.sample(u_again, 9)[0] is points
 
 
-def test_model_solves_a_second_source_without_assembling_or_factoring(monkeypatch):
-    entry = catalog_entry("gaussian-source")
-    model = ForwardModel(entry, 8)
-    model.solve(entry)
-    lu = model.operator.lu
-    kernel_calls = []
-    kernel = assembly.local_system
-    monkeypatch.setattr(assembly, "local_system",
-                        lambda *args: kernel_calls.append(args) or kernel(*args))
-    second = case_ft_gaussian(SECOND_SOURCE)
-    _, warm, _ = model.solve(second)
-    assert kernel_calls == [] and model.operator.lu is lu
-    _, _, cold, _ = solve_case(second, 8)
-    assert len(kernel_calls) == 1
-    assert warm.coeffs.tobytes() == cold.coeffs.tobytes()
+def _recording(monkeypatch, owner, name: str, calls: list) -> None:
+    """Record each call of ``owner.name`` in ``calls``, and make it."""
+    function = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs:
+                        calls.append(name) or function(*args, **kwargs))
 
 
-def test_model_refuses_another_case():
-    model = ForwardModel(case_ft_gaussian(), 4)
-    with pytest.raises(ValueError, match="^case 'sine' given to a model of case 'gaussian-source'$"):
-        model.solve(case_sine())
+def test_model_solves_a_second_source_without_laying_assembling_or_factoring(monkeypatch):
+    # the medium is laid once, when the model is built; a source point
+    # swaps the spec's source and reuses the field, the operator and the LU
+    model = ForwardModel(catalog_entry("gaussian-source"), 8)
+    model.solve()
+    lu, coeff = model.operator.lu, model.spec.coeff
+    calls = []
+    _recording(monkeypatch, assembly, "local_system", calls)
+    _recording(monkeypatch, harness.CaseCatalogEntry, "problem", calls)
+    _recording(monkeypatch, CoefficientField, "from_regions", calls)
+    spec, warm, _ = model.solve(SECOND_SOURCE)
+    assert calls == [] and model.operator.lu is lu and spec.coeff is coeff
+    _, fresh, _ = ForwardModel(catalog_entry("gaussian-source"), 8).solve(SECOND_SOURCE)
+    assert calls == ["problem", "from_regions", "local_system"]
+    assert warm.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("name", ["gaussian-source", "boundary-indicator"])
@@ -470,7 +493,7 @@ def test_warm_load_equals_a_cold_one(monkeypatch):
     monkeypatch.setattr(assembly, "local_load", recording)
     sources = [DEFAULT_SOURCE, SECOND_SOURCE, (25.0, 25.0), (0.0, 50.0)]
     model = ForwardModel(case_ft_gaussian(), 8)
-    solutions = [model.solve(case_ft_gaussian(source)) for source in sources]
+    solutions = [model.solve(source) for source in sources]
     op = model.operator
     assert op.load_quadrature is not None
     assert all(not array.flags.writeable for array in op.load_quadrature)
@@ -480,14 +503,14 @@ def test_warm_load_equals_a_cold_one(monkeypatch):
         cold = weakops.local_load(weakops.load_quadrature(model.mesh.element_points()), spec.f)
         assert load.tobytes() == cold.tobytes()
     # and a warm solve is the cold solve
-    _, _, cold_u, _ = solve_case(case_ft_gaussian(sources[-1]), 8)
+    _, cold_u, _ = ForwardModel(case_ft_gaussian(), 8).solve(sources[-1])
     assert solutions[-1][1].coeffs.tobytes() == cold_u.coeffs.tobytes()
 
 
 def test_cold_solves_keep_no_quadrature_points(monkeypatch):
     entry = catalog_entry("gaussian-source")
     model = ForwardModel(entry, 8)
-    model.solve(entry)
+    model.solve()
     assert model.operator.lu is not None and model.operator.load_quadrature is None
     # one operator per level, each assembled once and gone before the next level's
     operators = []

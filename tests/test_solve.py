@@ -115,10 +115,10 @@ def test_solve_order_leaves_less_fill():
 
 def test_second_source_reuses_the_factorization(recorder):
     model = ForwardModel(case_ft_gaussian(), 8)
-    model.solve(case_ft_gaussian())
-    _, warm, _ = model.solve(case_ft_gaussian(SECOND_SOURCE))
+    model.solve()
+    _, warm, _ = model.solve(SECOND_SOURCE)
     assert len(recorder.factors) == 1
-    _, _, cold, _ = solve_case(case_ft_gaussian(SECOND_SOURCE), 8)
+    _, cold, _ = ForwardModel(case_ft_gaussian(), 8).solve(SECOND_SOURCE)
     assert len(recorder.factors) == 2
     assert warm.coeffs.tobytes() == cold.coeffs.tobytes()
 
@@ -128,19 +128,17 @@ def test_changed_operator_key_refactors(recorder, change):
     # a model's operator serves only its own mesh and medium
     entry = catalog_entry("gaussian-source")
     model = ForwardModel(entry, 8)
-    spec, _, _ = model.solve(entry)
+    spec, _, _ = model.solve()
     if change == "kappa":
         region = Region(shape="disk", center=(25.0, 15.0), radius=4.0,
                         kappa=2.0 * np.eye(2), mu=ABSORPTION)
-        ForwardModel(entry, 8, [region]).solve(entry)
+        ForwardModel(entry, 8, [region]).solve()
     elif change == "n":
-        ForwardModel(entry, 16).solve(entry)
+        ForwardModel(entry, 16).solve()
     else:
         # the sine case has the same coefficient values on the unit square
-        with pytest.raises(ValueError, match="given to a model of case 'gaussian-source'"):
-            model.solve(case_sine())
         other_model = ForwardModel(case_sine(), 8)
-        other, _, _ = other_model.solve(case_sine())
+        other, _, _ = other_model.solve()
         assert other_model.mesh.domain != model.mesh.domain
         assert np.array_equal(other.coeff.kappa, spec.coeff.kappa)
         assert np.array_equal(other.coeff.mu, spec.coeff.mu)
@@ -151,8 +149,8 @@ def test_unmet_tolerance_keeps_the_operator(recorder):
     entry = catalog_entry("gaussian-source")
     model = ForwardModel(entry, 8)
     with pytest.raises(SolverError):
-        model.solve(entry, SolverConfig(tolerance=1e-300))
-    _, _, report = model.solve(entry)
+        model.solve(config=SolverConfig(tolerance=1e-300))
+    _, _, report = model.solve()
     assert len(recorder.factors) == 1
     assert report.residual <= 1e-10
 
@@ -179,10 +177,10 @@ def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
     # a model keeps no factorization from the failure, and its next solve makes one
     model = ForwardModel(entry, 8)
     with pytest.raises(SolverError, match="factorization failed"):
-        model.solve(entry)
+        model.solve()
     assert model.operator.lu is None
     monkeypatch.undo()
-    _, _, report = model.solve(entry)
+    _, _, report = model.solve()
     assert model.operator.lu is not None and report.residual <= 1e-10
 
 
