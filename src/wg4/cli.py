@@ -199,9 +199,7 @@ def _as_exact_case(value, path: str) -> str:
 
 
 def _as_levels(value, path: str) -> list[int]:
-    if value == []:
-        raise _type_error(path, "a non-empty list of integers", value)
-    levels = _items(value, path, _as_int, "a non-empty list of integers")
+    levels = _items(value, path, _as_int, "a list of integers")
     check_doubling(levels)
     return levels
 
@@ -515,8 +513,8 @@ def _config_from_flags(flags: dict) -> RunConfig:
         if "out" in flags:
             cfg.out = _as_path(flags["out"], "--out")
         return cfg
-    doc = {key: [_literal(item) for item in value.split(",")] if key in ("levels", "source")
-           else _literal(value) if key in ("n", "grid") else value
+    doc = {key: [_literal(item) for item in value.split(",") if value]  # "" lists nothing
+           if key in ("levels", "source") else _literal(value) if key in ("n", "grid") else value
            for key, value in flags.items()}
     return _validate(doc, "", "--")
 

@@ -1,17 +1,20 @@
 """Sparse SPD solves with a controlled residual.
 
-The global system is factored by SuperLU in symmetric mode: the
-minimum-degree ordering of A^T + A is applied to rows and columns alike,
-and the pivots are taken from the diagonal.  No pivoting is needed
-because the matrix is symmetric positive definite, so every diagonal
-pivot of a symmetric permutation is positive (Li, ACM TOMS 31, 2005;
-Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  The
-iterative refinement and the backward-error test below guard the result
-should rounding make a pivot small.  Since A is symmetric, its CSR arrays
-go to SuperLU uncopied, as the CSC form of A^T = A.
+The global system is factored by SuperLU in symmetric mode, in the
+order its rows come in: ``weakops.solve_order`` numbers the free dofs by
+nested dissection (George, SIAM J. Numer. Anal. 10, 1973), so SuperLU
+takes no column ordering of its own (``PERMC_SPEC`` is ``"NATURAL"``)
+and its pivots are the diagonal's.  No pivoting is needed because the
+matrix is symmetric positive definite, so every diagonal pivot of a
+symmetric permutation is positive (Li, ACM TOMS 31, 2005; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 10).  The iterative
+refinement and the backward-error test below guard the result should
+rounding make a pivot small.  Since A is symmetric, its CSR arrays go to
+SuperLU uncopied, as the CSC form of A^T = A.
 
 A solve stops as soon as the relative residual ||A x - b|| / ||b|| meets
-the tolerance.  In float64 that residual cannot drop below about
+the tolerance, after ``min_steps`` refinement steps at the earliest.
+In float64 that residual cannot drop below about
 eps * ||A|| ||x|| / ||b||, which grows like h^-4, so on fine meshes the
 target can lie out of reach of any solver.  When refinement ends above
 it, the solve is still accepted if x has a normwise backward error
@@ -24,14 +27,24 @@ a relative residual above 1: such an x is worse than x = 0.  A huge
 ||A|| ||x|| can make the backward error tiny for a field that has
 diverged, as a whole-domain diffusion of 1e-10 at mu = 0 does.
 
+A solve whose problem has an exact solution takes one step at least
+(``wg4.harness.ForwardModel.solve`` decides it from the spec): its
+printed error norms are about 1e-3 of |u|, so they magnify the solve's
+rounding about 1000-fold, and which way the last digit of the sine
+table's n=64 ``eg`` rounds would otherwise depend on the elimination
+order.  One step of refinement in working precision makes the
+elimination componentwise backward stable (Skeel, Math. Comp. 35, 1980);
+it puts that ``eg`` about 1.0e-12 from a reference refined in extended
+precision, which lies 9.3e-12 from the rounding tie.  A field solve prints
+u_h itself and accepts at step 0.
+
 An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
-system of each later source point on the medium it laid once.  Its rows come in
-``weakops.solve_order``, an order that leaves the minimum-degree
-ordering less fill than the dof layout's; the solve sees only the
-matrix.  The factorization is kept on the operator: the first solve
-makes it, and every later solve on the operator only runs the
-triangular solves, the refinement and the acceptance tests above.
+system of each later source point on the medium it laid once; the
+solve sees only the matrix.  The factorization is kept on the operator:
+the first solve makes it, and every later solve on the operator only
+runs the triangular solves, the refinement and the acceptance tests
+above.
 ||A||_inf, which only the backward error needs, is kept there too, made
 by the first solve that falls back to that test.
 """
@@ -47,6 +60,10 @@ import scipy.sparse.linalg as spla
 __all__ = ["SolverConfig", "SolveReport", "SolverError", "solve_spd"]
 
 _REFINEMENT_STEPS = 3
+
+#: SuperLU's column ordering: none, since the rows come in
+#: ``weakops.solve_order``'s nested dissection.
+PERMC_SPEC = "NATURAL"
 
 
 class SolverError(RuntimeError):
@@ -76,16 +93,17 @@ class SolveReport:
     backward_error: float | None = None
 
 
-def solve_spd(system, config: SolverConfig = SolverConfig()):
+def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0):
     """Solve an AssembledSystem, whose matrix is symmetric positive definite.
 
     Returns (free-dof vector, SolveReport).  The relative residual
     ||A x - b|| / ||b|| is at or below the configured tolerance, or, when
     refinement cannot reach it, the normwise backward error of x is, and
     the report's ``backward_error`` says so; a final relative residual
-    above 1 is never accepted.  Failure raises SolverError
-    carrying the residual history.  The factorization is read from the
-    system's operator, or made and stored there on first use.
+    above 1 is never accepted.  An x is accepted on its residual after
+    ``min_steps`` refinement steps at the earliest.  Failure raises
+    SolverError carrying the residual history.  The factorization is read
+    from the system's operator, or made and stored there on first use.
     """
     operator = system.operator
     matrix, rhs = operator.matrix, system.rhs
@@ -99,7 +117,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         try:
             lu = spla.splu(
                 sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape),
-                permc_spec="MMD_AT_PLUS_A",
+                permc_spec=PERMC_SPEC,
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
@@ -114,7 +132,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig()):
         history.append(rel)
         if not np.isfinite(rel):
             raise SolverError("non-finite residual; assembled matrix is defective", history)
-        if rel <= config.tolerance:
+        if rel <= config.tolerance and step >= min_steps:
             return x, SolveReport(iterations=step, residual=rel, residual_history=history)
         if step == _REFINEMENT_STEPS:
             break

@@ -12,10 +12,12 @@ per-edge blocks [vb_0, vb_1, vg_0, vg_1] of 4, edge block e at offset
 6*E + 4*e.  A ``WeakFunction`` has writable views of both parts; the
 layout's size, each element's 18 dofs and the boundary dofs are
 ``dof_count``, ``local_dofs`` and ``boundary_mask``.  The global system
-numbers its free dofs in another order, ``solve_order``: the element and
-interior-edge blocks, each kept whole, sorted along the mesh's
-anti-diagonals.  SuperLU's minimum-degree ordering depends on the order
-it is handed, and this one leaves it less fill than the layout's.
+numbers its free dofs in another order, ``solve_order``: a nested
+dissection of the cell grid over the element and interior-edge blocks,
+each kept whole.  Each cut's edge blocks come after both halves it
+splits, so SuperLU factors the system in that order as given
+(``solve.PERMC_SPEC``), with less fill than its own minimum-degree
+ordering finds.
 
 Two element-local operators act on these triples:
 
@@ -149,23 +151,50 @@ def boundary_mask(mesh: Mesh) -> np.ndarray:
 
 def solve_order(mesh: Mesh) -> np.ndarray:
     """The free dofs, all but ``boundary_mask``'s, in the order the global
-    system numbers them.
+    system numbers them: a nested dissection of the cell grid.
 
-    The element blocks and the interior-edge blocks are sorted by the
-    cell-index sum (x - x0) / hx + (y - y0) / hy of their centres, the
-    centroid or the edge midpoint, then by x; each block's dofs stay
-    together in layout order.  The sum is taken in floating point, so
-    centres on one anti-diagonal can differ in its last bit, and that
-    decides their order before x does.  On the unit square at n=64, that
-    order leaves SuperLU 6.96M entries in L + U, against 7.53M with the
-    sums rounded to exact sixths and 8.58M in layout order.
+    The element blocks and the interior-edge blocks each stay whole, with
+    their dofs in layout order.  The grid is bisected across its longer
+    side (across x on a tie) at the middle mesh line; both halves are
+    numbered first, then the edge blocks on that line, and each half
+    recursively.  A 1 x 1 cell numbers its two elements by index, then
+    its diagonal.  Each pass of the loop below is one level of that tree
+    over every block at once.  A block's digit is 0 or 1 for the half it
+    falls in and 2 on the cut; in a single cell, 0 for an element and 1
+    for the diagonal; and 0 once it is placed.  The base-3 numbers of
+    the digits sort the blocks into place, and blocks with equal
+    numbers, the edges of one cut, stay in layout order.  On the unit
+    square at n=64, factored as given, this order leaves SuperLU 6.56M
+    entries in L + U, where its minimum-degree ordering left 6.96M at
+    best over the dof orders tried.
     """
     x0, y0, x1, y1 = mesh.domain
     interior = np.flatnonzero(~mesh.boundary)
     centres = np.vstack([mesh.centroids, mesh.edge_points(interior).mean(axis=1)])
-    x = (centres[:, 0] - x0) / ((x1 - x0) / mesh.n)
-    y = (centres[:, 1] - y0) / ((y1 - y0) / mesh.n)
-    blocks = np.lexsort((x, x + y))
+    # centres in half cells: odd x and y inside a cell, one even coordinate on a mesh line
+    x, y = np.rint(2 * mesh.n * (centres - (x0, y0)) / (x1 - x0, y1 - y0)).T.astype(np.int32)
+    element = np.arange(len(centres)) < mesh.n_elements
+    lx, ly = np.zeros_like(x), np.zeros_like(y)  # each block's region [lx, hx) x [ly, hy) in cells
+    hx, hy = np.full_like(x, mesh.n), np.full_like(y, mesh.n)
+    key = np.zeros(len(centres), dtype=np.int64)  # 3^(2 log2 n + 1) fits for any n < 2^19
+    done = np.zeros(len(centres), dtype=bool)
+    while not done.all():
+        w, h = hx - lx, hy - ly
+        across = w >= h  # cut the x-extent, along a vertical mesh line
+        mid = np.where(across, lx + w // 2, ly + h // 2)
+        side = np.where(across, x, y) - 2 * mid  # < 0 first half, 0 on the cut, > 0 second
+        leaf = w + h == 2
+        cut = side == 0
+        digit = np.where(leaf, ~element, (side > 0) + 2 * cut)
+        digit[done] = 0
+        key = 3 * key + digit
+        first, second = ~leaf & (side < 0), ~leaf & (side > 0)
+        hx = np.where(first & across, mid, hx)
+        hy = np.where(first & ~across, mid, hy)
+        lx = np.where(second & across, mid, lx)
+        ly = np.where(second & ~across, mid, ly)
+        done |= leaf | cut
+    blocks = np.argsort(key, kind="stable")
     base = N_INTERIOR * mesh.n_elements
     dofs = np.full((len(centres), N_INTERIOR), -1)  # one row per block, edge rows padded
     dofs[: mesh.n_elements] = np.arange(base).reshape(-1, N_INTERIOR)

@@ -496,6 +496,9 @@ def _region(**values):
      lambda: CATALOG["boundary-dirac"].check_n(12)),
     (["convergence", "--case", "sine", "--levels", "4,6"], "--levels",
      lambda: check_doubling([4, 6])),
+    ({"command": "convergence", "case": "sine", "levels": []}, "$.levels",
+     lambda: check_doubling([])),
+    (["convergence", "--case", "sine", "--levels", ""], "--levels", lambda: check_doubling([])),
     (["ft-demo", "--scenario", "boundary-indicator", "--n", "12"], "--n",
      lambda: CATALOG["boundary-indicator"].check_n(12)),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "8", "--source", "1,2"], "--source",

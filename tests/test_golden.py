@@ -10,7 +10,9 @@ printed results of that refactor.  To rewrite one, run its command with
 ``convergence-poly-bump-8-32.csv`` and
 ``ft-demo-gaussian-n32-grid21-second-source.csv`` are compared byte for
 byte only by the CI ``golden`` job, which pins numpy and scipy: their
-last digits may move with another BLAS.
+last digits may move with another BLAS.  The sine table to n=64 is
+compared here with the benchmark's golden, ``perfbench/golden/conv-sine.csv``,
+in the solver's elimination order and in minimum degree's.
 """
 
 import json
@@ -18,10 +20,12 @@ from pathlib import Path
 
 import pytest
 
+import wg4.solve
 from wg4.cli import main, parse_config, run
 from wg4.harness import DEFAULT_SOURCE, SECOND_SOURCE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CONV_SINE = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "conv-sine.csv"
 
 BYTE_EXACT = [
     ("convergence-sine-8-32.csv", ["convergence", "--case", "sine", "--levels", "8,16,32"]),
@@ -36,6 +40,18 @@ def test_cli_output_byte_identical(tmp_path, name, argv):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("permc_spec", [None, "MMD_AT_PLUS_A"])
+def test_sine_table_to_n64_byte_identical(tmp_path, monkeypatch, permc_spec):
+    # n=64's eg lies 9.3e-12 from a rounding tie; one refinement step holds it there
+    # whatever the elimination order, here nested dissection or minimum degree
+    if permc_spec is not None:
+        monkeypatch.setattr(wg4.solve, "PERMC_SPEC", permc_spec)
+    out = tmp_path / "conv-sine.csv"
+    assert main(["convergence", "--case", "sine", "--levels", "8,16,32,64",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == CONV_SINE.read_bytes()
 
 
 def test_mesh_dump_non_unit_domain_byte_identical(tmp_path):

@@ -221,8 +221,24 @@ def test_boundary_mask_counts():
     assert not mask[: 6 * mesh.n_elements].any()  # interior blocks are never boundary
 
 
-@pytest.mark.parametrize("domain,n", [((0.0, 0.0, 1.0, 1.0), 1), ((0.0, 0.0, 1.0, 1.0), 8),
-                                      ((0.0, 0.0, 50.0, 50.0), 6), ((-1.0, 2.0, 3.0, 2.5), 5)])
+ORDER_CASES = [((0.0, 0.0, 1.0, 1.0), 1), ((0.0, 0.0, 1.0, 1.0), 8),
+               ((0.0, 0.0, 50.0, 50.0), 6), ((-1.0, 2.0, 3.0, 2.5), 5)]
+
+
+def _order_blocks(mesh, order):
+    """The blocks of a solve order, one per run: element e as e, edge f as
+    E + f, with each block's centre in half cells, (2x, 2y) from the
+    domain's corner, rounded."""
+    base = 6 * mesh.n_elements
+    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
+    blocks = block[np.r_[True, np.diff(block) != 0]]
+    x0, y0, x1, y1 = mesh.domain
+    centres = np.vstack([mesh.centroids, mesh.edge_points().mean(axis=1)])[blocks]
+    half = np.rint(2 * mesh.n * (centres - (x0, y0)) / (x1 - x0, y1 - y0)).astype(int)
+    return blocks, half
+
+
+@pytest.mark.parametrize("domain,n", ORDER_CASES)
 def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
     mesh = build_structured_mesh(domain, n)
     order = weakops.solve_order(mesh)
@@ -235,31 +251,65 @@ def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
     assert len(runs) == mesh.n_elements + (~mesh.boundary).sum()
     for run in runs:
         assert len(run) == (6 if run[0] < base else 4) and np.all(np.diff(run) == 1)
-    # the blocks follow the anti-diagonals, each centre's cell-index sum
-    x0, y0, x1, y1 = domain
-    centres = np.vstack([mesh.centroids, mesh.edge_points().mean(axis=1)])
-    first = np.array([run[0] for run in runs])
-    at = centres[np.where(first < base, first // 6, mesh.n_elements + (first - base) // 4)]
-    diagonal = n * ((at[:, 0] - x0) / (x1 - x0) + (at[:, 1] - y0) / (y1 - y0))
-    assert np.all(np.diff(diagonal) > -1e-9)
 
 
-def test_solve_order_keeps_the_float_tie_break():
-    # blocks as element index, or 32 + edge index; elements 10 and 16, and 5 and 11, lie
-    # on one anti-diagonal, and the last bit of the float cell-index sum puts 10 before 16
-    # and 5 before 11, where exact sums would let x put them the other way round.  The
-    # fill measured for the solve order is this order's, not the exact one's.
-    mesh = unit_square_mesh(4)
-    order = weakops.solve_order(mesh)
-    base = 6 * mesh.n_elements
-    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
-    blocks = block[np.r_[True, np.diff(block) != 0]]
-    assert blocks.tolist() == [
-        0, 33, 1, 36, 35, 8, 2, 49, 38, 9, 3, 52, 51, 40, 39, 10, 16, 4, 62, 53, 42, 17, 5,
-        11, 65, 64, 55, 54, 44, 43, 24, 18, 12, 6, 75, 66, 56, 46, 25, 19, 13, 7, 77, 68, 67,
-        58, 57, 48, 26, 20, 14, 79, 69, 59, 27, 21, 15, 80, 71, 70, 61, 28, 22, 82, 72, 29,
-        23, 83, 74, 30, 85, 31,
-    ]
+@pytest.mark.parametrize("domain,n", ORDER_CASES)
+def test_solve_order_numbers_each_cut_after_both_halves(domain, n):
+    # nested dissection: a region of cells is one run of blocks, its two halves
+    # first and then the edge blocks on the middle mesh line across its longer side
+    mesh = build_structured_mesh(domain, n)
+    _, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    x, y = half.T
+    cuts = 0
+
+    def check(i0, i1, j0, j1):
+        nonlocal cuts
+        inside = np.flatnonzero((2 * i0 < x) & (x < 2 * i1) & (2 * j0 < y) & (y < 2 * j1))
+        assert np.array_equal(inside, np.arange(inside[0], inside[-1] + 1))  # one run
+        if i1 - i0 == j1 - j0 == 1:
+            return
+        if i1 - i0 >= j1 - j0:
+            m = i0 + (i1 - i0) // 2
+            halves, line, length = ((i0, m, j0, j1), (m, i1, j0, j1)), x == 2 * m, j1 - j0
+        else:
+            m = j0 + (j1 - j0) // 2
+            halves, line, length = ((i0, i1, j0, m), (i0, i1, m, j1)), y == 2 * m, i1 - i0
+        cut = np.intersect1d(inside, np.flatnonzero(line))
+        assert len(cut) == length  # one edge block per cell side on the line
+        assert np.array_equal(cut, inside[len(inside) - len(cut):])  # the cut comes last
+        cuts += 1
+        for region in halves:
+            check(*region)
+
+    check(0, n, 0, n)
+    assert cuts == n * n - 1  # a binary tree down to the n^2 single cells
+
+
+@pytest.mark.parametrize("domain,n", ORDER_CASES)
+def test_solve_order_numbers_each_cells_elements_then_its_diagonal(domain, n):
+    mesh = build_structured_mesh(domain, n)
+    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    elements = np.flatnonzero(blocks < mesh.n_elements)
+    diagonals = np.flatnonzero((blocks >= mesh.n_elements) & (half % 2 == 1).all(axis=1))
+    assert len(elements) == 2 * len(diagonals) == 2 * n * n
+    # per cell, in the order the cells come: lower element, upper element, diagonal
+    cell = half[elements, 1] // 2 * n + half[elements, 0] // 2
+    assert np.array_equal(cell[0::2], cell[1::2])
+    assert np.array_equal(blocks[elements], np.ravel([2 * cell[0::2], 2 * cell[0::2] + 1], "F"))
+    assert np.array_equal(diagonals, elements[1::2] + 1)
+    assert np.array_equal(half[diagonals], half[elements[0::2]])
+
+
+def test_solve_order_at_n2():
+    # the 2 x 2 grid is cut at x = 1, each half at y = 1: cell (0, 0) numbers elements 0, 1
+    # and its diagonal, cell (0, 1) elements 4, 5 and its diagonal, then the edge between
+    # them; the right half likewise; the two edges on x = 1 come last
+    mesh = unit_square_mesh(2)
+    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    named = [f"T{b}" if b < mesh.n_elements else tuple(h) for b, h in zip(blocks, half)]
+    assert named == ["T0", "T1", (1, 1), "T4", "T5", (1, 3), (1, 2),
+                     "T2", "T3", (3, 1), "T6", "T7", (3, 3), (3, 2),
+                     (2, 1), (2, 3)]
 
 
 def test_project_qh_zero_and_flux_convention():
