@@ -72,21 +72,13 @@ COEFFICIENT_RANGE = (1e-100, 1e100)
 
 
 def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
-    """Every kappa (E, 2, 2) must be symmetric with eigenvalues in
+    """Every kappa (E, 2, 2) must be symmetric, by ``np.isclose`` of it
+    and its transpose, with ``np.linalg.eigvalsh`` eigenvalues in
     COEFFICIENT_RANGE, and every mu (E,) 0 or in COEFFICIENT_RANGE; the
     message names the first element that is not, as ``kappa[i]`` or,
-    unless ``indexed``, as ``kappa``.
-
-    Symmetry is ``np.isclose`` of the off-diagonal pair, both ways round.
-    The eigenvalues of [[a, b], [b, c]], with b the lower entry as
-    ``np.linalg.eigvalsh`` reads it, are taken in closed form on the
-    matrix divided by its largest entry s, so that no product in them
-    under- or overflows: lambda_max / s = (a + c) / 2s + hypot((a - c) / 2s,
-    b / s), and lambda_min = det / lambda_max, as (A / s) C - (b / s) b over
-    lambda_max / s, with A the diagonal entry of larger magnitude and C
-    the other.  A positive diagonal kappa gets its entries back exactly,
-    so 1e-200 I, diag(1e100, 1e-100) and the range's edges are judged as
-    ``eigvalsh`` judges them.
+    unless ``indexed``, as ``kappa``.  A run of equal consecutive kappa
+    is judged by its first element, so a piecewise-constant field costs
+    one eigenvalue problem per run.
     """
 
     def name(what: str, i: int) -> str:
@@ -96,27 +88,23 @@ def _check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True)
         raise ValueError(f"kappa must have shape (E, 2, 2) and mu shape (E,); got "
                          f"{np.shape(kappa)} and {np.shape(mu)}")
     low, high = COEFFICIENT_RANGE
-    a, upper, b, c = kappa.reshape(-1, 4).T
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite kappa, rejected below
-        finite = np.isfinite(kappa).all(axis=(1, 2))
-        gap = np.abs(upper - b)
-        symmetric = (gap <= 1e-14 + 1e-5 * np.abs(b)) & (gap <= 1e-14 + 1e-5 * np.abs(upper))
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-        scale[~(scale > 0)] = 1.0
-        x, y, z = a / scale, b / scale, c / scale
-        largest = (x + z) / 2 + np.hypot((x - z) / 2, y)
-        larger = np.abs(a) >= np.abs(c)
-        det = np.where(larger, x, z) * np.where(larger, c, a) - y * b  # det / s
-        smallest = np.divide(det, largest, out=np.zeros_like(det), where=largest > 0)
-        largest *= scale
-    bad = np.flatnonzero(~(finite & symmetric & (low <= smallest) & (largest <= high)))
+    starts = np.ones(len(kappa), dtype=bool)  # the first element of each run
+    starts[1:] = (kappa[1:] != kappa[:-1]).any(axis=(1, 2))
+    first = np.flatnonzero(starts)
+    runs = kappa[first]
+    finite = np.isfinite(runs).all(axis=(1, 2))
+    symmetric = np.isclose(runs, runs.transpose(0, 2, 1), atol=1e-14).all(axis=(1, 2))
+    ok = finite & symmetric
+    # eigvalsh needs finite input: the identity stands in for a bad kappa
+    smallest, largest = np.linalg.eigvalsh(np.where(ok[:, None, None], runs, np.eye(2))).T
+    bad = np.flatnonzero(~(ok & (low <= smallest) & (largest <= high)))
     if len(bad):
-        i = bad[0]
-        extreme = smallest[i] if smallest[i] < low else largest[i]
-        reason = ("not finite" if not finite[i] else "not symmetric" if not symmetric[i]
-                  else "not positive definite" if not smallest[i] > 0
+        j = bad[0]
+        extreme = smallest[j] if smallest[j] < low else largest[j]
+        reason = ("not finite" if not finite[j] else "not symmetric" if not symmetric[j]
+                  else "not positive definite" if not smallest[j] > 0
                   else f"eigenvalue {extreme:g} outside [{low:g}, {high:g}]")
-        raise ValueError(f"{name('kappa', i)}: {reason}")
+        raise ValueError(f"{name('kappa', first[j])}: {reason}")
     bad = np.flatnonzero(~((mu == 0) | ((low <= mu) & (mu <= high))))
     if len(bad):
         value = mu[bad[0]]
@@ -258,7 +246,6 @@ class Operator:
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
     lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
-    norm_inf: float | None = None  # ||matrix||_inf, set by solve.solve_spd on a fallback
     load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once factored
 
 
@@ -387,7 +374,8 @@ def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     coeffs = w.coeffs if isinstance(w, WeakFunction) else np.asarray(w, dtype=float)
     size = weakops.dof_count(mesh)
     if coeffs.shape != (size,):
-        raise ValueError(f"expected coefficient vector of length {size}")
+        raise ValueError(f"w: expected a coefficient vector of length {size}, "
+                         f"got shape {coeffs.shape}")
     local = coeffs[weakops.local_dofs(mesh)]
     mats, classes = _class_matrices(mesh, coeff)
     total = 0.0

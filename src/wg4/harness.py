@@ -99,7 +99,7 @@ class CaseCatalogEntry:
     def check_n(self, n: int) -> None:
         """Raise ValueError unless the subdivision count n is a multiple of ``n_multiple``."""
         if n % self.n_multiple:
-            raise ValueError(f"must be divisible by {self.n_multiple}, got {n}")
+            raise ValueError(f"case {self.name!r} needs n divisible by {self.n_multiple}, got {n}")
 
     def problem(self, mesh: Mesh, regions: Sequence[Region] = ()) -> ProblemSpec:
         if mesh.domain != self.domain:

@@ -45,8 +45,6 @@ solve sees only the matrix.  The factorization is kept on the operator:
 the first solve makes it, and every later solve on the operator only
 runs the triangular solves, the refinement and the acceptance tests
 above.
-||A||_inf, which only the backward error needs, is kept there too, made
-by the first solve that falls back to that test.
 """
 
 from __future__ import annotations
@@ -141,10 +139,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
         raise SolverError(f"refinement diverged to relative residual {rel:.3e}, "
                           f"above that of x = 0", history)
     # the relative-residual target is out of reach: accept the last x if it
-    # solves a nearby system; ||A||_inf is made on the first such fallback
-    if operator.norm_inf is None:
-        operator.norm_inf = float(abs(matrix).sum(axis=1).max())
-    backward = _backward_error(operator.norm_inf, rhs, x, r)
+    # solves a nearby system
+    backward = _backward_error(matrix, rhs, x, r)
     if backward <= config.tolerance:
         return x, SolveReport(
             iterations=_REFINEMENT_STEPS,
@@ -159,7 +155,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     )
 
 
-def _backward_error(anorm: float, rhs, x, r) -> float:
-    """Normwise backward error of ``x`` in the infinity norm, with ``anorm`` = ||A||_inf."""
+def _backward_error(matrix, rhs, x, r) -> float:
+    """Normwise backward error of ``x`` in the infinity norm."""
+    anorm = float(abs(matrix).sum(axis=1).max())
     denom = anorm * float(np.abs(x).max()) + float(np.abs(rhs).max())
     return float(np.abs(r).max()) / denom

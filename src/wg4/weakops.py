@@ -369,8 +369,9 @@ def load_quadrature(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def interior_moments(mapped: np.ndarray, u) -> np.ndarray:
     """Moments (E, 6) of ``u`` against the P2 basis of each triangle,
     divided by the triangle's 2|T|, from the quadrature points ``mapped``
-    (E, q, 2) of ``load_quadrature``."""
-    return u(mapped[..., 0], mapped[..., 1]) @ _weighted_interior_basis()
+    (E, q, 2) of ``load_quadrature``.  ``u`` may return a constant."""
+    values = np.broadcast_to(u(mapped[..., 0], mapped[..., 1]), mapped.shape[:-1])
+    return values @ _weighted_interior_basis()
 
 
 def local_load(quadrature: tuple[np.ndarray, np.ndarray], f) -> np.ndarray:
@@ -397,12 +398,13 @@ def project_Qb(segments: np.ndarray, u) -> np.ndarray:
     ``project_Qb`` projects a trace u; ``project_Qg`` is the same function
     under a second name and projects a conormal flux g, the scalar flux
     along each edge's own (global) normal.  Both stay module attributes,
-    so each can be wrapped on its own.
+    so each can be wrapped on its own.  The function may return a constant.
     """
     rule = poly.gauss_segment_quadrature(poly.DEFAULT_SEGMENT_POINTS)
     p1, p2 = segments[:, 0, None], segments[:, 1, None]
     pts = 0.5 * (p1 + p2) + rule.points[:, None] * (p2 - p1)
-    return u(pts[..., 0], pts[..., 1]) @ _edge_projector().T
+    values = np.broadcast_to(u(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+    return values @ _edge_projector().T
 
 
 project_Qg = project_Qb

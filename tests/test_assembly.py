@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from util import (
     Element,
@@ -27,6 +25,7 @@ from wg4.assembly import (
     assemble,
     triple_bar_norm,
 )
+from wg4.errors import error_report
 from wg4.harness import case_sine, catalog_entry
 from wg4.solve import solve_spd
 
@@ -224,6 +223,24 @@ def test_zero_data_zero_solution():
     assert report.residual == 0.0
 
 
+def test_constant_data_functions_match_their_array_twins():
+    # data functions that return a float, not an array of their points' shape
+    mesh = unit_square_mesh(4)
+    coeff = CoefficientField.from_regions(mesh, np.diag([2.0, 1.0]), 0.3)
+    values = {"f": 1.0, "xi": 0.5, "nu": -0.25, "exact_u": 0.5}
+    results = []
+    for field in (lambda c: lambda x, y: c,
+                  lambda c: lambda x, y: np.full(np.broadcast(x, y).shape, c)):
+        spec = ProblemSpec(coeff=coeff, exact_grad=lambda x, y: (0.0, 0.0),
+                           **{key: field(value) for key, value in values.items()})
+        system = assemble(mesh, spec)
+        x, _ = solve_spd(system)
+        results.append((system.rhs, x, error_report(mesh, spec, system.expand(x))))
+    (rhs, x, report), (twin_rhs, twin_x, twin_report) = results
+    assert np.array_equal(rhs, twin_rhs) and np.array_equal(x, twin_x)
+    assert report == twin_report and report.tbar > 0
+
+
 def test_nonfinite_boundary_data_reported():
     mesh = unit_square_mesh(1)
     bad = np.vectorize(lambda x, y: float("nan"), otypes=[float])
@@ -257,6 +274,9 @@ def test_triple_bar_norm_properties():
     spec = case_sine().problem(mesh)
     size = weakops.dof_count(mesh)
     assert triple_bar_norm(mesh, spec.coeff, np.zeros(size)) == 0.0
+    with pytest.raises(ValueError, match=rf"^w: expected a coefficient vector of length "
+                                         rf"{size}, got shape \(3,\)$"):
+        triple_bar_norm(mesh, spec.coeff, np.zeros(3))
 
     rng = np.random.default_rng(4)
     w = rng.normal(size=size)
@@ -487,30 +507,39 @@ def test_coefficient_checks_equal_their_eigvalsh_form():
     battery = coefficient_battery(rng)
     for kappa, mu in battery:
         assert_checks_agree(kappa[None], [mu])
-    # in a batch, both name the same first bad element
+    empty = (np.zeros((0, 2, 2)), np.zeros(0))
+    assert check_outcome(assembly._check_coefficients, *empty) is None
+    assert_checks_agree(*empty)
+    # in a batch, both name the same first bad element, also in runs of
+    # equal kappa, with equal or differing mu
     kappas, mus = np.array([k for k, _ in battery]), np.array([m for _, m in battery])
     for _ in range(200):
         pick = rng.choice(len(battery), 12, replace=False)
         assert_checks_agree(kappas[pick], mus[pick])
+        runs = np.repeat(pick[:6], rng.integers(1, 4, 6))
+        assert_checks_agree(kappas[runs], mus[runs])
+        assert_checks_agree(kappas[runs], mus[rng.choice(pick, len(runs))])
+        a, b = kappas[pick[:2]]
+        for i, j in np.ndindex(2, 2):  # a run that ends at a change of one entry
+            pair = np.array([a, a])
+            pair[1, i, j] = b[i, j]
+            assert_checks_agree(pair, mus[pick[:2]])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-120.0, 120.0), st.floats(0.0, 8.0), st.sampled_from([1.0, -1.0]),
-       st.floats(0.0, np.pi), st.sampled_from([0.0, 1e-15, -1e-9, 1e-3]),
-       st.one_of(st.sampled_from(SPECIAL), st.floats()))
-def test_coefficient_checks_agree_off_the_edges(exponent, spread, sign, angle, skew, mu):
-    # kappa = R diag(l, sign l 10^-spread) R^T, of condition number 1e8 at
-    # most, so both forms find each eigenvalue to about 1e-8; an eigenvalue
-    # that close to a range edge, or a printed one that close to a
-    # rounding tie, is left to the seeded battery above
-    big = 10.0**exponent
-    c, s = np.cos(angle), np.sin(angle)
-    turn = np.array([[c, -s], [s, c]])
-    kappa = turn @ np.diag([big, sign * big * 10.0**-spread]) @ turn.T
-    kappa = 0.5 * (kappa + kappa.T)
-    kappa[0, 1] += skew * abs(kappa[0, 1])
-    for value in np.linalg.eigvalsh(kappa):
-        for edge in assembly.COEFFICIENT_RANGE:
-            assume(abs(value - edge) > 1e-6 * edge)
-        assume(f"{value * (1 - 1e-7):g}" == f"{value * (1 + 1e-7):g}")
-    assert_checks_agree(kappa[None], [mu])
+@pytest.mark.parametrize("case", ["sine", "boundary-indicator"])
+def test_coefficient_check_takes_one_eigvalsh_per_run(case, monkeypatch):
+    mesh = catalog_entry(case).make_mesh(16)
+    coeff = catalog_entry(case).problem(mesh).coeff
+    kappa = coeff.kappa
+    runs = 1 + sum(not np.array_equal(kappa[i], kappa[i - 1]) for i in range(1, len(kappa)))
+    assert (runs == 1) if case == "sine" else (1 < runs < len(kappa))
+    batches = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        batches.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    CoefficientField(kappa=kappa, mu=coeff.mu)
+    assert batches == [runs]

@@ -91,7 +91,7 @@ def test_bad_region_values_rejected(region, fragment):
                  "levels": [8, 16]}), "no exact solution"),
     (json.dumps({"command": "solve", "case": "sine", "n": 0}), "$.n"),
     (json.dumps({"command": "solve", "case": "boundary-indicator", "n": 12}),
-     "$.n: must be divisible by 8, got 12"),
+     "$.n: case 'boundary-indicator' needs n divisible by 8, got 12"),
     (json.dumps({"command": "solve", "case": "sine", "n": 4,
                  "solver": {"tolernce": 1e-8}}), "$.solver.tolernce"),
     (json.dumps({"command": "solve", "case": "sine", "n": 4,
@@ -383,7 +383,7 @@ def test_gaussian_demo_with_source(tmp_path):
      "--source: only the gaussian-source scenario"),
     (["mesh-dump", "--n", "1025"], "--n: must be <= 1024, got 1025"),
     (["ft-demo", "--scenario", "boundary-indicator", "--n", "12"],
-     "--n: must be divisible by 8, got 12"),
+     "--n: case 'boundary-indicator' needs n divisible by 8, got 12"),
     (["ft-demo", "--scenario", "boundary-dirac", "--n", "2048"],
      "--n: must be <= 1024, got 2048"),
     (["convergence", "--case", "sine", "--levels", "1024,2048"],

@@ -122,8 +122,11 @@ def test_boundary_patch_dirac_value():
 def test_boundary_patch_requires_aligned_mesh():
     entry = case_ft_boundary_patch("indicator")
     mesh = entry.make_mesh(10)
-    with pytest.raises(ValueError, match="divisible by 8"):
+    message = r"^case 'boundary-indicator' needs n divisible by 8, got 10$"
+    with pytest.raises(ValueError, match=message):
         entry.problem(mesh)
+    with pytest.raises(ValueError, match=message):
+        ForwardModel(entry, 10)
     with pytest.raises(ValueError):
         case_ft_boundary_patch("spike")
 

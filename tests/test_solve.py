@@ -263,13 +263,13 @@ def test_direct_solve_accepted_on_backward_error():
     assert np.isfinite(x).all()
 
 
-def test_infinity_norm_made_on_the_first_fallback_and_kept():
-    identity = matrix_system(sp.identity(4, format="csr"), np.ones(4))
-    solve_spd(identity)  # meets the relative-residual target at once
-    assert identity.operator.lu is not None and identity.operator.norm_inf is None
+def test_fallback_backward_error_takes_the_infinity_norm():
     system = fourth_difference_system()
-    solve_spd(system)  # stalls and is accepted on its backward error
-    assert system.operator.norm_inf == 16.0  # |1| + |-4| + 6 + |-4| + |1|
+    x, report = solve_spd(system)  # stalls and is accepted on its backward error
+    r = system.rhs - system.operator.matrix @ x
+    anorm = 16.0  # ||A||_inf = |1| + |-4| + 6 + |-4| + |1|
+    denom = anorm * float(np.abs(x).max()) + float(np.abs(system.rhs).max())
+    assert report.backward_error == float(np.abs(r).max()) / denom
 
 
 def test_direct_solve_beyond_backward_error_raises():

@@ -397,9 +397,8 @@ def local_projection(elem: Element, u, grad_u, kappa) -> LocalWeakFunction:
 
 def matrix_system(matrix, rhs) -> SimpleNamespace:
     """A bare matrix and right-hand side in the shape ``solve_spd`` takes:
-    a system with an operator that holds the matrix, no factorization and
-    no infinity norm."""
-    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None, norm_inf=None)
+    a system with an operator that holds the matrix and no factorization."""
+    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None)
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
@@ -435,9 +434,9 @@ def sliced_blocks(operator, coeff) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def eigvalsh_check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
-    """``assembly._check_coefficients`` as it was before its eigenvalues
-    were taken in closed form: symmetry by ``np.isclose`` over the whole
-    matrix and the eigenvalues by ``np.linalg.eigvalsh``."""
+    """``assembly._check_coefficients`` element by element: symmetry by
+    ``np.isclose`` over the whole matrix and the eigenvalues by
+    ``np.linalg.eigvalsh``, on every element."""
 
     def name(what: str, i: int) -> str:
         return f"{what}[{i}]" if indexed else what
