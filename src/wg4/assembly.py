@@ -17,9 +17,13 @@ eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
 mesh and the coefficient field: the free-dof mask, the order of the free
-dofs (``weakops.solve_order``), the reduced matrix in that order, its
-coupling block to the boundary dofs, and the SuperLU factorization of
-the reduced matrix, which ``solve.solve_spd`` fills in on first use.
+dofs and its nested-dissection tree (``weakops.solve_order``), the
+reduced matrix in that order, its coupling block to the boundary dofs,
+the element matrix of each class and each element's class, and the
+Cholesky factor of the reduced matrix, which ``solve.solve_spd`` makes
+from the classes and the tree on first use.  The factor never reads
+the reduced matrix; the refinement's residuals and the backward-error
+test do.
 The element matrices are summed straight into a numbering with the free
 dofs first, in that order, and the boundary dofs last, in layout order,
 so the reduced matrix and the coupling block are its leading rows, cut
@@ -245,7 +249,10 @@ class Operator:
     order: np.ndarray  # the free dofs, in the order of matrix's rows
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
-    lu: object = None  # SuperLU factorization of ``matrix``, set by solve.solve_spd
+    class_matrices: np.ndarray  # (C, 18, 18) element matrix of each class
+    classes: np.ndarray  # (E,) each element's class
+    tree: list  # the nested-dissection tree of weakops.solve_order
+    factor: object = None  # cholesky.Factor of ``matrix``, set by solve.solve_spd
     load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once factored
 
 
@@ -303,7 +310,7 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     mats, classes = _class_matrices(mesh, coeff)
     size = weakops.dof_count(mesh)
     free = ~weakops.boundary_mask(mesh)
-    order = weakops.solve_order(mesh)
+    order, tree = weakops.solve_order(mesh)
     k = len(order)
     numbering = np.empty(size, dtype=np.int32)  # each dof's row in the global system
     numbering[order] = np.arange(k)
@@ -325,10 +332,11 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
                              shape=(k, size - k))
     del full
     shared = (free, order, matrix.data, matrix.indices, matrix.indptr, coupling.data,
-              coupling.indices, coupling.indptr)
+              coupling.indices, coupling.indptr, mats, classes, *tree)
     for array in shared:
         array.flags.writeable = False
-    return Operator(mesh=mesh, free=free, order=order, matrix=matrix, coupling=coupling)
+    return Operator(mesh=mesh, free=free, order=order, matrix=matrix, coupling=coupling,
+                    class_matrices=mats, classes=classes, tree=tree)
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) -> AssembledSystem:
@@ -340,7 +348,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) ->
     quadrature = op.load_quadrature
     if quadrature is None:
         quadrature = weakops.load_quadrature(mesh.element_points())
-        if op.lu is not None:  # the operator is being reused: keep the points for the next load
+        if op.factor is not None:  # the operator is being reused: keep the points for the next load
             for array in quadrature:
                 array.flags.writeable = False
             op.load_quadrature = quadrature

@@ -1,16 +1,18 @@
 """Sparse SPD solves with a controlled residual.
 
-The global system is factored by SuperLU in symmetric mode, in the
-order its rows come in: ``weakops.solve_order`` numbers the free dofs by
-nested dissection (George, SIAM J. Numer. Anal. 10, 1973), so SuperLU
-takes no column ordering of its own (``PERMC_SPEC`` is ``"NATURAL"``)
-and its pivots are the diagonal's.  No pivoting is needed because the
-matrix is symmetric positive definite, so every diagonal pivot of a
-symmetric permutation is positive (Li, ACM TOMS 31, 2005; Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 10).  The iterative
-refinement and the backward-error test below guard the result should
-rounding make a pivot small.  Since A is symmetric, its CSR arrays go to
-SuperLU uncopied, as the CSC form of A^T = A.
+The global system is factored by ``wg4.cholesky``, a multifrontal
+Cholesky factorization A = L L^T in numpy on the nested-dissection tree
+of ``weakops.solve_order`` (George, SIAM J. Numer. Anal. 10, 1973), in
+the order the rows come in.  It stores L only, where an LU stores U as
+well, and takes no pivoting: the matrix is symmetric positive definite,
+so every diagonal pivot of a symmetric permutation is positive and no
+growth can occur (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10).  The smallest pivot of boundary-indicator at n=64,
+the hardest system of the catalog, is 6.1e-10 of its row's diagonal
+entry; on sine it is 9.1e-2.  A front that rounding leaves without a
+positive pivot fails the factorization, and the iterative refinement
+and the backward-error test below guard the result should rounding make
+a pivot small.
 
 A solve stops as soon as the relative residual ||A x - b|| / ||b|| meets
 the tolerance, after ``min_steps`` refinement steps at the earliest.
@@ -25,7 +27,8 @@ that relative distance of the one posed.  Otherwise SolverError is raised,
 and it is raised whatever the backward error when refinement ends with
 a relative residual above 1: such an x is worse than x = 0.  A huge
 ||A|| ||x|| can make the backward error tiny for a field that has
-diverged, as a whole-domain diffusion of 1e-10 at mu = 0 does.
+diverged, as a whole-domain diffusion of 1e-8 at mu = 0 does; at 1e-9
+and below, a front is no longer positive definite in float64.
 
 A solve whose problem has an exact solution takes one step at least
 (``wg4.harness.ForwardModel.solve`` decides it from the spec): its
@@ -34,34 +37,35 @@ rounding about 1000-fold, and which way the last digit of the sine
 table's n=64 ``eg`` rounds would otherwise depend on the elimination
 order.  One step of refinement in working precision makes the
 elimination componentwise backward stable (Skeel, Math. Comp. 35, 1980);
-it puts that ``eg`` about 1.0e-12 from a reference refined in extended
+it puts that ``eg`` 2.9e-13 from a reference refined in extended
 precision, which lies 9.3e-12 from the rounding tie.  A field solve prints
 u_h itself and accepts at step 0.
 
 An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
 system of each later source point on the medium it laid once; the
-solve sees only the matrix.  The factorization is kept on the operator:
-the first solve makes it, and every later solve on the operator only
-runs the triangular solves, the refinement and the acceptance tests
-above.
+solve sees its matrix, with which it forms residuals, and the factor,
+which ``wg4.cholesky`` makes from the operator's element classes and
+tree.  The factor is kept on the operator: the first solve makes it,
+and every later solve on the operator only runs the triangular solves,
+the refinement and the acceptance tests above.  The report says whether
+the solve made the factor, in how many seconds, and how many floats
+the factor keeps.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  patched by perfbench/spans.py (ROADMAP item 11)
+
+from . import cholesky
 
 __all__ = ["SolverConfig", "SolveReport", "SolverError", "solve_spd"]
 
 _REFINEMENT_STEPS = 3
-
-#: SuperLU's column ordering: none, since the rows come in
-#: ``weakops.solve_order``'s nested dissection.
-PERMC_SPEC = "NATURAL"
 
 
 class SolverError(RuntimeError):
@@ -89,6 +93,9 @@ class SolveReport:
     # ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf); None when the returned
     # x met the relative-residual tolerance and it was not needed
     backward_error: float | None = None
+    factored: bool = False  # this solve made the operator's factor
+    factor_s: float = 0.0  # seconds it took; 0.0 when the factor was reused
+    factor_nnz: int = 0  # floats the operator's factor keeps
 
 
 def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0):
@@ -100,8 +107,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     the report's ``backward_error`` says so; a final relative residual
     above 1 is never accepted.  An x is accepted on its residual after
     ``min_steps`` refinement steps at the earliest.  Failure raises
-    SolverError carrying the residual history.  The factorization is read
-    from the system's operator, or made and stored there on first use.
+    SolverError carrying the residual history.  The factor is read from
+    the system's operator, or made and stored there on first use.
     """
     operator = system.operator
     matrix, rhs = operator.matrix, system.rhs
@@ -110,19 +117,17 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     if bnorm == 0.0:
         return np.zeros_like(rhs), SolveReport(iterations=0, residual=0.0)
 
-    lu = operator.lu
-    if lu is None:
+    factor, start = operator.factor, time.perf_counter()
+    factored = factor is None
+    if factored:
         try:
-            lu = spla.splu(
-                sp.csc_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape),
-                permc_spec=PERMC_SPEC,
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except Exception as exc:  # singular or structurally broken factorization
+            factor = cholesky.factor(operator)
+        except np.linalg.LinAlgError as exc:  # a front that is not positive definite
             raise SolverError(f"factorization failed (matrix not SPD?): {exc}") from exc
-        operator.lu = lu
-    x = lu.solve(rhs)
+        operator.factor = factor
+    made = {"factored": factored, "factor_s": time.perf_counter() - start if factored else 0.0,
+            "factor_nnz": factor.nnz}
+    x = factor.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
         r = rhs - matrix @ x
@@ -131,10 +136,10 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
         if not np.isfinite(rel):
             raise SolverError("non-finite residual; assembled matrix is defective", history)
         if rel <= config.tolerance and step >= min_steps:
-            return x, SolveReport(iterations=step, residual=rel, residual_history=history)
+            return x, SolveReport(iterations=step, residual=rel, residual_history=history, **made)
         if step == _REFINEMENT_STEPS:
             break
-        x = x + lu.solve(r)
+        x = x + factor.solve(r)
     if rel > 1.0:  # x is worse than x = 0: no backward error can vouch for it
         raise SolverError(f"refinement diverged to relative residual {rel:.3e}, "
                           f"above that of x = 0", history)
@@ -147,6 +152,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
             residual=rel,
             residual_history=history,
             backward_error=backward,
+            **made,
         )
     raise SolverError(
         f"direct solve stalled at relative residual {history[-1]:.3e}, "

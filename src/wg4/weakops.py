@@ -15,9 +15,8 @@ layout's size, each element's 18 dofs and the boundary dofs are
 numbers its free dofs in another order, ``solve_order``: a nested
 dissection of the cell grid over the element and interior-edge blocks,
 each kept whole.  Each cut's edge blocks come after both halves it
-splits, so SuperLU factors the system in that order as given
-(``solve.PERMC_SPEC``), with less fill than its own minimum-degree
-ordering finds.
+splits, and ``wg4.cholesky`` factors the system on the tree of that
+dissection, which ``solve_order`` returns with the order.
 
 Two element-local operators act on these triples:
 
@@ -149,9 +148,10 @@ def boundary_mask(mesh: Mesh) -> np.ndarray:
     return mask.coeffs
 
 
-def solve_order(mesh: Mesh) -> np.ndarray:
+def solve_order(mesh: Mesh) -> tuple[np.ndarray, list[np.ndarray]]:
     """The free dofs, all but ``boundary_mask``'s, in the order the global
-    system numbers them: a nested dissection of the cell grid.
+    system numbers them, a nested dissection of the cell grid, and the
+    tree of that dissection.
 
     The element blocks and the interior-edge blocks each stay whole, with
     their dofs in layout order.  The grid is bisected across its longer
@@ -163,10 +163,14 @@ def solve_order(mesh: Mesh) -> np.ndarray:
     falls in and 2 on the cut; in a single cell, 0 for an element and 1
     for the diagonal; and 0 once it is placed.  The base-3 numbers of
     the digits sort the blocks into place, and blocks with equal
-    numbers, the edges of one cut, stay in layout order.  On the unit
-    square at n=64, factored as given, this order leaves SuperLU 6.56M
-    entries in L + U, where its minimum-degree ordering left 6.96M at
-    best over the dof orders tried.
+    numbers, the edges of one cut, stay in layout order.
+
+    A tree node is a region of cells: a cut, or a single cell.  It is
+    named by the level L at which its blocks are placed and their number
+    P there, before the digit of that level, so the parent of (L, P) is
+    (L - 1, P // 3) and it is the region's half P % 3.  The tree's level
+    L is an int array (k, 5) with one row per node, in increasing P:
+    P and the region [lx, hx) x [ly, hy) in cells, as (P, lx, ly, hx, hy).
     """
     x0, y0, x1, y1 = mesh.domain
     interior = np.flatnonzero(~mesh.boundary)
@@ -178,6 +182,7 @@ def solve_order(mesh: Mesh) -> np.ndarray:
     hx, hy = np.full_like(x, mesh.n), np.full_like(y, mesh.n)
     key = np.zeros(len(centres), dtype=np.int64)  # 3^(2 log2 n + 1) fits for any n < 2^19
     done = np.zeros(len(centres), dtype=bool)
+    levels = []
     while not done.all():
         w, h = hx - lx, hy - ly
         across = w >= h  # cut the x-extent, along a vertical mesh line
@@ -185,6 +190,10 @@ def solve_order(mesh: Mesh) -> np.ndarray:
         side = np.where(across, x, y) - 2 * mid  # < 0 first half, 0 on the cut, > 0 second
         leaf = w + h == 2
         cut = side == 0
+        placed = np.flatnonzero(~done & (leaf | cut))
+        _, node = np.unique(key[placed], return_index=True)
+        node = placed[node]  # one block of each node placed at this level
+        levels.append(np.column_stack([key[node], lx[node], ly[node], hx[node], hy[node]]))
         digit = np.where(leaf, ~element, (side > 0) + 2 * cut)
         digit[done] = 0
         key = 3 * key + digit
@@ -201,7 +210,7 @@ def solve_order(mesh: Mesh) -> np.ndarray:
     edges = base + N_PER_EDGE * interior[:, None] + np.arange(N_PER_EDGE)
     dofs[mesh.n_elements :, :N_PER_EDGE] = edges
     order = dofs[blocks].ravel()
-    return order[order >= 0]
+    return order[order >= 0], levels
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,8 @@ def test_nonfinite_source_reported():
 @pytest.mark.parametrize("case,n", [("sine", 16), ("boundary-indicator", 16),
                                     ("gaussian-source", 8)])
 def test_assembled_matrices_exactly_symmetric(case, n):
-    # solve_spd hands the CSR arrays to SuperLU as the CSC form of A^T,
-    # which is A only when the symmetry is exact
+    # the Cholesky factor, made from the element matrices, is of a symmetric
+    # matrix, and the residual's CSR matrix must be that one
     entry = catalog_entry(case)
     mesh = entry.make_mesh(n)
     spec = entry.problem(mesh)

@@ -213,8 +213,9 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error: solver:")
 
 
-def test_diverged_refinement_exit_code(tmp_path, capsys):
-    # its tiny backward error used to accept an x whose residual is 2.6e5 times x = 0's
+def test_failed_factorization_exit_code(tmp_path, capsys):
+    # a diffusion of 1e-10 at mu = 0 leaves a front that is not positive definite in
+    # float64; SuperLU factored it, and refinement diverged to 2.6e5 times x = 0's residual
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "command": "solve", "case": "gaussian-source", "n": 4,
@@ -222,7 +223,7 @@ def test_diverged_refinement_exit_code(tmp_path, capsys):
                      "kappa": [[1e-10, 0], [0, 1e-10]], "mu": 0}],
     }))
     assert main(["solve", "--config", str(config)]) == 3
-    assert capsys.readouterr().err.startswith("error: solver: refinement diverged")
+    assert capsys.readouterr().err.startswith("error: solver: factorization failed")
 
 
 def test_warm_field_csvs_equal_a_fresh_format(tmp_path, monkeypatch):
@@ -268,7 +269,7 @@ def test_changed_case_n_or_regions_build_a_new_model(tmp_path):
         return cli._kept.model if cli._kept else None
 
     first = model()
-    assert first.operator.lu is not None
+    assert first.operator.factor is not None
     assert model(source=list(SECOND_SOURCE), grid=5, solver={"tolerance": 1e-8}) is first
     assert model(out=str(tmp_path / "field.csv")) is first
     changed = [model(n=8), model(regions=[disk]), model(regions=[disk, disk]),

@@ -12,20 +12,24 @@ printed results of that refactor.  To rewrite one, run its command with
 byte only by the CI ``golden`` job, which pins numpy and scipy: their
 last digits may move with another BLAS.  The sine table to n=64 is
 compared here with the benchmark's golden, ``perfbench/golden/conv-sine.csv``,
-in the solver's elimination order and in minimum degree's.
+solved with the multifrontal Cholesky factor in the nested-dissection order,
+and with a SuperLU factor in minimum degree's order in its place.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-import wg4.solve
+from wg4 import cholesky
 from wg4.cli import main, parse_config, run
-from wg4.harness import DEFAULT_SOURCE, SECOND_SOURCE
+from wg4.harness import DEFAULT_SOURCE, SECOND_SOURCE, ForwardModel, catalog_entry
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONV_SINE = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "conv-sine.csv"
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+CONV_SINE = BENCH_GOLDEN / "conv-sine.csv"
 
 BYTE_EXACT = [
     ("convergence-sine-8-32.csv", ["convergence", "--case", "sine", "--levels", "8,16,32"]),
@@ -47,11 +51,25 @@ def test_sine_table_to_n64_byte_identical(tmp_path, monkeypatch, permc_spec):
     # n=64's eg lies 9.3e-12 from a rounding tie; one refinement step holds it there
     # whatever the elimination order, here nested dissection or minimum degree
     if permc_spec is not None:
-        monkeypatch.setattr(wg4.solve, "PERMC_SPEC", permc_spec)
+        monkeypatch.setattr(cholesky, "factor", lambda operator: spla.splu(
+            operator.matrix.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}))
     out = tmp_path / "conv-sine.csv"
     assert main(["convergence", "--case", "sine", "--levels", "8,16,32,64",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == CONV_SINE.read_bytes()
+
+
+def test_ft_n64_field_within_the_benchmark_rule():
+    # the mu = 0, 1e5-contrast field moves with every change of elimination; it lies
+    # 0.128 of its maximum from the golden, which allows 0.25
+    rule = json.loads((BENCH_GOLDEN / "tolerance.json").read_text())["ft-n64"]
+    golden = np.load(BENCH_GOLDEN / "ft-n64.npy").astype(float)
+    model = ForwardModel(catalog_entry("boundary-indicator"), 64)
+    _, u_h, _ = model.solve()
+    _, values = model.sample(u_h, 101)
+    allowed = rule["rtol"] * np.abs(golden) + rule["atol"] * np.abs(golden).max()
+    assert (np.abs(values - golden) <= allowed).all()
 
 
 def test_mesh_dump_non_unit_domain_byte_identical(tmp_path):

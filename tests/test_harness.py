@@ -450,16 +450,16 @@ def _recording(monkeypatch, owner, name: str, calls: list) -> None:
 
 def test_model_solves_a_second_source_without_laying_assembling_or_factoring(monkeypatch):
     # the medium is laid once, when the model is built; a source point
-    # swaps the spec's source and reuses the field, the operator and the LU
+    # swaps the spec's source and reuses the field, the operator and its factor
     model = ForwardModel(catalog_entry("gaussian-source"), 8)
     model.solve()
-    lu, coeff = model.operator.lu, model.spec.coeff
+    factor, coeff = model.operator.factor, model.spec.coeff
     calls = []
     _recording(monkeypatch, assembly, "local_system", calls)
     _recording(monkeypatch, harness.CaseCatalogEntry, "problem", calls)
     _recording(monkeypatch, CoefficientField, "from_regions", calls)
     spec, warm, _ = model.solve(SECOND_SOURCE)
-    assert calls == [] and model.operator.lu is lu and spec.coeff is coeff
+    assert calls == [] and model.operator.factor is factor and spec.coeff is coeff
     _, fresh, _ = ForwardModel(catalog_entry("gaussian-source"), 8).solve(SECOND_SOURCE)
     assert calls == ["problem", "from_regions", "local_system"]
     assert warm.coeffs.tobytes() == fresh.coeffs.tobytes()
@@ -514,7 +514,7 @@ def test_cold_solves_keep_no_quadrature_points(monkeypatch):
     entry = catalog_entry("gaussian-source")
     model = ForwardModel(entry, 8)
     model.solve()
-    assert model.operator.lu is not None and model.operator.load_quadrature is None
+    assert model.operator.factor is not None and model.operator.load_quadrature is None
     # one operator per level, each assembled once and gone before the next level's
     operators = []
     assemble = assembly.assemble

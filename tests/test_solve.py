@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -8,8 +9,7 @@ import scipy.sparse.linalg as spla
 
 from util import matrix_system, unit_square_mesh
 
-import wg4.solve
-from wg4 import assembly
+from wg4 import assembly, cholesky
 from wg4.assembly import Region, assemble
 from wg4.errors import error_report
 from wg4.harness import (
@@ -59,61 +59,108 @@ def test_solves_are_bit_identical(sine_system):
     assert np.array_equal(x1, x2)
 
 
-class _RecordingLinalg:
-    """Stands in for scipy.sparse.linalg inside ``wg4.solve``: records
-    every factorization ``splu`` returns; every other attribute is scipy's."""
+class _Recorder:
+    """Stands in for ``wg4.cholesky.factor``: records every factor that
+    ``make``, the real one unless a test swaps it, returns."""
 
-    def __init__(self):
+    def __init__(self, make):
+        self.make = make
         self.factors = []
 
-    def splu(self, *args, **kwargs):
-        lu = spla.splu(*args, **kwargs)
-        self.factors.append(lu)
-        return lu
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
+    def __call__(self, operator):
+        self.factors.append(self.make(operator))
+        return self.factors[-1]
 
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """A recording stand-in for scipy.sparse.linalg."""
-    recorder = _RecordingLinalg()
-    monkeypatch.setattr(wg4.solve, "spla", recorder)
+    """A recording stand-in for ``wg4.cholesky.factor``."""
+    recorder = _Recorder(cholesky.factor)
+    monkeypatch.setattr(cholesky, "factor", recorder)
     return recorder
 
 
-def test_factorization_is_symmetric(recorder):
-    mesh = unit_square_mesh(16)
-    system = assemble(mesh, case_sine().problem(mesh))
+def _lower(factor) -> np.ndarray:
+    """The factor's L, dense, rebuilt from what it keeps of each front,
+    K = [L11^-1; -(L11^-T X)^T]: L11 is the inverse of K's top block and
+    X^T is -K's bottom block times L11."""
+    size = factor.size
+    lower = np.zeros((size + 1, size + 1))  # the spare row and column last
+    fronts = [(r, pivots.shape[1], k) for rows, pivots, _, level_k in factor.levels
+              for r, k in zip(rows, level_k)]
+    for r, p, k in fronts:
+        pivots = r[:p][r[:p] < size]  # a padded pivot's row is the spare one
+        l11 = np.tril(np.linalg.inv(k[:len(pivots), :len(pivots)]))
+        lower[np.ix_(pivots, pivots)] = l11
+        lower[np.ix_(r[p:], pivots)] = -k[p:, :len(pivots)] @ l11
+    return lower[:size, :size]
+
+
+@pytest.mark.parametrize("name,bound", [("sine", 1e-13), ("boundary-indicator", 1e-12)])
+def test_factorization_is_symmetric(name, bound, recorder):
+    # A = L L^T in the order the rows come in: no permutation, and L stays lower.
+    # L is rebuilt by inverting the kept L11^-1, which costs cond(L11) eps:
+    # 2.6e-16 of max|A| on sine, and 3.3e-13 where the inclusion of
+    # boundary-indicator holds two cells' elements at n=4
+    mesh = unit_square_mesh(4)
+    system = assemble(mesh, catalog_entry(name).builder(mesh, ()))
     _, report = solve_spd(system)
-    (lu,) = recorder.factors
-    # no permutation of rows or columns: the rows come in the order to factor
-    assert np.array_equal(lu.perm_r, np.arange(system.matrix.shape[0]))
-    assert np.array_equal(lu.perm_c, lu.perm_r)
-    assert lu.nnz <= spla.splu(system.matrix.tocsc()).nnz / 2
+    (factor,) = recorder.factors
+    lower = _lower(factor)
+    assert np.array_equal(lower, np.tril(lower))
+    matrix = system.matrix.toarray()
+    assert np.abs(lower @ lower.T - matrix).max() <= bound * np.abs(matrix).max()
     assert report.residual <= 1e-10
-    # the CSR arrays handed over as CSC factor exactly like a CSC copy
-    copy = spla.splu(system.matrix.tocsc(), permc_spec=wg4.solve.PERMC_SPEC,
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    assert np.array_equal(lu.perm_c, copy.perm_c)
-    for got, want in ((lu.L, copy.L), (lu.U, copy.U)):
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
 
 
-def test_solve_order_leaves_less_fill():
-    # factored as given, the nested dissection leaves 1,419,176 entries; minimum degree
-    # leaves 1,625,008 from the same order and 1,655,184 from the layout order
+def test_factor_stores_less_than_superlu_in_the_same_order():
+    # at n=32 the factor keeps 639,516 floats; SuperLU's L + U in the same
+    # order hold 1,419,176 entries
     mesh = unit_square_mesh(32)
     system = assemble(mesh, case_sine().problem(mesh))
-    solve_spd(system)
-    layout = np.argsort(system.operator.order)  # rows put back in layout order
-    for matrix in (system.matrix, system.matrix[layout][:, layout]):
-        mmd = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    _, report = solve_spd(system)
+    superlu = spla.splu(system.matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True})
-        assert system.operator.lu.nnz <= 0.9 * mmd.nnz
+    assert report.factor_nnz == system.operator.factor.nnz < superlu.nnz
+
+
+@pytest.mark.parametrize("n,distinct", [(1, False), (2, False), (3, False), (5, False),
+                                        (12, False), (8, True)])
+def test_factor_solves_any_grid(n, distinct):
+    # odd n and unequal halves; the factor's own solve, unrefined. With every
+    # element scaled apart, no two fronts are equal, and the first distinct
+    # front of a group of cells is seldom its first member
+    mesh = unit_square_mesh(n)
+    spec = case_sine().problem(mesh)
+    if distinct:
+        scale = 1.0 + 0.1 * np.random.default_rng(0).random(mesh.n_elements)
+        coeff = assembly.CoefficientField(spec.coeff.kappa * scale[:, None, None],
+                                          spec.coeff.mu * scale)
+        spec = dataclasses.replace(spec, coeff=coeff)
+    system = assemble(mesh, spec)
+    x = cholesky.factor(system.operator).solve(system.rhs)
+    r = system.rhs - system.matrix @ x
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+def test_indefinite_front_fails_the_factorization():
+    # the element classes' interior blocks stay positive definite, but a cell's front does not
+    mesh = unit_square_mesh(4)
+    system = assemble(mesh, case_sine().problem(mesh))
+    mats = system.operator.class_matrices.copy()
+    mats[:, 6:, 6:] -= 1e3 * np.abs(mats).max() * np.eye(12)
+    system.operator = dataclasses.replace(system.operator, class_matrices=mats)
+    with pytest.raises(SolverError, match="^factorization failed .*not positive definite"):
+        solve_spd(system)
+    assert system.operator.factor is None
+
+
+def test_report_says_whether_the_solve_factored():
+    model = ForwardModel(case_ft_gaussian(), 8)
+    _, _, cold = model.solve()
+    assert cold.factored and cold.factor_s > 0.0 and cold.factor_nnz > 0
+    _, _, warm = model.solve(SECOND_SOURCE)
+    assert (warm.factored, warm.factor_s, warm.factor_nnz) == (False, 0.0, cold.factor_nnz)
 
 
 def test_second_source_reuses_the_factorization(recorder):
@@ -159,10 +206,10 @@ def test_unmet_tolerance_keeps_the_operator(recorder):
 
 
 def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
-    def fail(*args, **kwargs):
-        raise RuntimeError("no factorization")
+    def fail(operator):
+        raise np.linalg.LinAlgError("no factorization")
 
-    monkeypatch.setattr(recorder, "splu", fail)
+    monkeypatch.setattr(recorder, "make", fail)
     entry = catalog_entry("gaussian-source")
     operators = []
     assemble = assembly.assemble
@@ -181,20 +228,35 @@ def test_failed_factorization_leaves_no_operator(recorder, monkeypatch):
     model = ForwardModel(entry, 8)
     with pytest.raises(SolverError, match="factorization failed"):
         model.solve()
-    assert model.operator.lu is None
+    assert model.operator.factor is None
     monkeypatch.undo()
     _, _, report = model.solve()
-    assert model.operator.lu is not None and report.residual <= 1e-10
+    assert model.operator.factor is not None and report.residual <= 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e10, 1e-100])
-def test_diverged_refinement_raises(scale):
-    # one whole-domain region at mu = 0: refinement ends with a relative
-    # residual above 1, which the tiny backward error used to let through
+def test_indefinite_medium_fails_to_factor(scale):
+    # one whole-domain region at mu = 0 leaves a front that is not positive
+    # definite in float64; a factor without that check let refinement diverge
     region = Region(shape="rect", bounds=(0.0, 0.0, 50.0, 50.0), kappa=scale * np.eye(2),
                     mu=0.0)
-    with pytest.raises(SolverError, match="^refinement diverged") as err:
+    with pytest.raises(SolverError, match="^factorization failed") as err:
         solve_case(catalog_entry("gaussian-source"), 4, regions=[region])
+    assert err.value.residual_history == []
+
+
+def test_diverged_refinement_raises():
+    # a stand-in factor that sends x along A's small direction: a huge
+    # ||A|| ||x|| makes the backward error tiny while the residual grows past b's
+    class Wrong:
+        nnz = 1
+
+        def solve(self, b):
+            return np.array([0.0, 1e6 * b[1]])
+
+    system = matrix_system(sp.diags([1e30, 1.0]), np.array([0.0, 1.0]), factor=Wrong())
+    with pytest.raises(SolverError, match="^refinement diverged") as err:
+        solve_spd(system)  # the last x, about 1e24 e_2, has a backward error near 1e-30
     assert err.value.residual_history[-1] > 1.0
 
 
@@ -236,7 +298,7 @@ def test_refined_n64_error_is_within_2e12_of_an_extended_precision_one():
     x = u_h.coeffs[model.operator.order]
     wide = np.longdouble
     r = system.rhs.astype(wide) - system.matrix.astype(wide) @ x.astype(wide)
-    reference = system.expand(x + model.operator.lu.solve(r.astype(float)))
+    reference = system.expand(x + model.operator.factor.solve(r.astype(float)))
     got = error_report(model.mesh, spec, u_h).eg_edge
     want = error_report(model.mesh, spec, reference).eg_edge
     assert abs(got - want) <= 2e-12

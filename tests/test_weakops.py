@@ -241,7 +241,7 @@ def _order_blocks(mesh, order):
 @pytest.mark.parametrize("domain,n", ORDER_CASES)
 def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
     mesh = build_structured_mesh(domain, n)
-    order = weakops.solve_order(mesh)
+    order, _ = weakops.solve_order(mesh)
     free = np.flatnonzero(~weakops.boundary_mask(mesh))
     assert np.array_equal(np.sort(order), free)  # a permutation of the free dofs
     # each block, an element's 6 dofs or an interior edge's 4, is one run in layout order
@@ -258,7 +258,7 @@ def test_solve_order_numbers_each_cut_after_both_halves(domain, n):
     # nested dissection: a region of cells is one run of blocks, its two halves
     # first and then the edge blocks on the middle mesh line across its longer side
     mesh = build_structured_mesh(domain, n)
-    _, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    _, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
     x, y = half.T
     cuts = 0
 
@@ -288,7 +288,7 @@ def test_solve_order_numbers_each_cut_after_both_halves(domain, n):
 @pytest.mark.parametrize("domain,n", ORDER_CASES)
 def test_solve_order_numbers_each_cells_elements_then_its_diagonal(domain, n):
     mesh = build_structured_mesh(domain, n)
-    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
     elements = np.flatnonzero(blocks < mesh.n_elements)
     diagonals = np.flatnonzero((blocks >= mesh.n_elements) & (half % 2 == 1).all(axis=1))
     assert len(elements) == 2 * len(diagonals) == 2 * n * n
@@ -300,12 +300,31 @@ def test_solve_order_numbers_each_cells_elements_then_its_diagonal(domain, n):
     assert np.array_equal(half[diagonals], half[elements[0::2]])
 
 
+@pytest.mark.parametrize("domain,n", ORDER_CASES)
+def test_solve_order_tree_names_each_node_after_its_parent(domain, n):
+    # node (L, P) is half P % 3 of node (L - 1, P // 3), bisected across its longer side
+    _, tree = weakops.solve_order(build_structured_mesh(domain, n))
+    assert tree[0].tolist() == [[0, 0, 0, n, n]]
+    regions = {(0, 0): (0, 0, n, n)}
+    for level, nodes in enumerate(tree[1:], start=1):
+        for prefix, *region in nodes.tolist():
+            lx, ly, hx, hy = regions[level - 1, prefix // 3]
+            w, h = hx - lx, hy - ly
+            assert w + h > 2  # a single cell has no halves
+            halves = ([(lx, ly, lx + w // 2, hy), (lx + w // 2, ly, hx, hy)] if w >= h
+                      else [(lx, ly, hx, ly + h // 2), (lx, ly + h // 2, hx, hy)])
+            assert tuple(region) == halves[prefix % 3]
+            regions[level, prefix] = tuple(region)
+    cells = [r for r in regions.values() if r[2] - r[0] + r[3] - r[1] == 2]
+    assert len(regions) == 2 * n * n - 1 and len(set(cells)) == n * n
+
+
 def test_solve_order_at_n2():
     # the 2 x 2 grid is cut at x = 1, each half at y = 1: cell (0, 0) numbers elements 0, 1
     # and its diagonal, cell (0, 1) elements 4, 5 and its diagonal, then the edge between
     # them; the right half likewise; the two edges on x = 1 come last
     mesh = unit_square_mesh(2)
-    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh))
+    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
     named = [f"T{b}" if b < mesh.n_elements else tuple(h) for b, h in zip(blocks, half)]
     assert named == ["T0", "T1", (1, 1), "T4", "T5", (1, 3), (1, 2),
                      "T2", "T3", (3, 1), "T6", "T7", (3, 3), (3, 2),

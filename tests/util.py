@@ -395,10 +395,25 @@ def local_projection(elem: Element, u, grad_u, kappa) -> LocalWeakFunction:
     return local
 
 
-def matrix_system(matrix, rhs) -> SimpleNamespace:
+class LeastSquaresFactor:
+    """A factor of a small dense matrix for ``solve_spd``: its ``solve``
+    is numpy's least-squares solution, so a singular matrix still gets
+    an x, and solve_spd's refinement and acceptance judge it."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix.toarray() if sp.issparse(matrix) else matrix, float)
+        self.nnz = self.matrix.size
+
+    def solve(self, b):
+        return np.linalg.lstsq(self.matrix, b)[0]
+
+
+def matrix_system(matrix, rhs, factor=None) -> SimpleNamespace:
     """A bare matrix and right-hand side in the shape ``solve_spd`` takes:
-    a system with an operator that holds the matrix and no factorization."""
-    operator = SimpleNamespace(matrix=sp.csr_matrix(matrix), lu=None)
+    a system with an operator that holds the matrix and a factor of it,
+    ``factor`` or else a ``LeastSquaresFactor``."""
+    matrix = sp.csr_matrix(matrix)
+    operator = SimpleNamespace(matrix=matrix, factor=factor or LeastSquaresFactor(matrix))
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
