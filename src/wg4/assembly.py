@@ -16,29 +16,30 @@ block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the free-dof mask, the order of the free
-dofs and its nested-dissection tree (``weakops.solve_order``), the
-reduced matrix in that order, its coupling block to the boundary dofs,
-the element matrix of each class and each element's class, and the
-Cholesky factor of the reduced matrix, which ``solve.solve_spd`` makes
-from the classes and the tree on first use.  The factor never reads
-the reduced matrix; the refinement's residuals and the backward-error
-test do.
+mesh and the coefficient field: the free-dof mask, the nested dissection
+of the mesh (``cholesky.dissect``), which orders the free dofs and
+shapes the factor's fronts, the reduced matrix in that order, its
+coupling block to the boundary dofs, the element matrix of each class
+and each element's class, and the Cholesky factor of the reduced
+matrix, which ``solve.solve_spd`` makes from the classes on the
+dissection's fronts on first use.  The factor never reads the reduced
+matrix; the refinement's residuals and the backward-error test do.
 The element matrices are summed straight into a numbering with the free
-dofs first, in that order, and the boundary dofs last, in layout order,
-so the reduced matrix and the coupling block are its leading rows, cut
-at the first boundary column.  The load depends on the problem's data:
-the interior load vector, the boundary Qb/Qg values and the reduced
-right-hand side, lifted by the coupling block unless every boundary
-value is zero.  ``assemble`` builds the operator, or takes one built
-for the same mesh and coefficients, as ``wg4.harness.ForwardModel``
-does for each source point: the model lays its coefficient field once,
-and each source's spec shares it and differs only in ``f``.  An
-operator taken factored also keeps the load's source-independent
-``weakops.load_quadrature`` (0.8 MB at n=32), so each later load only
-evaluates its source, while a one-shot solve keeps nothing extra
-through its factorization.  An operator's arrays are shared by its
-systems and are read-only.
+dofs first, in the dissection's order, and the boundary dofs last, in
+layout order, so the reduced matrix and the coupling block are its
+leading rows, cut at the first boundary column.  The load depends on
+the problem's data: the interior load vector, the boundary Qb/Qg values
+and the reduced right-hand side, lifted by the coupling block unless
+every boundary value is zero.  ``assemble`` builds the operator, or
+takes one built for the same mesh and coefficients, as
+``wg4.harness.ForwardModel`` does for each source point: the model lays
+its coefficient field once, and each source's spec shares it and
+differs only in ``f``.  An operator taken factored also keeps the
+load's source-independent ``weakops.load_quadrature`` (0.8 MB at n=32),
+so each later load only evaluates its source, while a one-shot solve
+keeps nothing extra through its factorization.  An operator's arrays,
+its dissection's and its factor's included, are shared by its systems
+and are read-only.
 
 A ``Region`` is checked when it is built: each of its numbers must have
 its field's shape, and a ValueError names the field that does not.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import weakops
+from . import cholesky, weakops
 from .mesh import Mesh, check_rectangle
 from .weakops import N_LOCAL, AssemblyError, WeakFunction, local_load, local_system
 
@@ -246,13 +247,13 @@ class Operator:
 
     mesh: Mesh
     free: np.ndarray  # boolean mask over all dofs
-    order: np.ndarray  # the free dofs, in the order of matrix's rows
+    order: np.ndarray  # the free dofs, in the order of matrix's rows: dissection.order
     matrix: sp.csr_matrix  # free x free, symmetric positive definite
     coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
     class_matrices: np.ndarray  # (C, 18, 18) element matrix of each class
     classes: np.ndarray  # (E,) each element's class
-    tree: list  # the nested-dissection tree of weakops.solve_order
-    factor: object = None  # cholesky.Factor of ``matrix``, set by solve.solve_spd
+    dissection: cholesky.Dissection  # the mesh's: orders the free dofs, shapes the factor
+    factor: object = None  # cholesky.Factor of the classes on dissection, set by solve.solve_spd
     load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once factored
 
 
@@ -310,16 +311,19 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     mats, classes = _class_matrices(mesh, coeff)
     size = weakops.dof_count(mesh)
     free = ~weakops.boundary_mask(mesh)
-    order, tree = weakops.solve_order(mesh)
-    k = len(order)
-    numbering = np.empty(size, dtype=np.int32)  # each dof's row in the global system
-    numbering[order] = np.arange(k)
+    dissection = cholesky.dissect(mesh)
+    order, k = dissection.order, len(dissection.order)
+    numbering = dissection.rows.astype(np.int32)  # each dof's row in the global system
     numbering[~free] = np.arange(k, size)
     idx = numbering[weakops.local_dofs(mesh)]
-    rows = np.repeat(idx[:, :, None], N_LOCAL, axis=2).ravel()
-    cols = np.repeat(idx[:, None, :], N_LOCAL, axis=1).ravel()
-    full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
-    del rows, cols  # 2 x 324 indices per element; free them before the split below
+    # the element matrices' rows, 18 entries each, stably in the order of their
+    # global rows, as a COO to CSR conversion puts them; summing the duplicates
+    # then adds the terms of each entry in that order
+    element, local = np.divmod(np.argsort(idx.ravel(), kind="stable"), N_LOCAL)
+    full = sp.csr_matrix((mats[classes[element], local].ravel(), idx[element].ravel(),
+                          _indptr(N_LOCAL * np.bincount(idx.ravel(), minlength=size))),
+                         shape=(size, size))
+    full.sum_duplicates()
     # the free rows' entries, split at column k into the two blocks; every
     # free row holds its diagonal, so no row's segment is empty
     end = full.indptr[k]
@@ -331,12 +335,12 @@ def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
                               _indptr(np.diff(full.indptr[:k + 1]) - counts)),
                              shape=(k, size - k))
     del full
-    shared = (free, order, matrix.data, matrix.indices, matrix.indptr, coupling.data,
-              coupling.indices, coupling.indptr, mats, classes, *tree)
+    shared = (free, matrix.data, matrix.indices, matrix.indptr, coupling.data,
+              coupling.indices, coupling.indptr, mats, classes)
     for array in shared:
         array.flags.writeable = False
     return Operator(mesh=mesh, free=free, order=order, matrix=matrix, coupling=coupling,
-                    class_matrices=mats, classes=classes, tree=tree)
+                    class_matrices=mats, classes=classes, dissection=dissection)
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) -> AssembledSystem:

@@ -1,18 +1,18 @@
 """Sparse SPD solves with a controlled residual.
 
 The global system is factored by ``wg4.cholesky``, a multifrontal
-Cholesky factorization A = L L^T in numpy on the nested-dissection tree
-of ``weakops.solve_order`` (George, SIAM J. Numer. Anal. 10, 1973), in
-the order the rows come in.  It stores L only, where an LU stores U as
-well, and takes no pivoting: the matrix is symmetric positive definite,
-so every diagonal pivot of a symmetric permutation is positive and no
-growth can occur (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 10).  The smallest pivot of boundary-indicator at n=64,
-the hardest system of the catalog, is 6.1e-10 of its row's diagonal
-entry; on sine it is 9.1e-2.  A front that rounding leaves without a
-positive pivot fails the factorization, and the iterative refinement
-and the backward-error test below guard the result should rounding make
-a pivot small.
+Cholesky factorization A = L L^T in numpy on the tree of the nested
+dissection that numbers the rows (George, SIAM J. Numer. Anal. 10,
+1973), in the order the rows come in.  It stores L only, where an LU
+stores U as well, and takes no pivoting: the matrix is symmetric
+positive definite, so every diagonal pivot of a symmetric permutation
+is positive and no growth can occur (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 10).  The smallest pivot of
+boundary-indicator at n=64, the hardest system of the catalog, is
+6.1e-10 of its row's diagonal entry; on sine it is 9.1e-2.  A front
+that rounding leaves without a positive pivot fails the factorization,
+and the iterative refinement and the backward-error test below guard
+the result should rounding make a pivot small.
 
 A solve stops as soon as the relative residual ||A x - b|| / ||b|| meets
 the tolerance, after ``min_steps`` refinement steps at the earliest.
@@ -45,12 +45,12 @@ An assembled system's matrix belongs to its operator (see
 ``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
 system of each later source point on the medium it laid once; the
 solve sees its matrix, with which it forms residuals, and the factor,
-which ``wg4.cholesky`` makes from the operator's element classes and
-tree.  The factor is kept on the operator: the first solve makes it,
-and every later solve on the operator only runs the triangular solves,
-the refinement and the acceptance tests above.  The report says whether
-the solve made the factor, in how many seconds, and how many floats
-the factor keeps.
+which ``wg4.cholesky`` makes from the operator's element classes on the
+fronts of its dissection, built with the operator.  The factor is kept
+on the operator, read-only: the first solve makes it, and every later
+solve on the operator only runs the triangular solves, the refinement
+and the acceptance tests above.  The report says whether the solve made
+the factor, in how many seconds, and how many floats the factor keeps.
 """
 
 from __future__ import annotations

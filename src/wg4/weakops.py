@@ -11,12 +11,7 @@ This module owns the global layout: per-element blocks of 6, then
 per-edge blocks [vb_0, vb_1, vg_0, vg_1] of 4, edge block e at offset
 6*E + 4*e.  A ``WeakFunction`` has writable views of both parts; the
 layout's size, each element's 18 dofs and the boundary dofs are
-``dof_count``, ``local_dofs`` and ``boundary_mask``.  The global system
-numbers its free dofs in another order, ``solve_order``: a nested
-dissection of the cell grid over the element and interior-edge blocks,
-each kept whole.  Each cut's edge blocks come after both halves it
-splits, and ``wg4.cholesky`` factors the system on the tree of that
-dissection, which ``solve_order`` returns with the order.
+``dof_count``, ``local_dofs`` and ``boundary_mask``.
 
 Two element-local operators act on these triples:
 
@@ -81,7 +76,6 @@ __all__ = [
     "dof_count",
     "local_dofs",
     "boundary_mask",
-    "solve_order",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
     "AssemblyError",
@@ -146,71 +140,6 @@ def boundary_mask(mesh: Mesh) -> np.ndarray:
     mask = WeakFunction(np.zeros(dof_count(mesh), dtype=bool), mesh.n_elements)
     mask.edges[mesh.boundary] = True
     return mask.coeffs
-
-
-def solve_order(mesh: Mesh) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The free dofs, all but ``boundary_mask``'s, in the order the global
-    system numbers them, a nested dissection of the cell grid, and the
-    tree of that dissection.
-
-    The element blocks and the interior-edge blocks each stay whole, with
-    their dofs in layout order.  The grid is bisected across its longer
-    side (across x on a tie) at the middle mesh line; both halves are
-    numbered first, then the edge blocks on that line, and each half
-    recursively.  A 1 x 1 cell numbers its two elements by index, then
-    its diagonal.  Each pass of the loop below is one level of that tree
-    over every block at once.  A block's digit is 0 or 1 for the half it
-    falls in and 2 on the cut; in a single cell, 0 for an element and 1
-    for the diagonal; and 0 once it is placed.  The base-3 numbers of
-    the digits sort the blocks into place, and blocks with equal
-    numbers, the edges of one cut, stay in layout order.
-
-    A tree node is a region of cells: a cut, or a single cell.  It is
-    named by the level L at which its blocks are placed and their number
-    P there, before the digit of that level, so the parent of (L, P) is
-    (L - 1, P // 3) and it is the region's half P % 3.  The tree's level
-    L is an int array (k, 5) with one row per node, in increasing P:
-    P and the region [lx, hx) x [ly, hy) in cells, as (P, lx, ly, hx, hy).
-    """
-    x0, y0, x1, y1 = mesh.domain
-    interior = np.flatnonzero(~mesh.boundary)
-    centres = np.vstack([mesh.centroids, mesh.edge_points(interior).mean(axis=1)])
-    # centres in half cells: odd x and y inside a cell, one even coordinate on a mesh line
-    x, y = np.rint(2 * mesh.n * (centres - (x0, y0)) / (x1 - x0, y1 - y0)).T.astype(np.int32)
-    element = np.arange(len(centres)) < mesh.n_elements
-    lx, ly = np.zeros_like(x), np.zeros_like(y)  # each block's region [lx, hx) x [ly, hy) in cells
-    hx, hy = np.full_like(x, mesh.n), np.full_like(y, mesh.n)
-    key = np.zeros(len(centres), dtype=np.int64)  # 3^(2 log2 n + 1) fits for any n < 2^19
-    done = np.zeros(len(centres), dtype=bool)
-    levels = []
-    while not done.all():
-        w, h = hx - lx, hy - ly
-        across = w >= h  # cut the x-extent, along a vertical mesh line
-        mid = np.where(across, lx + w // 2, ly + h // 2)
-        side = np.where(across, x, y) - 2 * mid  # < 0 first half, 0 on the cut, > 0 second
-        leaf = w + h == 2
-        cut = side == 0
-        placed = np.flatnonzero(~done & (leaf | cut))
-        _, node = np.unique(key[placed], return_index=True)
-        node = placed[node]  # one block of each node placed at this level
-        levels.append(np.column_stack([key[node], lx[node], ly[node], hx[node], hy[node]]))
-        digit = np.where(leaf, ~element, (side > 0) + 2 * cut)
-        digit[done] = 0
-        key = 3 * key + digit
-        first, second = ~leaf & (side < 0), ~leaf & (side > 0)
-        hx = np.where(first & across, mid, hx)
-        hy = np.where(first & ~across, mid, hy)
-        lx = np.where(second & across, mid, lx)
-        ly = np.where(second & ~across, mid, ly)
-        done |= leaf | cut
-    blocks = np.argsort(key, kind="stable")
-    base = N_INTERIOR * mesh.n_elements
-    dofs = np.full((len(centres), N_INTERIOR), -1)  # one row per block, edge rows padded
-    dofs[: mesh.n_elements] = np.arange(base).reshape(-1, N_INTERIOR)
-    edges = base + N_PER_EDGE * interior[:, None] + np.arange(N_PER_EDGE)
-    dofs[mesh.n_elements :, :N_PER_EDGE] = edges
-    order = dofs[blocks].ravel()
-    return order[order >= 0], levels
 
 
 # ---------------------------------------------------------------------------

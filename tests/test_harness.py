@@ -415,6 +415,34 @@ def test_shared_arrays_are_read_only():
     for matrix in (system.matrix, system.operator.coupling):
         for array in (matrix.data, matrix.indices, matrix.indptr):
             assert not array.flags.writeable
+    # every array a factored operator holds, its dissection and its factor's included
+    model = ForwardModel(case_ft_gaussian(), 8)
+    for source in (DEFAULT_SOURCE, SECOND_SOURCE):
+        model.solve(source)
+    operator = model.operator
+    held = {name: value for name, value in vars(operator).items()
+            if name not in ("mesh", "matrix", "coupling")}
+    assert set(held) == {"free", "order", "class_matrices", "classes", "dissection", "factor",
+                         "load_quadrature"}
+    arrays = list(_arrays(held))
+    assert len(arrays) > 10 and all(isinstance(a, np.ndarray) for a in arrays)
+    for array in arrays:
+        assert not array.flags.writeable
+
+
+def _arrays(value):
+    """Every ndarray in ``value``, through dicts, lists, tuples and the
+    attributes of objects."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value))
 
 
 def test_model_keeps_its_mesh_for_every_source():

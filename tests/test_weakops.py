@@ -24,7 +24,6 @@ from util import (
 
 from wg4 import poly, weakops
 from wg4.assembly import AssemblyError
-from wg4.mesh import build_structured_mesh
 from wg4.weakops import WeakFunction
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -219,116 +218,6 @@ def test_boundary_mask_counts():
     mask = weakops.boundary_mask(mesh)
     assert mask.sum() == 4 * (4 * mesh.n)  # 4 dofs per boundary edge
     assert not mask[: 6 * mesh.n_elements].any()  # interior blocks are never boundary
-
-
-ORDER_CASES = [((0.0, 0.0, 1.0, 1.0), 1), ((0.0, 0.0, 1.0, 1.0), 8),
-               ((0.0, 0.0, 50.0, 50.0), 6), ((-1.0, 2.0, 3.0, 2.5), 5)]
-
-
-def _order_blocks(mesh, order):
-    """The blocks of a solve order, one per run: element e as e, edge f as
-    E + f, with each block's centre in half cells, (2x, 2y) from the
-    domain's corner, rounded."""
-    base = 6 * mesh.n_elements
-    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
-    blocks = block[np.r_[True, np.diff(block) != 0]]
-    x0, y0, x1, y1 = mesh.domain
-    centres = np.vstack([mesh.centroids, mesh.edge_points().mean(axis=1)])[blocks]
-    half = np.rint(2 * mesh.n * (centres - (x0, y0)) / (x1 - x0, y1 - y0)).astype(int)
-    return blocks, half
-
-
-@pytest.mark.parametrize("domain,n", ORDER_CASES)
-def test_solve_order_is_the_free_dofs_in_whole_blocks(domain, n):
-    mesh = build_structured_mesh(domain, n)
-    order, _ = weakops.solve_order(mesh)
-    free = np.flatnonzero(~weakops.boundary_mask(mesh))
-    assert np.array_equal(np.sort(order), free)  # a permutation of the free dofs
-    # each block, an element's 6 dofs or an interior edge's 4, is one run in layout order
-    base = 6 * mesh.n_elements
-    block = np.where(order < base, order // 6, mesh.n_elements + (order - base) // 4)
-    runs = np.split(order, np.flatnonzero(np.diff(block)) + 1)
-    assert len(runs) == mesh.n_elements + (~mesh.boundary).sum()
-    for run in runs:
-        assert len(run) == (6 if run[0] < base else 4) and np.all(np.diff(run) == 1)
-
-
-@pytest.mark.parametrize("domain,n", ORDER_CASES)
-def test_solve_order_numbers_each_cut_after_both_halves(domain, n):
-    # nested dissection: a region of cells is one run of blocks, its two halves
-    # first and then the edge blocks on the middle mesh line across its longer side
-    mesh = build_structured_mesh(domain, n)
-    _, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
-    x, y = half.T
-    cuts = 0
-
-    def check(i0, i1, j0, j1):
-        nonlocal cuts
-        inside = np.flatnonzero((2 * i0 < x) & (x < 2 * i1) & (2 * j0 < y) & (y < 2 * j1))
-        assert np.array_equal(inside, np.arange(inside[0], inside[-1] + 1))  # one run
-        if i1 - i0 == j1 - j0 == 1:
-            return
-        if i1 - i0 >= j1 - j0:
-            m = i0 + (i1 - i0) // 2
-            halves, line, length = ((i0, m, j0, j1), (m, i1, j0, j1)), x == 2 * m, j1 - j0
-        else:
-            m = j0 + (j1 - j0) // 2
-            halves, line, length = ((i0, i1, j0, m), (i0, i1, m, j1)), y == 2 * m, i1 - i0
-        cut = np.intersect1d(inside, np.flatnonzero(line))
-        assert len(cut) == length  # one edge block per cell side on the line
-        assert np.array_equal(cut, inside[len(inside) - len(cut):])  # the cut comes last
-        cuts += 1
-        for region in halves:
-            check(*region)
-
-    check(0, n, 0, n)
-    assert cuts == n * n - 1  # a binary tree down to the n^2 single cells
-
-
-@pytest.mark.parametrize("domain,n", ORDER_CASES)
-def test_solve_order_numbers_each_cells_elements_then_its_diagonal(domain, n):
-    mesh = build_structured_mesh(domain, n)
-    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
-    elements = np.flatnonzero(blocks < mesh.n_elements)
-    diagonals = np.flatnonzero((blocks >= mesh.n_elements) & (half % 2 == 1).all(axis=1))
-    assert len(elements) == 2 * len(diagonals) == 2 * n * n
-    # per cell, in the order the cells come: lower element, upper element, diagonal
-    cell = half[elements, 1] // 2 * n + half[elements, 0] // 2
-    assert np.array_equal(cell[0::2], cell[1::2])
-    assert np.array_equal(blocks[elements], np.ravel([2 * cell[0::2], 2 * cell[0::2] + 1], "F"))
-    assert np.array_equal(diagonals, elements[1::2] + 1)
-    assert np.array_equal(half[diagonals], half[elements[0::2]])
-
-
-@pytest.mark.parametrize("domain,n", ORDER_CASES)
-def test_solve_order_tree_names_each_node_after_its_parent(domain, n):
-    # node (L, P) is half P % 3 of node (L - 1, P // 3), bisected across its longer side
-    _, tree = weakops.solve_order(build_structured_mesh(domain, n))
-    assert tree[0].tolist() == [[0, 0, 0, n, n]]
-    regions = {(0, 0): (0, 0, n, n)}
-    for level, nodes in enumerate(tree[1:], start=1):
-        for prefix, *region in nodes.tolist():
-            lx, ly, hx, hy = regions[level - 1, prefix // 3]
-            w, h = hx - lx, hy - ly
-            assert w + h > 2  # a single cell has no halves
-            halves = ([(lx, ly, lx + w // 2, hy), (lx + w // 2, ly, hx, hy)] if w >= h
-                      else [(lx, ly, hx, ly + h // 2), (lx, ly + h // 2, hx, hy)])
-            assert tuple(region) == halves[prefix % 3]
-            regions[level, prefix] = tuple(region)
-    cells = [r for r in regions.values() if r[2] - r[0] + r[3] - r[1] == 2]
-    assert len(regions) == 2 * n * n - 1 and len(set(cells)) == n * n
-
-
-def test_solve_order_at_n2():
-    # the 2 x 2 grid is cut at x = 1, each half at y = 1: cell (0, 0) numbers elements 0, 1
-    # and its diagonal, cell (0, 1) elements 4, 5 and its diagonal, then the edge between
-    # them; the right half likewise; the two edges on x = 1 come last
-    mesh = unit_square_mesh(2)
-    blocks, half = _order_blocks(mesh, weakops.solve_order(mesh)[0])
-    named = [f"T{b}" if b < mesh.n_elements else tuple(h) for b, h in zip(blocks, half)]
-    assert named == ["T0", "T1", (1, 1), "T4", "T5", (1, 3), (1, 2),
-                     "T2", "T3", (3, 1), "T6", "T7", (3, 3), (3, 2),
-                     (2, 1), (2, 3)]
 
 
 def test_project_qh_zero_and_flux_convention():
