@@ -16,30 +16,33 @@ block of a boundary edge is fixed to the projected boundary data and
 eliminated symmetrically.
 
 An assembled system has two parts.  The operator depends only on the
-mesh and the coefficient field: the free-dof mask, the nested dissection
-of the mesh (``cholesky.dissect``), which orders the free dofs and
-shapes the factor's fronts, the reduced matrix in that order, its
-coupling block to the boundary dofs, the element matrix of each class
-and each element's class, and the Cholesky factor of the reduced
-matrix, which ``solve.solve_spd`` makes from the classes on the
-dissection's fronts on first use.  The factor never reads the reduced
-matrix; the refinement's residuals and the backward-error test do.
-The element matrices are summed straight into a numbering with the free
-dofs first, in the dissection's order, and the boundary dofs last, in
-layout order, so the reduced matrix and the coupling block are its
-leading rows, cut at the first boundary column.  The load depends on
-the problem's data: the interior load vector, the boundary Qb/Qg values
-and the reduced right-hand side, lifted by the coupling block unless
-every boundary value is zero.  ``assemble`` builds the operator, or
-takes one built for the same mesh and coefficients, as
-``wg4.harness.ForwardModel`` does for each source point: the model lays
-its coefficient field once, and each source's spec shares it and
-differs only in ``f``.  An operator taken factored also keeps the
-load's source-independent ``weakops.load_quadrature`` (0.8 MB at n=32),
-so each later load only evaluates its source, while a one-shot solve
-keeps nothing extra through its factorization.  An operator's arrays,
-its dissection's and its factor's included, are shared by its systems
-and are read-only.
+mesh and the coefficient field, and it is A in one form only, element by
+element: the element matrix of each class, each element's class, and
+each element's 18 rows in the solve numbering, which the nested
+dissection of the mesh (``cholesky.dissect``) gives: the free dofs in
+the dissection's order, and one spare row past them for every boundary
+dof.  ``Operator.product`` forms the free rows of A v from each
+element's 18 values of v, with one ``np.einsum`` per class size,
+summed into the rows; it gives the refinement's residuals in
+``solve.solve_spd`` and the lift of the boundary values here.  The
+operator also keeps the dissection, which shapes the fronts of the
+Cholesky factor that ``solve.solve_spd`` makes from the classes on first
+use.  The load depends on the problem's data: the interior load vector,
+the boundary Qb/Qg values and the reduced right-hand side, b minus the
+product of the boundary values, lifted only if one of them is nonzero.
+``assemble`` builds the operator, or takes one built for the same mesh
+and coefficient field objects, as ``wg4.harness.ForwardModel`` does for
+each source point: the model lays its coefficient field once, and each
+source's spec shares it and differs only in ``f``; an operator of
+another mesh or field raises ValueError.  An operator taken factored
+also keeps the load's source-independent ``weakops.load_quadrature``
+(0.8 MB at n=32), so each later load only evaluates its source, while a
+one-shot solve keeps nothing extra through its factorization.  An
+operator's arrays, its dissection's and its factor's included, are
+shared by its systems and are read-only.  No global matrix is kept: the
+reduced matrix in CSR, ``Operator.matrix``, is built only on request,
+for the backward-error fallback's ||A||_inf and the benchmark's tracer
+(ROADMAP item 11), and only that builds it with scipy.
 
 A ``Region`` is checked when it is built: each of its numbers must have
 its field's shape, and a ValueError names the field that does not.
@@ -50,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import cholesky, weakops
 from .mesh import Mesh, check_rectangle
@@ -246,15 +248,46 @@ class Operator:
     coefficient field; see the module docstring."""
 
     mesh: Mesh
-    free: np.ndarray  # boolean mask over all dofs
-    order: np.ndarray  # the free dofs, in the order of matrix's rows: dissection.order
-    matrix: sp.csr_matrix  # free x free, symmetric positive definite
-    coupling: sp.csr_matrix  # free x boundary, lifts the boundary values
+    coeff: CoefficientField  # the field it was built for, as ``assemble`` checks
+    # (E, 18) the solve row of each element's dofs; len(dissection.order), the
+    # spare row, for a boundary dof
+    element_rows: np.ndarray
     class_matrices: np.ndarray  # (C, 18, 18) element matrix of each class
     classes: np.ndarray  # (E,) each element's class
     dissection: cholesky.Dissection  # the mesh's: orders the free dofs, shapes the factor
+    # (its classes (k,), their elements (k, m)) of each class size m
+    class_groups: list
     factor: object = None  # cholesky.Factor of the classes on dissection, set by solve.solve_spd
     load_quadrature: tuple | None = None  # weakops.load_quadrature, kept once factored
+
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """The free rows of A v, in the solve order, from v's values at
+        each element's 18 dofs (E, 18): A_e v_e by one ``np.einsum`` per
+        class size, summed into the rows by ``np.bincount``.  A solve's
+        residual at its float64 floor is mostly rounding, and einsum's
+        sums of 18 products round 0.5-0.6 times as much as a CSR mat-vec
+        or a BLAS product (sine, n=64), so the refinement step that
+        corrects x by the residual lands closer."""
+        terms = np.empty_like(values)
+        for same, members in self.class_groups:
+            terms[members] = np.einsum("cij,cmj->cmi", self.class_matrices[same], values[members])
+        size = len(self.dissection.order)
+        return np.bincount(self.element_rows.ravel(), terms.ravel(), minlength=size + 1)[:size]
+
+    @property
+    def matrix(self):
+        """The reduced matrix as a coalesced ``scipy.sparse`` CSR matrix,
+        built on each call and kept nowhere.  Only the backward-error
+        fallback's ||A||_inf and the benchmark's tracer read it, until
+        ROADMAP item 11 moves the tracer onto a run record."""
+        import scipy.sparse as sp
+
+        size = len(self.dissection.order)
+        rows = np.repeat(self.element_rows[:, :, None], N_LOCAL, axis=2)
+        cols = rows.transpose(0, 2, 1)
+        free = (rows < size) & (cols < size)
+        return sp.csr_matrix((self.class_matrices[self.classes][free], (rows[free], cols[free])),
+                             shape=(size, size))
 
 
 @dataclass
@@ -262,17 +295,18 @@ class AssembledSystem:
     """One problem's system: the operator and the problem's load."""
 
     operator: Operator
-    rhs: np.ndarray  # b[order] - coupling @ boundary_values[~free]
+    rhs: np.ndarray  # b - A boundary_values, in the solve order
     boundary_values: np.ndarray  # full-length, nonzero only on boundary dofs
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
+        """The operator's reduced matrix, built on each call (ROADMAP item 11)."""
         return self.operator.matrix
 
     def expand(self, x_free: np.ndarray) -> WeakFunction:
         """Recombine a free-dof solution with the boundary values."""
         coeffs = self.boundary_values.copy()
-        coeffs[self.operator.order] = x_free
+        coeffs[self.operator.dissection.order] = x_free
         return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
 
 
@@ -301,53 +335,34 @@ def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np
     return mats, classes.reshape(-1)
 
 
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    """The CSR row pointer of rows holding ``counts`` entries each."""
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-
-
 def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     """The operator of (mesh, coeff), not yet factored."""
     mats, classes = _class_matrices(mesh, coeff)
-    size = weakops.dof_count(mesh)
-    free = ~weakops.boundary_mask(mesh)
     dissection = cholesky.dissect(mesh)
-    order, k = dissection.order, len(dissection.order)
-    numbering = dissection.rows.astype(np.int32)  # each dof's row in the global system
-    numbering[~free] = np.arange(k, size)
-    idx = numbering[weakops.local_dofs(mesh)]
-    # the element matrices' rows, 18 entries each, stably in the order of their
-    # global rows, as a COO to CSR conversion puts them; summing the duplicates
-    # then adds the terms of each entry in that order
-    element, local = np.divmod(np.argsort(idx.ravel(), kind="stable"), N_LOCAL)
-    full = sp.csr_matrix((mats[classes[element], local].ravel(), idx[element].ravel(),
-                          _indptr(N_LOCAL * np.bincount(idx.ravel(), minlength=size))),
-                         shape=(size, size))
-    full.sum_duplicates()
-    # the free rows' entries, split at column k into the two blocks; every
-    # free row holds its diagonal, so no row's segment is empty
-    end = full.indptr[k]
-    data, indices = full.data[:end], full.indices[:end]
-    left = indices < k
-    counts = np.add.reduceat(left, full.indptr[:k], dtype=np.int32)
-    matrix = sp.csr_matrix((data[left], indices[left], _indptr(counts)), shape=(k, k))
-    coupling = sp.csr_matrix((data[~left], indices[~left] - k,
-                              _indptr(np.diff(full.indptr[:k + 1]) - counts)),
-                             shape=(k, size - k))
-    del full
-    shared = (free, matrix.data, matrix.indices, matrix.indptr, coupling.data,
-              coupling.indices, coupling.indptr, mats, classes)
-    for array in shared:
+    # the classes of each size, so that a medium of one class per element
+    # takes one einsum, not one per element
+    sizes, by_class = np.bincount(classes), np.argsort(classes, kind="stable")
+    starts = np.cumsum(sizes) - sizes  # each class's first place in by_class
+    groups = []
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        groups.append((same, by_class[starts[same, None] + np.arange(size)]))
+    element_rows = dissection.rows[weakops.local_dofs(mesh)]
+    for array in (element_rows, mats, classes, *(a for group in groups for a in group)):
         array.flags.writeable = False
-    return Operator(mesh=mesh, free=free, order=order, matrix=matrix, coupling=coupling,
-                    class_matrices=mats, classes=classes, dissection=dissection)
+    return Operator(mesh=mesh, coeff=coeff, element_rows=element_rows, class_matrices=mats,
+                    classes=classes, dissection=dissection, class_groups=groups)
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) -> AssembledSystem:
     """The system of ``spec`` on ``mesh`` with boundary dofs eliminated
     symmetrically: the operator of (mesh, spec.coeff), built afresh
     unless an earlier system's ``operator`` of the two is given, and the
-    load of the problem's data."""
+    load of the problem's data.  An ``operator`` of another mesh or
+    coefficient field raises ValueError."""
+    if operator is not None and not (operator.mesh is mesh and operator.coeff is spec.coeff):
+        raise ValueError("operator: built for another mesh or coefficient field than "
+                         "mesh and spec.coeff")
     op = _operator(mesh, spec.coeff) if operator is None else operator
     quadrature = op.load_quadrature
     if quadrature is None:
@@ -369,10 +384,9 @@ def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) ->
     if not np.isfinite(values.coeffs).all():
         raise AssemblyError("boundary data projection produced non-finite values")
 
-    rhs = b.coeffs[op.order]
-    lifted = values.coeffs[~op.free]
-    if lifted.any():  # zero boundary values lift by zero, and b - 0.0 is b
-        rhs -= op.coupling @ lifted
+    rhs = b.coeffs[op.dissection.order]
+    if values.coeffs.any():  # zero boundary values lift by zero, and b - 0.0 is b
+        rhs -= op.product(values.coeffs[weakops.local_dofs(mesh)])
     return AssembledSystem(operator=op, rhs=rhs, boundary_values=values.coeffs)
 
 

@@ -28,11 +28,12 @@ fronts below it, so the numbering is the tree's post-order.
 Every entry of A comes from an element matrix, so the factorization
 starts from the element classes of ``assembly``: for each class, the 6
 interior dofs are condensed once, with the Cholesky factor of their
-6 x 6 block, L^-1 times its coupling to the 12 edge dofs, and the
-12 x 12 Schur complement.  The nested dissection eliminates those dofs
-first anyway, so the pivots are the same.  A single cell's front sums
-the complements of its two elements; a cut node's front takes only its
-two children's updates, added into the rows they share (extend-add).
+6 x 6 block, L^-1 times the block that joins them to the 12 edge dofs,
+and the 12 x 12 Schur complement.  The nested dissection eliminates
+those dofs first anyway, so the pivots are the same.  A single cell's
+front sums the complements of its two elements; a cut node's front
+takes only its two children's updates, added into the rows they share
+(extend-add).
 Each front F, with its p pivots first, is factored as
 
     L11 = chol(F11),  X = L11^-1 F12,  U = F22 - X^T X,
@@ -60,7 +61,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import weakops
 from .weakops import N_INTERIOR, N_PER_EDGE
 
 __all__ = ["Dissection", "Factor", "dissect", "factor"]
@@ -237,9 +237,9 @@ def _eliminate(fronts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """K (m, f, p) of ``Factor`` and the update U (m, f - p, f - p) of
     fronts (m, f, f) with their p pivots first."""
     inverse = np.linalg.inv(np.linalg.cholesky(fronts[:, :p, :p]))
-    coupling = inverse @ fronts[:, :p, p:]
-    update = fronts[:, p:, p:] - coupling.transpose(0, 2, 1) @ coupling
-    k = np.concatenate([inverse, -(inverse.transpose(0, 2, 1) @ coupling).transpose(0, 2, 1)], 1)
+    x = inverse @ fronts[:, :p, p:]
+    update = fronts[:, p:, p:] - x.transpose(0, 2, 1) @ x
+    k = np.concatenate([inverse, -(inverse.transpose(0, 2, 1) @ x).transpose(0, 2, 1)], 1)
     return k, update
 
 
@@ -248,8 +248,7 @@ def factor(operator) -> Factor:
     from its element classes on the fronts of its ``Dissection``.  A
     front that is not positive definite raises ``np.linalg.LinAlgError``."""
     mats, classes, dissection = operator.class_matrices, operator.classes, operator.dissection
-    size = len(dissection.order)
-    local = dissection.rows[weakops.local_dofs(operator.mesh)]
+    size, local = len(dissection.order), operator.element_rows
     k, schur = _eliminate(mats, N_INTERIOR)
     factored = [(local, N_INTERIOR, k[classes])]
     position = np.zeros(size + 1, dtype=np.intp)

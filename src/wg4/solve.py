@@ -41,16 +41,20 @@ it puts that ``eg`` 2.9e-13 from a reference refined in extended
 precision, which lies 9.3e-12 from the rounding tie.  A field solve prints
 u_h itself and accepts at step 0.
 
-An assembled system's matrix belongs to its operator (see
-``wg4.assembly``), which a ``wg4.harness.ForwardModel`` hands on to the
-system of each later source point on the medium it laid once; the
-solve sees its matrix, with which it forms residuals, and the factor,
-which ``wg4.cholesky`` makes from the operator's element classes on the
-fronts of its dissection, built with the operator.  The factor is kept
-on the operator, read-only: the first solve makes it, and every later
-solve on the operator only runs the triangular solves, the refinement
-and the acceptance tests above.  The report says whether the solve made
-the factor, in how many seconds, and how many floats the factor keeps.
+An assembled system's operator (see ``wg4.assembly``), which a
+``wg4.harness.ForwardModel`` hands on to the system of each later source
+point on the medium it laid once, is A element by element: the solve
+forms its residuals with ``Operator.product``, and the factor is made by
+``wg4.cholesky`` from the operator's element classes on the fronts of
+its dissection, built with the operator.  No global matrix is kept:
+only the backward-error fallback builds the reduced matrix, for its
+exact ||A||_inf.  Of the catalog's solves only poly-bump's can take
+that fallback, from n=64 on, where its residual floor meets the default
+target.  The factor is kept on the operator, read-only: the first solve
+makes it, and every later solve on the operator only runs the
+triangular solves, the refinement and the acceptance tests above.  The
+report says whether the solve made the factor, in how many seconds, and
+how many floats the factor keeps.
 """
 
 from __future__ import annotations
@@ -59,13 +63,22 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla  # noqa: F401  patched by perfbench/spans.py (ROADMAP item 11)
 
 from . import cholesky
 
 __all__ = ["SolverConfig", "SolveReport", "SolverError", "solve_spd"]
 
 _REFINEMENT_STEPS = 3
+
+
+def __getattr__(name: str):
+    """``spla``, scipy.sparse.linalg, imported on first access: only
+    perfbench/spans.py reads it, and patches it, until ROADMAP item 11."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -110,8 +123,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     SolverError carrying the residual history.  The factor is read from
     the system's operator, or made and stored there on first use.
     """
-    operator = system.operator
-    matrix, rhs = operator.matrix, system.rhs
+    operator, rhs = system.operator, system.rhs
 
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
@@ -130,7 +142,8 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     x = factor.solve(rhs)
     history = []
     for step in range(_REFINEMENT_STEPS + 1):
-        r = rhs - matrix @ x
+        # x at each element's dofs, 0 at its boundary dofs, which sit on the spare row
+        r = rhs - operator.product(np.append(x, 0.0)[operator.element_rows])
         rel = float(np.linalg.norm(r)) / bnorm
         history.append(rel)
         if not np.isfinite(rel):
@@ -145,7 +158,7 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
                           f"above that of x = 0", history)
     # the relative-residual target is out of reach: accept the last x if it
     # solves a nearby system
-    backward = _backward_error(matrix, rhs, x, r)
+    backward = _backward_error(operator.matrix, rhs, x, r)
     if backward <= config.tolerance:
         return x, SolveReport(
             iterations=_REFINEMENT_STEPS,

@@ -8,6 +8,7 @@ from util import (
     LocalWeakFunction,
     eigvalsh_check_coefficients,
     element_mass_matrix,
+    element_values,
     full_matrix,
     quadratic_problem,
     random_triangle,
@@ -26,7 +27,7 @@ from wg4.assembly import (
     triple_bar_norm,
 )
 from wg4.errors import error_report
-from wg4.harness import case_sine, catalog_entry
+from wg4.harness import SECOND_SOURCE, ForwardModel, case_sine, catalog_entry
 from wg4.solve import solve_spd
 
 
@@ -188,7 +189,8 @@ def test_free_dof_count_n1():
     system = assemble(mesh, spec)
     # 12 interior dofs plus the 4 dofs of the single interior edge.
     assert system.matrix.shape == (16, 16)
-    assert system.operator.free.sum() == 16
+    assert len(system.operator.dissection.order) == 16
+    assert (system.operator.element_rows < 16).sum() == 12 + 2 * 4  # both elements hold the edge
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -406,15 +408,20 @@ def test_assembled_matrices_exactly_symmetric(case, n):
     assert (system.matrix != system.matrix.T).nnz == 0
     full = full_matrix(system.operator, spec.coeff)
     assert (full != full.T).nnz == 0
-    # the coupling block's rows come in the solve order, its columns in layout order
-    rows, fixed = system.operator.order, ~system.operator.free
-    assert (full[rows][:, fixed] != system.operator.coupling).nnz == 0
+    # the reduced matrix's rows and columns come in the solve order; each element's
+    # boundary dofs sit on the spare row, past them
+    op = system.operator
+    rows, fixed = op.dissection.order, weakops.boundary_mask(mesh)
+    assert (full[rows][:, rows] != system.matrix).nnz == 0
+    local = weakops.local_dofs(mesh)
+    assert np.array_equal(op.element_rows == len(rows), fixed[local])
+    assert np.array_equal(rows[op.element_rows[~fixed[local]]], local[~fixed[local]])
 
 
 @pytest.mark.parametrize("case", ["sine", "boundary-dirac"])
 def test_boundary_lift_equals_full_matrix_product(case):
-    # the coupling block lifts the boundary values with the same nonzero
-    # terms, in the same order, as the product with the full matrix
+    # the element-wise product lifts the boundary values as the product with
+    # the full matrix does, up to the order in which the terms are summed
     entry = catalog_entry(case)
     mesh = entry.make_mesh(8)
     spec = entry.problem(mesh)
@@ -423,9 +430,9 @@ def test_boundary_lift_equals_full_matrix_product(case):
     quadrature = weakops.load_quadrature(mesh.element_points())
     b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
     lifted = (b - full_matrix(system.operator, spec.coeff) @ system.boundary_values)[
-        system.operator.order]
+        system.operator.dissection.order]
     assert np.abs(system.boundary_values).max() > 0
-    assert np.array_equal(system.rhs, lifted)
+    assert np.abs(system.rhs - lifted).max() <= 1e-14 * np.abs(lifted).max()
 
 
 @pytest.mark.parametrize("case,n,regions", [
@@ -434,17 +441,80 @@ def test_boundary_lift_equals_full_matrix_product(case):
                                    kappa=0.5 * np.eye(2), mu=0.5),)),
 ])
 def test_operator_blocks_equal_the_sliced_full_matrix(case, n, regions):
-    # the blocks split from the free rows are the slices of the whole
-    # system, bit for bit and dtype for dtype
+    # the reduced matrix built on request is the slice of the whole system, bit for
+    # bit and dtype for dtype: no entry sums more than two terms, so their order
+    # cannot show; the element-wise product takes the coupling block's place
     entry = catalog_entry(case)
     mesh = entry.make_mesh(n)
     spec = entry.problem(mesh, regions)
     op = assemble(mesh, spec).operator
-    for got, want in zip((op.matrix, op.coupling), sliced_blocks(op, spec.coeff)):
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    reduced, coupling = sliced_blocks(op, spec.coeff)
+    got = op.matrix
+    assert got.shape == reduced.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(reduced, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    fixed = weakops.boundary_mask(mesh)
+    values = np.where(fixed, np.random.default_rng(4).normal(size=len(fixed)), 0.0)
+    want = coupling @ values[fixed]
+    lifted = op.product(values[weakops.local_dofs(mesh)])
+    assert coupling.shape == (len(op.dissection.order), fixed.sum())
+    assert np.abs(lifted - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _per_element(spec):
+    # every element scaled apart, so that every element is its own class
+    scale = 1.0 + 0.1 * np.random.default_rng(0).random(len(spec.coeff.mu))
+    coeff = CoefficientField(spec.coeff.kappa * scale[:, None, None], spec.coeff.mu * scale)
+    return ProblemSpec(f=spec.f, xi=spec.xi, nu=spec.nu, coeff=coeff)
+
+
+@pytest.mark.parametrize("case,per_element", [("sine", False), ("boundary-indicator", False),
+                                              ("sine", True)])
+def test_product_and_lift_equal_the_coo_reference(case, per_element):
+    # A v and the lifted right-hand side element by element, against the plain
+    # COO to CSR conversion of the whole system
+    entry = catalog_entry(case)
+    mesh = entry.make_mesh(8)
+    spec = entry.problem(mesh)
+    if per_element:
+        spec = _per_element(spec)
+    system = assemble(mesh, spec)
+    op = system.operator
+    if per_element:
+        assert len(op.class_matrices) == mesh.n_elements
+    reduced, coupling = sliced_blocks(op, spec.coeff)
+    x = np.random.default_rng(5).normal(size=reduced.shape[0])
+    want = reduced @ x
+    assert np.abs(op.product(element_values(op, x)) - want).max() <= 1e-14 * np.abs(want).max()
+    b = np.zeros(weakops.dof_count(mesh))
+    quadrature = weakops.load_quadrature(mesh.element_points())
+    b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
+    fixed = weakops.boundary_mask(mesh)
+    assert np.abs(system.boundary_values[fixed]).max() > 0
+    lifted = b[op.dissection.order] - coupling @ system.boundary_values[fixed]
+    assert np.abs(system.rhs - lifted).max() <= 1e-14 * np.abs(lifted).max()
+
+
+def test_operator_of_another_mesh_or_medium_is_refused():
+    sine = catalog_entry("sine")
+    mesh = sine.make_mesh(8)
+    spec = sine.problem(mesh)
+    op = assemble(mesh, spec).operator
+    gaussian = catalog_entry("gaussian-source")
+    other = gaussian.make_mesh(8)
+    with pytest.raises(ValueError, match="^operator: built for another mesh"):
+        assemble(other, gaussian.problem(other), op)
+    region = Region(shape="disk", center=(0.5, 0.5), radius=0.2, kappa=2.0 * np.eye(2), mu=1.0)
+    with pytest.raises(ValueError, match="^operator: built for another mesh"):
+        assemble(mesh, sine.problem(mesh, [region]), op)
+    assert assemble(mesh, spec, op).operator is op
+    # the forward model's specs share its coefficient field, so each source reuses the operator
+    model = ForwardModel(gaussian, 8)
+    model.solve()
+    kept = model.operator
+    model.solve(SECOND_SOURCE)
+    assert model.operator is kept and kept.factor is not None
 
 
 # ---------------------------------------------------------------------------

@@ -537,13 +537,26 @@ def test_disk_region_at_the_float_range_runs(tmp_path):
     assert disk == field({"shape": "rect", "bounds": [0, 0, 50, 50]})
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # the triangle rule needs numpy only; scipy.special took about 50 ms of the import
-    code = "import sys, wg4.cli; print('scipy.special' in sys.modules)"
+def test_cli_import_leaves_out_scipy_special(tmp_path):
+    # the triangle rule needs numpy only; scipy.special took about 50 ms of the import.
+    # No scipy module at all is loaded by the import, nor by a study or a field
+    # solve: scipy builds only the backward-error fallback's matrix
+    code = (
+        "import sys, wg4.cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "imported = scipy()\n"
+        "assert wg4.cli.main(['convergence', '--case', 'sine', '--levels', '8,16,32',\n"
+        "                     '--out', sys.argv[1] + '/table.csv']) == 0\n"
+        "assert wg4.cli.main(['ft-demo', '--scenario', 'boundary-indicator', '--n', '16',\n"
+        "                     '--out', sys.argv[1] + '/field.csv']) == 0\n"
+        "print(imported, scipy(), file=sys.stderr)\n"
+    )
     src = Path(wg4.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout == "False\n"
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == "[] []\n"
+    assert (tmp_path / "table.csv").exists() and (tmp_path / "field.csv").exists()
 
 
 FLAG_CASES = [

@@ -411,19 +411,21 @@ def test_shared_arrays_are_read_only():
     for name, array in vars(mesh).items():
         if isinstance(array, np.ndarray):
             assert not array.flags.writeable, name
+    # the reduced matrix is no shared array: each request builds it afresh
     system = assemble(mesh, spec)
-    for matrix in (system.matrix, system.operator.coupling):
-        for array in (matrix.data, matrix.indices, matrix.indptr):
-            assert not array.flags.writeable
-    # every array a factored operator holds, its dissection and its factor's included
+    first, second = system.matrix, system.operator.matrix
+    assert "matrix" not in vars(system.operator) and first is not second
+    assert (first != second).nnz == 0
+    # every array a factored operator holds, its dissection and its factor's included;
+    # the mesh is checked above, and the coefficient field is the spec's
     model = ForwardModel(case_ft_gaussian(), 8)
     for source in (DEFAULT_SOURCE, SECOND_SOURCE):
         model.solve(source)
     operator = model.operator
     held = {name: value for name, value in vars(operator).items()
-            if name not in ("mesh", "matrix", "coupling")}
-    assert set(held) == {"free", "order", "class_matrices", "classes", "dissection", "factor",
-                         "load_quadrature"}
+            if name not in ("mesh", "coeff")}
+    assert set(held) == {"element_rows", "class_matrices", "classes", "dissection",
+                         "class_groups", "factor", "load_quadrature"}
     arrays = list(_arrays(held))
     assert len(arrays) > 10 and all(isinstance(a, np.ndarray) for a in arrays)
     for array in arrays:
@@ -561,7 +563,7 @@ def test_cold_solves_keep_no_quadrature_points(monkeypatch):
 
 def test_zero_boundary_values_lift_by_nothing():
     # the gaussian scenario's boundary data is zero: its right-hand side is
-    # the load in the solve order, as b - coupling @ 0 would give it
+    # the load in the solve order, as b - A 0 would give it
     entry = catalog_entry("gaussian-source")
     mesh = entry.make_mesh(8)
     spec = entry.problem(mesh)
@@ -571,5 +573,6 @@ def test_zero_boundary_values_lift_by_nothing():
     b[: 6 * mesh.n_elements] = weakops.local_load(
         weakops.load_quadrature(mesh.element_points()), spec.f).ravel()
     assert not system.boundary_values.any()
-    lifted = b[op.order] - op.coupling @ system.boundary_values[~op.free]
+    lifted = b[op.dissection.order] - op.product(
+        system.boundary_values[weakops.local_dofs(mesh)])
     assert system.rhs.tobytes() == lifted.tobytes()

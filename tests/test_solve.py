@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from util import matrix_system, unit_square_mesh
+from util import element_values, matrix_system, sliced_blocks, unit_square_mesh
 
 from wg4 import assembly, cholesky
 from wg4.assembly import Region, assemble
@@ -295,7 +295,7 @@ def test_refined_n64_error_is_within_2e12_of_an_extended_precision_one():
     spec, u_h, report = model.solve()
     assert report.iterations == 1
     system = assemble(model.mesh, spec, model.operator)
-    x = u_h.coeffs[model.operator.order]
+    x = u_h.coeffs[model.operator.dissection.order]
     wide = np.longdouble
     r = system.rhs.astype(wide) - system.matrix.astype(wide) @ x.astype(wide)
     reference = system.expand(x + model.operator.factor.solve(r.astype(float)))
@@ -332,6 +332,26 @@ def test_fallback_backward_error_takes_the_infinity_norm():
     anorm = 16.0  # ||A||_inf = |1| + |-4| + 6 + |-4| + |1|
     denom = anorm * float(np.abs(x).max()) + float(np.abs(system.rhs).max())
     assert report.backward_error == float(np.abs(r).max()) / denom
+
+
+def test_poly_bump_n64_accepted_on_its_backward_error():
+    # poly-bump's float64 residual floor at n=64 lies at the default target, 0.99e-10
+    # to 1.0e-10 by BLAS thread count, so a tenth of it puts the solve on its fallback
+    # whatever the rounding: its backward error, about 1.3e-16, takes the reduced
+    # matrix's exact ||A||_inf and the residual of the element-wise product
+    config = SolverConfig(tolerance=1e-11)
+    mesh, spec, u_h, report = solve_case(catalog_entry("poly-bump"), 64, config)
+    assert report.residual > 1e-11 and report.iterations == 3
+    assert report.backward_error is not None and report.backward_error <= 1e-11
+    system = assemble(mesh, spec)
+    op = system.operator
+    x = u_h.coeffs[op.dissection.order]
+    r = system.rhs - op.product(element_values(op, x))
+    assert float(np.linalg.norm(r)) / np.linalg.norm(system.rhs) == report.residual
+    reduced, _ = sliced_blocks(op, spec.coeff)
+    anorm = float(abs(reduced).sum(axis=1).max())
+    denom = anorm * float(np.abs(x).max()) + float(np.abs(system.rhs).max())
+    assert report.backward_error == pytest.approx(float(np.abs(r).max()) / denom, rel=1e-12)
 
 
 def test_direct_solve_beyond_backward_error_raises():

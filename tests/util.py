@@ -411,9 +411,12 @@ class LeastSquaresFactor:
 def matrix_system(matrix, rhs, factor=None) -> SimpleNamespace:
     """A bare matrix and right-hand side in the shape ``solve_spd`` takes:
     a system with an operator that holds the matrix and a factor of it,
-    ``factor`` or else a ``LeastSquaresFactor``."""
+    ``factor`` or else a ``LeastSquaresFactor``, and whose ``product`` is
+    the matrix's, as if one element held every row."""
     matrix = sp.csr_matrix(matrix)
-    operator = SimpleNamespace(matrix=matrix, factor=factor or LeastSquaresFactor(matrix))
+    operator = SimpleNamespace(matrix=matrix, factor=factor or LeastSquaresFactor(matrix),
+                               element_rows=np.arange(matrix.shape[0])[None],
+                               product=lambda values: matrix @ values[0])
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
@@ -432,20 +435,28 @@ def full_matrix(operator, coeff) -> sp.csr_matrix:
 
 def sliced_blocks(operator, coeff) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The reduced matrix and coupling block of the operator of ``coeff``, made the plain
-    way: the whole system summed in the free-first numbering, converted
+    way: the whole system summed in the numbering with the free dofs first, in the
+    operator's solve order, and the boundary dofs last, in layout order, converted
     to CSR, and both blocks sliced from its leading rows."""
     mesh = operator.mesh
-    k = len(operator.order)
-    size = weakops.dof_count(mesh)
+    order = operator.dissection.order
+    k, size = len(order), weakops.dof_count(mesh)
     numbering = np.empty(size, dtype=np.intp)
-    numbering[operator.order] = np.arange(k)
-    numbering[~operator.free] = np.arange(k, size)
+    numbering[order] = np.arange(k)
+    numbering[weakops.boundary_mask(mesh)] = np.arange(k, size)
     idx = numbering[weakops.local_dofs(mesh)]
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
     mats, classes = assembly._class_matrices(mesh, coeff)
     full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
     return full[:k, :k], full[:k, k:]
+
+
+def element_values(operator, x_free: np.ndarray) -> np.ndarray:
+    """The values (E, 18) at each element's dofs of the vector that is
+    ``x_free`` on the free dofs and 0 on the boundary ones, as
+    ``Operator.product`` takes them."""
+    return np.append(x_free, 0.0)[operator.element_rows]
 
 
 def eigvalsh_check_coefficients(kappa: np.ndarray, mu: np.ndarray, indexed: bool = True) -> None:
