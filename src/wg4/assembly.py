@@ -268,9 +268,7 @@ class Operator:
         sums of 18 products round 0.5-0.6 times as much as a CSR mat-vec
         or a BLAS product (sine, n=64), so the refinement step that
         corrects x by the residual lands closer."""
-        terms = np.empty_like(values)
-        for same, members in self.class_groups:
-            terms[members] = np.einsum("cij,cmj->cmi", self.class_matrices[same], values[members])
+        terms = _apply(self.class_matrices, self.class_groups, values)
         size = len(self.dissection.order)
         return np.bincount(self.element_rows.ravel(), terms.ravel(), minlength=size + 1)[:size]
 
@@ -335,18 +333,31 @@ def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np
     return mats, classes.reshape(-1)
 
 
+def _class_groups(classes: np.ndarray) -> list:
+    """(its classes (k,), their elements (k, m)) of each class size m, so
+    that a medium of one class per element takes one einsum, not one per
+    element."""
+    sizes, by_class = np.bincount(classes), np.argsort(classes, kind="stable")
+    starts = np.cumsum(sizes) - sizes  # each class's first place in by_class
+    return [(np.flatnonzero(sizes == size),
+             by_class[starts[sizes == size][:, None] + np.arange(size)])
+            for size in np.unique(sizes)]
+
+
+def _apply(mats: np.ndarray, groups: list, values: np.ndarray) -> np.ndarray:
+    """Each element's A_e v_e (E, 18) from its values v_e (E, 18), by one
+    ``np.einsum`` per class size of ``_class_groups``."""
+    terms = np.empty_like(values)
+    for same, members in groups:
+        terms[members] = np.einsum("cij,cmj->cmi", mats[same], values[members])
+    return terms
+
+
 def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
     """The operator of (mesh, coeff), not yet factored."""
     mats, classes = _class_matrices(mesh, coeff)
     dissection = cholesky.dissect(mesh)
-    # the classes of each size, so that a medium of one class per element
-    # takes one einsum, not one per element
-    sizes, by_class = np.bincount(classes), np.argsort(classes, kind="stable")
-    starts = np.cumsum(sizes) - sizes  # each class's first place in by_class
-    groups = []
-    for size in np.unique(sizes):
-        same = np.flatnonzero(sizes == size)
-        groups.append((same, by_class[starts[same, None] + np.arange(size)]))
+    groups = _class_groups(classes)
     element_rows = dissection.rows[weakops.local_dofs(mesh)]
     for array in (element_rows, mats, classes, *(a for group in groups for a in group)):
         array.flags.writeable = False
@@ -392,7 +403,8 @@ def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) ->
 
 def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
     """Discrete energy norm: square root of the assembled quadratic form,
-    summed class by class with the element matrices of (mesh, coeff).
+    the sum of v_e . A_e v_e over the elements, with the element matrices
+    of (mesh, coeff) applied as ``Operator.product`` applies them.
 
     ``w`` is a WeakFunction or a full-length coefficient vector (boundary
     blocks included; they are zero for error functions).
@@ -404,8 +416,5 @@ def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
                          f"got shape {coeffs.shape}")
     local = coeffs[weakops.local_dofs(mesh)]
     mats, classes = _class_matrices(mesh, coeff)
-    total = 0.0
-    for c, mat in enumerate(mats):
-        members = local[classes == c]
-        total += float(np.sum((members @ mat) * members))
+    total = float(np.sum(_apply(mats, _class_groups(classes), local) * local))
     return float(np.sqrt(max(total, 0.0)))

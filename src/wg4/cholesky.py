@@ -25,15 +25,16 @@ once, in increasing x or y, and a side on the domain's boundary holds
 none.  Every front's pivots are one run of rows, after those of the
 fronts below it, so the numbering is the tree's post-order.
 
-Every entry of A comes from an element matrix, so the factorization
-starts from the element classes of ``assembly``: for each class, the 6
-interior dofs are condensed once, with the Cholesky factor of their
-6 x 6 block, L^-1 times the block that joins them to the 12 edge dofs,
-and the 12 x 12 Schur complement.  The nested dissection eliminates
-those dofs first anyway, so the pivots are the same.  A single cell's
-front sums the complements of its two elements; a cut node's front
-takes only its two children's updates, added into the rows they share
-(extend-add).
+Every entry of A comes from an element matrix, so the elements are the
+leaves of the tree, and the factorization starts from the element
+classes of ``assembly``: for each class, the 6 interior dofs are
+condensed once, with the Cholesky factor of their 6 x 6 block, L^-1
+times the block that joins them to the 12 edge dofs, and the 12 x 12
+Schur complement, which is the update of each element of the class.
+The nested dissection eliminates those dofs first anyway, so the pivots
+are the same.  One rule builds every front: it adds its two children's
+updates into the rows they share (extend-add), and a single cell's
+children are its elements, a cut node's its halves.
 Each front F, with its p pivots first, is factored as
 
     L11 = chol(F11),  X = L11^-1 F12,  U = F22 - X^T X,
@@ -43,13 +44,14 @@ L11^-1 is kept in place of L11.
 
 The fronts of one tree level that share their size, and the sides they
 hold, form a group: a cut node's children are then of one group per
-half, and the positions of a child's sides in its parent's front are the
-same for every member, so one list of runs of rows serves them all.
-The dissection depends on the mesh alone and holds the groups; the
+half, a single cell's its lower and its upper elements, and the
+positions of a child's sides in its parent's front are the same for
+every member, so one list of runs of rows serves them all.  The
+dissection depends on the mesh alone and holds the groups; the
 factorization does the numeric work.  Equal fronts are factored once:
-in a group, the cells whose elements have equal classes, and the cut
-nodes whose children's fronts are equal, which on a uniform medium
-leaves a few fronts per level.  Each group's distinct fronts are
+in a group, those whose two children are equal, elements of equal
+classes or halves of equal fronts, which on a uniform medium leaves a
+few fronts per level.  Each group's distinct fronts are
 factored in one batched call of each kind, and the solves run level by
 level, the forward one from the elements to the root and the backward
 one back.
@@ -75,8 +77,10 @@ class _Group:
     span: slice
     pivots: int
     width: int
-    cells: np.ndarray | None  # (m,) the cell of each front of a single cell, else None
-    children: list = field(default_factory=list)  # (child group, first member, runs)
+    # (child group, members, runs) of its fronts' two children: a cut node's halves,
+    # as a slice of the child group's fronts, or a cell's elements, as None and (m,)
+    # elements; ``runs`` are (first update row, first front row, count) of each run
+    children: list = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +198,23 @@ def dissect(mesh) -> Dissection:
                 edges.append(left[x0[:, None], ys])
             edges = first[np.hstack(edges)]
             fronts.append((edges[:, :, None] + np.arange(N_PER_EDGE)).reshape(len(edges), -1))
-            groups.append(_Group(slice(at, at + len(members)), p, fronts[-1].shape[1] - p,
-                                 y0 * n + x0 if leaf[one] else None))
+            groups.append(_Group(slice(at, at + len(members)), p, fronts[-1].shape[1] - p))
+            if leaf[one]:  # its children are its elements, a run for each free edge block
+                position[fronts[-1][0]] = np.arange(fronts[-1].shape[1])
+                for e in 2 * (y0 * n + x0), 2 * (y0 * n + x0) + 1:
+                    e.flags.writeable = False
+                    runs = [(N_PER_EDGE * j, int(position[r]), N_PER_EDGE)
+                            for j, r in enumerate(first[mesh.element_edges[e[0]]]) if r < size]
+                    groups[-1].children.append((None, e, runs))
         if levels:  # each run of one parent group's halves, in its members' order
             key = np.column_stack([group, parent_group, half])[nodes]
             for at in np.flatnonzero(np.r_[True, (np.diff(key, axis=0) != 0).any(axis=1)]):
                 g, pg, _ = key[at]
                 position[last_fronts[pg][0]] = np.arange(last_fronts[pg].shape[1])
-                offset = at - starts[g]
+                offset, up = at - starts[g], levels[-1][2][pg]
                 runs = _runs(position[fronts[g][offset, groups[g].pivots:]])
-                levels[-1][2][pg].children.append((groups[g], offset, runs))
+                members = slice(offset, offset + up.span.stop - up.span.start)
+                up.children.append((groups[g], members, runs))
         pivots = max(g.pivots for g in groups)
         rows = np.full((len(nodes), pivots + max(g.width for g in groups)), size)
         for g, front in zip(groups, fronts):
@@ -227,8 +238,7 @@ def dissect(mesh) -> Dissection:
     free = np.flatnonzero(rows < size)
     order = np.empty(size, dtype=np.intp)
     order[rows[free]] = free
-    for array in (rows, order, *(level[0] for level in levels),
-                  *(g.cells for _, _, groups in levels for g in groups if g.cells is not None)):
+    for array in (rows, order, *(level[0] for level in levels)):
         array.flags.writeable = False
     return Dissection(rows, order, levels[::-1])
 
@@ -248,39 +258,24 @@ def factor(operator) -> Factor:
     from its element classes on the fronts of its ``Dissection``.  A
     front that is not positive definite raises ``np.linalg.LinAlgError``."""
     mats, classes, dissection = operator.class_matrices, operator.classes, operator.dissection
-    size, local = len(dissection.order), operator.element_rows
     k, schur = _eliminate(mats, N_INTERIOR)
-    factored = [(local, N_INTERIOR, k[classes])]
-    position = np.zeros(size + 1, dtype=np.intp)
-    made = {}  # each group of a level: its fronts' places among its distinct fronts, their U
+    factored = [(operator.element_rows, N_INTERIOR, k[classes])]
+    # each group of a level: its fronts' places among its distinct fronts, their U;
+    # the elements' classes and their complements, under None, on every level
+    made = {None: (classes, schur)}
     for rows, pivots, groups in dissection.levels:
         level_k = np.zeros((*rows.shape, pivots))
-        last, made = made, {}
+        last, made = made, {None: (classes, schur)}
         for g in groups:
-            m, p, f = g.span.stop - g.span.start, g.pivots, g.pivots + g.width
-            # equal fronts are factored once: those of equal element classes, then
-            # those whose children's fronts are equal
-            if g.cells is not None:
-                key = classes[2 * g.cells] * len(mats) + classes[2 * g.cells + 1]
-            else:
-                (first, start, _), (second, other, _) = g.children
-                key = (last[first][0][start:start + m] * (last[second][0].max() + 1)
-                       + last[second][0][other:other + m])
-            _, reps, index = np.unique(key, return_index=True, return_inverse=True)
-            if g.cells is not None:  # the two elements' complements
-                rep = rows[g.span.start + reps[0]]
-                position[np.r_[rep[:p], rep[pivots:pivots + g.width]]] = np.arange(f)
-                position[size] = f  # a boundary dof lands in a spare row and column
-                front = np.zeros((len(reps), f + 1, f + 1))
-                for e in (2 * g.cells[reps], 2 * g.cells[reps] + 1):
-                    where = position[local[e[0], N_INTERIOR:]]
-                    front[:, where[:, None], where] += schur[classes[e]]
-                front = front[:, :f, :f]
-            else:
-                front = np.zeros((len(reps), f, f))
-            for child, start, runs in g.children:
+            p, f = g.pivots, g.pivots + g.width
+            # equal fronts are factored once: those whose two children are equal
+            one, other = (last[child][0][members] for child, members, _ in g.children)
+            _, reps, index = np.unique(one * (other.max() + 1) + other, return_index=True,
+                                       return_inverse=True)
+            front = np.zeros((len(reps), f, f))
+            for child, members, runs in g.children:
                 child_index, child_update = last[child]
-                update = child_update[child_index[start + reps]]
+                update = child_update[child_index[members][reps]]
                 for a, pa, ka in runs:
                     for b, pb, kb in runs:
                         front[:, pa:pa + ka, pb:pb + kb] += update[:, a:a + ka, b:b + kb]
@@ -289,4 +284,4 @@ def factor(operator) -> Factor:
             level_k[g.span, :p, :p], level_k[g.span, pivots:pivots + f - p, :p] = np.split(
                 k[index], [p], 1)
         factored.append((rows, pivots, level_k))
-    return Factor(size, factored)
+    return Factor(len(dissection.order), factored)

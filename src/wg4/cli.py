@@ -93,9 +93,9 @@ class RunConfig:
 # validation: one table-driven parser for JSON configs and flags
 # ---------------------------------------------------------------------------
 
-#: Upper bound of n and of each convergence level.  The reduced matrix
-#: has about 592 n^2 nonzeros (n=128 already peaks at 912 MB), so n=1024
-#: means about 620M nonzeros, some 7 GB before factorization.
+#: Upper bound of n and of each convergence level.  The Cholesky factor
+#: keeps about 160 n^2 log2(n) floats, 18.2M (146 MB) at n=128, where a sine
+#: solve peaks at 254 MB, so n=1024 means about 1.7G floats, some 13 GB.
 MAX_N = 1024
 #: Upper bound of the sampled field's side: 2048^2 is 4.2M samples.
 MAX_GRID = 2048

@@ -119,10 +119,14 @@ def solve_spd(system, config: SolverConfig = SolverConfig(), min_steps: int = 0)
     refinement cannot reach it, the normwise backward error of x is, and
     the report's ``backward_error`` says so; a final relative residual
     above 1 is never accepted.  An x is accepted on its residual after
-    ``min_steps`` refinement steps at the earliest.  Failure raises
-    SolverError carrying the residual history.  The factor is read from
-    the system's operator, or made and stored there on first use.
+    ``min_steps`` refinement steps at the earliest; a ``min_steps``
+    outside [0, 3], the steps the refinement takes at most, raises
+    ValueError.  Failure raises SolverError carrying the residual
+    history.  The factor is read from the system's operator, or made and
+    stored there on first use.
     """
+    if not 0 <= min_steps <= _REFINEMENT_STEPS:
+        raise ValueError(f"min_steps must be in [0, {_REFINEMENT_STEPS}], got {min_steps}")
     operator, rhs = system.operator, system.rhs
 
     bnorm = float(np.linalg.norm(rhs))

@@ -101,11 +101,10 @@ def _fronts(dissection, mesh):
         for g in groups:
             for i, row in enumerate(range(g.span.start, g.span.stop)):
                 r = rows[row]
-                children = [(at - 1, child.span.start + first + i)
-                            for child, first, _ in g.children]
-                cell = None if g.cells is None else int(g.cells[i])
-                if cell is not None:  # a single cell's elements
-                    children = [("element", 2 * cell), ("element", 2 * cell + 1)]
+                children = [("element", int(members[i])) if child is None
+                            else (at - 1, child.span.start + members.start + i)
+                            for child, members, _ in g.children]
+                cell = children[0][1] // 2 if children[0][0] == "element" else None
                 fronts[at, row] = (r[:g.pivots], r[pivots:][:g.width], cell, children)
     for e, r in enumerate(dissection.rows[weakops.local_dofs(mesh)]):
         fronts["element", e] = (r[:6], r[6:][r[6:] < size], None, [])
@@ -192,3 +191,37 @@ def test_dissection_fronts_keep_the_elimination_contract(domain, n):
             assert np.isin(sides, np.concatenate(fronts[parent[node]][:2])).all()
         else:
             assert len(sides) == 0  # the root
+
+
+@pytest.mark.parametrize("domain,n", [((0.0, 0.0, 1.0, 1.0), 1), ((0.0, 0.0, 1.0, 1.0), 2),
+                                      ((0.0, 0.0, 1.0, 1.0), 5), ((0.0, 0.0, 1.0, 1.0), 8),
+                                      ((-1.0, 2.0, 3.0, 2.5), 5)])
+def test_dissection_runs_put_each_childs_sides_on_its_parents_rows(domain, n):
+    # the extend-add: run (a, pa, k) adds the child's update rows a..a+k into the parent
+    # front's rows pa..pa+k, which must be the same rows of A; the runs cover every
+    # side row of the child once, an element's free edge rows and a cut node's sides
+    mesh = build_structured_mesh(domain, n)
+    dissection = cholesky.dissect(mesh)
+    size = len(dissection.order)
+    edge_rows = dissection.rows[weakops.local_dofs(mesh)][:, 6:]
+    children = 0
+    for at, (rows, pivots, groups) in enumerate(dissection.levels):
+        for g in groups:
+            assert len(g.children) == 2
+            for child, members, runs in g.children:
+                for i, row in enumerate(range(g.span.start, g.span.stop)):
+                    parent_rows = np.r_[rows[row, :g.pivots], rows[row, pivots:][:g.width]]
+                    if child is None:
+                        sides = edge_rows[members[i]]
+                        free = np.flatnonzero(sides < size)
+                    else:
+                        child_rows, child_pivots, _ = dissection.levels[at - 1]
+                        sides = child_rows[child.span.start + members.start + i,
+                                           child_pivots:][:child.width]
+                        free = np.arange(len(sides))
+                    covered = np.concatenate([np.arange(a, a + k) for a, _, k in runs])
+                    assert np.array_equal(np.sort(covered), free)
+                    for a, pa, k in runs:
+                        assert np.array_equal(sides[a:a + k], parent_rows[pa:pa + k])
+                    children += 1
+    assert children == 2 * (2 * n * n - 1)  # two per front: halves or elements

@@ -125,11 +125,12 @@ def test_factor_stores_less_than_superlu_in_the_same_order():
 
 
 @pytest.mark.parametrize("n,distinct", [(1, False), (2, False), (3, False), (5, False),
-                                        (12, False), (8, True)])
+                                        (12, False), (8, True), (5, True), (12, True)])
 def test_factor_solves_any_grid(n, distinct):
     # odd n and unequal halves; the factor's own solve, unrefined. With every
     # element scaled apart, no two fronts are equal, and the first distinct
-    # front of a group of cells is seldom its first member
+    # front of a group of cells is seldom its first member; at n = 5 and 12
+    # single cells sit on several levels of the tree
     mesh = unit_square_mesh(n)
     spec = case_sine().problem(mesh)
     if distinct:
@@ -276,6 +277,16 @@ def test_min_steps_defers_acceptance():
     identity = matrix_system(sp.identity(4, format="csr"), np.ones(4))
     _, report = solve_spd(identity, min_steps=1)
     assert report.iterations == 1 and report.residual_history == [0.0, 0.0]
+
+
+def test_min_steps_beyond_the_refinement_is_refused():
+    # above the 3 steps the refinement takes, no solve could be accepted on its residual
+    identity = matrix_system(sp.identity(4, format="csr"), np.ones(4))
+    _, report = solve_spd(identity, min_steps=3)
+    assert report.iterations == 3 and report.backward_error is None
+    for steps in (-1, 4):
+        with pytest.raises(ValueError, match="min_steps"):
+            solve_spd(identity, min_steps=steps)
 
 
 def test_only_solves_with_an_exact_solution_refine():
