@@ -6,10 +6,13 @@ one representative of each class of elements that share their local
 geometry (centroid-relative vertices, each edge's p1 -> p2 orientation
 and sigma sign) and their kappa and mu: on a structured mesh with uniform
 coefficients there are five such classes, and with per-element
-coefficients every element is its own class.  Loads (``local_load``) and
-boundary projections are batched over all elements or edges.  Both
-kernels are called as attributes of this module, so a wrapper set there
-sees every call.
+coefficients every element is its own class.  The operator is the one
+source of the element matrices: the function that builds it holds the
+class derivation, and the solve, the lift of the boundary values and the
+energy norm ``triple_bar_norm`` all read the matrices it keeps.  Loads
+(``local_load``) and boundary projections are batched over all elements
+or edges.  Both kernels are called as attributes of this module, so a
+wrapper set there sees every call.
 
 Dirichlet and Neumann data enter as essential constraints: every vb/vg
 block of a boundary edge is fixed to the projected boundary data and
@@ -308,13 +311,26 @@ class AssembledSystem:
         return WeakFunction(coeffs=coeffs, n_elements=self.operator.mesh.n_elements)
 
 
-def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices (C, 18, 18) of one element per class of elements that
-    share their coefficients and geometry (centroid-relative vertices,
-    rounded at 1e-12 of the domain's size, and each local edge's p1 -> p2
-    orientation and sigma sign), from one ``local_system`` call, and each
-    element's class (E,); the representative is the class's first element.
-    """
+def _apply(mats: np.ndarray, groups: list, values: np.ndarray) -> np.ndarray:
+    """Each element's A_e v_e (E, 18) from its values v_e (E, 18), by one
+    ``np.einsum`` per class size of an operator's ``class_groups``."""
+    terms = np.empty_like(values)
+    for same, members in groups:
+        terms[members] = np.einsum("cij,cmj->cmi", mats[same], values[members])
+    return terms
+
+
+def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
+    """The operator of (mesh, coeff), not yet factored, and the one place
+    where element matrices are derived.  Its class matrices (C, 18, 18)
+    are those of one element per class of elements that share their
+    coefficients and geometry (centroid-relative vertices, rounded at
+    1e-12 of the domain's size, and each local edge's p1 -> p2
+    orientation and sigma sign), from one ``local_system`` call; the
+    representative is the class's first element.  Its class groups are
+    (its classes (k,), their elements (k, m)) of each class size m, so
+    that a medium of one class per element takes one einsum, not one per
+    element."""
     mesh.check_elements("coefficient field", len(coeff.kappa))
     verts = mesh.element_vertices
     flipped = verts > np.roll(verts, -1, axis=1)  # p1 is local vertex k + 1
@@ -328,36 +344,15 @@ def _class_matrices(mesh: Mesh, coeff: CoefficientField) -> tuple[np.ndarray, np
         coeff.mu[:, None],
     ])
     _, first, classes = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    classes = classes.reshape(-1)
     mats = local_system(mesh.element_points(first), mesh.element_signs[first], flipped[first],
                         coeff.kappa[first], coeff.mu[first])
-    return mats, classes.reshape(-1)
-
-
-def _class_groups(classes: np.ndarray) -> list:
-    """(its classes (k,), their elements (k, m)) of each class size m, so
-    that a medium of one class per element takes one einsum, not one per
-    element."""
     sizes, by_class = np.bincount(classes), np.argsort(classes, kind="stable")
     starts = np.cumsum(sizes) - sizes  # each class's first place in by_class
-    return [(np.flatnonzero(sizes == size),
-             by_class[starts[sizes == size][:, None] + np.arange(size)])
-            for size in np.unique(sizes)]
-
-
-def _apply(mats: np.ndarray, groups: list, values: np.ndarray) -> np.ndarray:
-    """Each element's A_e v_e (E, 18) from its values v_e (E, 18), by one
-    ``np.einsum`` per class size of ``_class_groups``."""
-    terms = np.empty_like(values)
-    for same, members in groups:
-        terms[members] = np.einsum("cij,cmj->cmi", mats[same], values[members])
-    return terms
-
-
-def _operator(mesh: Mesh, coeff: CoefficientField) -> Operator:
-    """The operator of (mesh, coeff), not yet factored."""
-    mats, classes = _class_matrices(mesh, coeff)
+    groups = [(np.flatnonzero(sizes == size),
+               by_class[starts[sizes == size][:, None] + np.arange(size)])
+              for size in np.unique(sizes)]
     dissection = cholesky.dissect(mesh)
-    groups = _class_groups(classes)
     element_rows = dissection.rows[weakops.local_dofs(mesh)]
     for array in (element_rows, mats, classes, *(a for group in groups for a in group)):
         array.flags.writeable = False
@@ -401,20 +396,17 @@ def assemble(mesh: Mesh, spec: ProblemSpec, operator: Operator | None = None) ->
     return AssembledSystem(operator=op, rhs=rhs, boundary_values=values.coeffs)
 
 
-def triple_bar_norm(mesh: Mesh, coeff: CoefficientField, w) -> float:
-    """Discrete energy norm: square root of the assembled quadratic form,
-    the sum of v_e . A_e v_e over the elements, with the element matrices
-    of (mesh, coeff) applied as ``Operator.product`` applies them.
-
-    ``w`` is a WeakFunction or a full-length coefficient vector (boundary
-    blocks included; they are zero for error functions).
-    """
-    coeffs = w.coeffs if isinstance(w, WeakFunction) else np.asarray(w, dtype=float)
-    size = weakops.dof_count(mesh)
-    if coeffs.shape != (size,):
-        raise ValueError(f"w: expected a coefficient vector of length {size}, "
-                         f"got shape {coeffs.shape}")
-    local = coeffs[weakops.local_dofs(mesh)]
-    mats, classes = _class_matrices(mesh, coeff)
-    total = float(np.sum(_apply(mats, _class_groups(classes), local) * local))
+def triple_bar_norm(w: WeakFunction, operator: Operator) -> float:
+    """Discrete energy norm of ``w``, a WeakFunction of the operator's
+    mesh (boundary blocks included; they are zero for error functions):
+    square root of the sum of v_e . A_e v_e over the elements, with the
+    operator's element matrices applied as ``Operator.product`` applies
+    them.  Any other ``w`` raises a ValueError that names it."""
+    size = weakops.dof_count(operator.mesh)
+    if not (isinstance(w, WeakFunction) and np.shape(w.coeffs) == (size,)):
+        got = f"{type(w).__name__} of shape {np.shape(getattr(w, 'coeffs', w))}"
+        raise ValueError(f"w: expected a WeakFunction of the operator's mesh, of shape "
+                         f"({size},); got a {got}")
+    local = w.coeffs[weakops.local_dofs(operator.mesh)]
+    total = float(np.sum(_apply(operator.class_matrices, operator.class_groups, local) * local))
     return float(np.sqrt(max(total, 0.0)))

@@ -424,7 +424,7 @@ def _run_field_command(cfg: RunConfig, kept: _Kept) -> None:
     print(f"{cfg.case}: n={mesh.n} dofs={u_h.coeffs.size} "
           f"residual={report.residual:.2e} max|u0|={np.abs(values).max():.5e}")
     if spec.has_exact:
-        rep = error_report(mesh, spec, u_h)
+        rep = error_report(model.operator, spec, u_h)
         print("errors: l2_e0=%.5e tbar=%.5e eb=%.5e eg=%.5e"
               % (rep.l2_e0, rep.tbar, rep.eb_edge, rep.eg_edge))
 

@@ -4,8 +4,8 @@ All norms act on the difference e = P(u) - u_h between the projection of
 the exact solution into the discrete space and the computed solution:
 
 * ``l2_e0``: L2 norm of the interior component over the domain,
-* ``tbar``: the discrete energy norm (square root of the assembled
-  quadratic form),
+* ``tbar``: the discrete energy norm of the operator that solved (square
+  root of its quadratic form, ``assembly.triple_bar_norm``),
 * ``eb_edge`` / ``eg_edge``: edge-length-weighted L2 norms of the trace
   and flux-trace components, (sum_T h_T ||.||_dT^2)^(1/2), counted once
   per element-edge incidence.
@@ -13,6 +13,10 @@ the exact solution into the discrete space and the computed solution:
 Boundary blocks of e are set to zero before any norm is taken: boundary
 data enters the scheme through the same projections, so e lies in the
 zero-trace subspace by construction.
+
+``error_report`` takes the mesh and the element matrices from the
+operator that solved, so a convergence study derives each level's
+matrices once.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import assembly, poly, weakops
-from .assembly import ProblemSpec
-from .mesh import Mesh
+from .assembly import Operator, ProblemSpec
 from .weakops import WeakFunction
 
 __all__ = ["ErrorReport", "error_report", "check_doubling", "convergence_orders",
@@ -50,9 +53,15 @@ class ErrorReport:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorReport:
+def error_report(operator: Operator, spec: ProblemSpec, u_h: WeakFunction) -> ErrorReport:
+    """The norms of P(u) - u_h on the operator's mesh.  ``spec`` must
+    carry the exact solution and share the operator's coefficient field,
+    as ``assembly.assemble`` requires; a ValueError names it otherwise."""
     if not spec.has_exact:
         raise ValueError("error_report requires an exact solution on the problem spec")
+    if spec.coeff is not operator.coeff:
+        raise ValueError("spec: its coefficient field is not the operator's")
+    mesh = operator.mesh
     mesh.check_elements("solution", u_h.n_elements)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
     e = WeakFunction(projected.coeffs - u_h.coeffs, mesh.n_elements)
@@ -78,7 +87,7 @@ def error_report(mesh: Mesh, spec: ProblemSpec, u_h: WeakFunction) -> ErrorRepor
         n=mesh.n,
         h=max(x1 - x0, y1 - y0) / mesh.n,
         l2_e0=math.sqrt(max(l2_sq, 0.0)),
-        tbar=assembly.triple_bar_norm(mesh, spec.coeff, e),
+        tbar=assembly.triple_bar_norm(e, operator),
         eb_edge=math.sqrt(max(eb_sq, 0.0)),
         eg_edge=math.sqrt(max(eg_sq, 0.0)),
     )

@@ -19,7 +19,10 @@ quadrature, and the lattice of the last grid it sampled.  A source
 point only swaps the spec's ``f``, so each later source costs its load,
 triangular solves and sampling.
 ``solve_case`` solves on a model of its own and drops it, so a one-shot
-solve, and each level of ``run_convergence``, keeps nothing.
+solve keeps nothing.  Each level of ``run_convergence`` solves on a
+model of its own too, and releases the model's factor before its error
+norms, which read the operator's element matrices and not the factor,
+so the norms run without the factor's memory held.
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
 that ``mesh.locate_point`` finds for each lattice point.
 """
@@ -377,20 +380,23 @@ def run_convergence(
     levels: Sequence[int],
     config: SolverConfig = SolverConfig(),
 ) -> ConvergenceResult:
-    """Solve a case over halving mesh sizes, each with ``solve_case``, and
-    tabulate errors and orders."""
+    """Solve a case over halving mesh sizes, each on a ``ForwardModel``
+    of its own, and tabulate errors and orders; each level's error
+    report reads the operator that solved, with its factor released."""
     if not entry.has_exact:
         raise ValueError(f"case {entry.name!r} has no exact solution")
     check_doubling(levels)
     reports = []
     for n in levels:
+        model = ForwardModel(entry, n)
         try:
-            mesh, spec, u_h, _ = solve_case(entry, n, config)
+            spec, u_h, _ = model.solve(config=config)
         except solve_mod.SolverError as exc:
             raise solve_mod.SolverError(
                 f"level n={n}: {exc}", exc.residual_history
             ) from exc
-        reports.append(err_mod.error_report(mesh, spec, u_h))
+        model.operator.factor = None  # the norms need only the class matrices
+        reports.append(err_mod.error_report(model.operator, spec, u_h))
     return ConvergenceResult(
         case=entry.name, reports=reports, orders=convergence_orders(reports)
     )

@@ -31,7 +31,6 @@ __all__ = [
     "jacobian_determinants",
     "inverse_jacobians",
     "sides",
-    "monomials",
     "reference_basis",
     "reference_gradients",
     "reference_mass",
@@ -141,7 +140,7 @@ def _exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
 
 
-def monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x^a y^b for a + b <= degree, ordered by total degree and then by
     rising b, along a new last axis: the order of every P_k basis."""
     return np.stack([x**a * y**b for a, b in _exponents(degree)], axis=-1)
@@ -149,7 +148,7 @@ def monomials(degree: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def reference_basis(degree: int, points: np.ndarray) -> np.ndarray:
     """The reference P_degree basis (..., dim) at reference ``points`` (..., 2)."""
-    return monomials(degree, *np.moveaxis(points - _CENTROID, -1, 0))
+    return _monomials(degree, *np.moveaxis(points - _CENTROID, -1, 0))
 
 
 def reference_gradients(degree: int, points: np.ndarray) -> np.ndarray:

@@ -10,8 +10,9 @@ per edge while the two adjacent elements see opposite signs.
 This module owns the global layout: per-element blocks of 6, then
 per-edge blocks [vb_0, vb_1, vg_0, vg_1] of 4, edge block e at offset
 6*E + 4*e.  A ``WeakFunction`` has writable views of both parts; the
-layout's size, each element's 18 dofs and the boundary dofs are
-``dof_count``, ``local_dofs`` and ``boundary_mask``.
+layout's size and each element's 18 dofs are ``dof_count`` and
+``local_dofs``; the boundary dofs are the edge blocks of
+``Mesh.boundary``.
 
 Two element-local operators act on these triples:
 
@@ -75,7 +76,6 @@ __all__ = [
     "WeakFunction",
     "dof_count",
     "local_dofs",
-    "boundary_mask",
     "weak_laplacian_matrix",
     "weak_gradient_matrix",
     "AssemblyError",
@@ -133,13 +133,6 @@ def local_dofs(mesh: Mesh) -> np.ndarray:
     interior = np.arange(base).reshape(-1, N_INTERIOR)
     edges = base + N_PER_EDGE * mesh.element_edges[:, :, None] + np.arange(N_PER_EDGE)
     return np.hstack([interior, edges.reshape(-1, 3 * N_PER_EDGE)])
-
-
-def boundary_mask(mesh: Mesh) -> np.ndarray:
-    """True for every vb/vg dof living on a boundary edge."""
-    mask = WeakFunction(np.zeros(dof_count(mesh), dtype=bool), mesh.n_elements)
-    mask.edges[mesh.boundary] = True
-    return mask.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from util import Element, l2_q0_residual, monomial_fields, local_projection, project_calQ1, \
-    quadratic_problem, random_triangle, unit_square_mesh
+from util import Element, boundary_mask, l2_q0_residual, monomial_fields, local_projection, \
+    project_calQ1, quadratic_problem, random_triangle, unit_square_mesh
 
 from wg4 import assembly, weakops
 from wg4.errors import convergence_orders, error_report
-from wg4.harness import catalog_entry, sample_field, solve_case
+from wg4.harness import ForwardModel, catalog_entry, sample_field, solve_case
 from wg4.solve import solve_spd
 
 # Frozen reference values for the two manufactured cases at h = 1/64.
@@ -40,9 +40,10 @@ class _Study:
         self.final_mesh = None
         self.final_solution = None
         for n in LEVELS:
-            mesh, spec, u_h, _ = solve_case(catalog_entry(case), n)
-            self.reports.append(error_report(mesh, spec, u_h))
-            self.final_mesh, self.final_solution = mesh, u_h
+            model = ForwardModel(catalog_entry(case), n)
+            spec, u_h, _ = model.solve()
+            self.reports.append(error_report(model.operator, spec, u_h))
+            self.final_mesh, self.final_solution = model.mesh, u_h
         self.orders = convergence_orders(self.reports)
         self.elapsed = time.perf_counter() - start
 
@@ -122,11 +123,11 @@ def test_criterion_3_quadratic_exactness():
             projected = weakops.project_Qh(
                 mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa
             )
-            e = projected.coeffs - u_h.coeffs
-            e[weakops.boundary_mask(mesh)] = 0.0
-            err = assembly.triple_bar_norm(mesh, spec.coeff, e)
+            e = weakops.WeakFunction(projected.coeffs - u_h.coeffs, mesh.n_elements)
+            e.coeffs[boundary_mask(mesh)] = 0.0
+            err = assembly.triple_bar_norm(e, system.operator)
             bound = 1e-6 * (
-                1.0 + assembly.triple_bar_norm(mesh, spec.coeff, projected.coeffs)
+                1.0 + assembly.triple_bar_norm(projected, system.operator)
             )
             worst = max(worst, err / bound)
             assert err <= bound

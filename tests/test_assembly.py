@@ -6,6 +6,7 @@ import pytest
 from util import (
     Element,
     LocalWeakFunction,
+    boundary_mask,
     eigvalsh_check_coefficients,
     element_mass_matrix,
     element_values,
@@ -29,6 +30,7 @@ from wg4.assembly import (
 from wg4.errors import error_report
 from wg4.harness import SECOND_SOURCE, ForwardModel, case_sine, catalog_entry
 from wg4.solve import solve_spd
+from wg4.weakops import WeakFunction
 
 
 def lifted_constant(c: float) -> np.ndarray:
@@ -237,7 +239,7 @@ def test_constant_data_functions_match_their_array_twins():
                            **{key: field(value) for key, value in values.items()})
         system = assemble(mesh, spec)
         x, _ = solve_spd(system)
-        results.append((system.rhs, x, error_report(mesh, spec, system.expand(x))))
+        results.append((system.rhs, x, error_report(system.operator, spec, system.expand(x))))
     (rhs, x, report), (twin_rhs, twin_x, twin_report) = results
     assert np.array_equal(rhs, twin_rhs) and np.array_equal(x, twin_x)
     assert report == twin_report and report.tbar > 0
@@ -264,28 +266,35 @@ def test_quadratic_solutions_reproduced_exactly(n):
     x, _ = solve_spd(system)
     u_h = system.expand(x)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
-    e = projected.coeffs - u_h.coeffs
-    e[weakops.boundary_mask(mesh)] = 0.0
-    err = triple_bar_norm(mesh, spec.coeff, e)
-    bound = 1e-6 * (1.0 + triple_bar_norm(mesh, spec.coeff, projected.coeffs))
+    e = WeakFunction(projected.coeffs - u_h.coeffs, mesh.n_elements)
+    e.coeffs[boundary_mask(mesh)] = 0.0
+    err = triple_bar_norm(e, system.operator)
+    bound = 1e-6 * (1.0 + triple_bar_norm(projected, system.operator))
     assert err <= bound
 
 
 def test_triple_bar_norm_properties():
-    mesh = unit_square_mesh(2)
+    mesh, other = unit_square_mesh(2), unit_square_mesh(4)
     spec = case_sine().problem(mesh)
-    size = weakops.dof_count(mesh)
-    assert triple_bar_norm(mesh, spec.coeff, np.zeros(size)) == 0.0
-    with pytest.raises(ValueError, match=rf"^w: expected a coefficient vector of length "
-                                         rf"{size}, got shape \(3,\)$"):
-        triple_bar_norm(mesh, spec.coeff, np.zeros(3))
+    op = assemble(mesh, spec).operator
+    size, other_size = weakops.dof_count(mesh), weakops.dof_count(other)
+    assert triple_bar_norm(WeakFunction.zeros(mesh), op) == 0.0
+    # only a WeakFunction of the operator's mesh
+    for w, got in [(np.zeros(size), f"ndarray of shape ({size},)"),  # a plain array
+                   (np.zeros(3), "ndarray of shape (3,)"),
+                   (WeakFunction.zeros(other), f"WeakFunction of shape ({other_size},)"),
+                   (WeakFunction(np.zeros(3), mesh.n_elements), "WeakFunction of shape (3,)")]:
+        message = (f"w: expected a WeakFunction of the operator's mesh, of shape ({size},); "
+                   f"got a {got}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            triple_bar_norm(w, op)
 
     rng = np.random.default_rng(4)
     w = rng.normal(size=size)
-    w[weakops.boundary_mask(mesh)] = 0.0
-    base = triple_bar_norm(mesh, spec.coeff, w)
+    w[boundary_mask(mesh)] = 0.0
+    base = triple_bar_norm(WeakFunction(w, mesh.n_elements), op)
     assert base > 0
-    assert triple_bar_norm(mesh, spec.coeff, -2.5 * w) == pytest.approx(
+    assert triple_bar_norm(WeakFunction(-2.5 * w, mesh.n_elements), op) == pytest.approx(
         2.5 * base, rel=1e-12
     )
 
@@ -296,9 +305,9 @@ def test_triple_bar_norm_matches_full_quadratic_form():
     system = assemble(mesh, spec)
     rng = np.random.default_rng(9)
     w = rng.normal(size=weakops.dof_count(mesh))
-    w[weakops.boundary_mask(mesh)] = 0.0
-    norm = triple_bar_norm(mesh, spec.coeff, w)
-    quad = float(w @ (full_matrix(system.operator, spec.coeff) @ w))
+    w[boundary_mask(mesh)] = 0.0
+    norm = triple_bar_norm(WeakFunction(w, mesh.n_elements), system.operator)
+    quad = float(w @ (full_matrix(system.operator) @ w))
     assert norm**2 == pytest.approx(quad, rel=1e-10)
 
 
@@ -382,8 +391,13 @@ def test_field_of_another_mesh_rejected_with_both_counts():
     message = r"^coefficient field has 32 elements, mesh has 128$"
     with pytest.raises(ValueError, match=message):
         assemble(fine, spec)
-    with pytest.raises(ValueError, match=message):
-        triple_bar_norm(fine, coeff, np.zeros(weakops.dof_count(fine)))
+    # the norm takes the operator that solved, so a field cannot meet another mesh
+    # there; a function of another mesh than the operator's is refused
+    message = (f"w: expected a WeakFunction of the operator's mesh, of shape "
+               f"({weakops.dof_count(coarse)},); got a WeakFunction of shape "
+               f"({weakops.dof_count(fine)},)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        triple_bar_norm(WeakFunction.zeros(fine), assemble(coarse, spec).operator)
 
 
 def test_nonfinite_source_reported():
@@ -406,12 +420,12 @@ def test_assembled_matrices_exactly_symmetric(case, n):
     spec = entry.problem(mesh)
     system = assemble(mesh, spec)
     assert (system.matrix != system.matrix.T).nnz == 0
-    full = full_matrix(system.operator, spec.coeff)
+    full = full_matrix(system.operator)
     assert (full != full.T).nnz == 0
     # the reduced matrix's rows and columns come in the solve order; each element's
     # boundary dofs sit on the spare row, past them
     op = system.operator
-    rows, fixed = op.dissection.order, weakops.boundary_mask(mesh)
+    rows, fixed = op.dissection.order, boundary_mask(mesh)
     assert (full[rows][:, rows] != system.matrix).nnz == 0
     local = weakops.local_dofs(mesh)
     assert np.array_equal(op.element_rows == len(rows), fixed[local])
@@ -429,7 +443,7 @@ def test_boundary_lift_equals_full_matrix_product(case):
     b = np.zeros(weakops.dof_count(mesh))
     quadrature = weakops.load_quadrature(mesh.element_points())
     b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
-    lifted = (b - full_matrix(system.operator, spec.coeff) @ system.boundary_values)[
+    lifted = (b - full_matrix(system.operator) @ system.boundary_values)[
         system.operator.dissection.order]
     assert np.abs(system.boundary_values).max() > 0
     assert np.abs(system.rhs - lifted).max() <= 1e-14 * np.abs(lifted).max()
@@ -448,13 +462,13 @@ def test_operator_blocks_equal_the_sliced_full_matrix(case, n, regions):
     mesh = entry.make_mesh(n)
     spec = entry.problem(mesh, regions)
     op = assemble(mesh, spec).operator
-    reduced, coupling = sliced_blocks(op, spec.coeff)
+    reduced, coupling = sliced_blocks(op)
     got = op.matrix
     assert got.shape == reduced.shape
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(reduced, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    fixed = weakops.boundary_mask(mesh)
+    fixed = boundary_mask(mesh)
     values = np.where(fixed, np.random.default_rng(4).normal(size=len(fixed)), 0.0)
     want = coupling @ values[fixed]
     lifted = op.product(values[weakops.local_dofs(mesh)])
@@ -483,14 +497,14 @@ def test_product_and_lift_equal_the_coo_reference(case, per_element):
     op = system.operator
     if per_element:
         assert len(op.class_matrices) == mesh.n_elements
-    reduced, coupling = sliced_blocks(op, spec.coeff)
+    reduced, coupling = sliced_blocks(op)
     x = np.random.default_rng(5).normal(size=reduced.shape[0])
     want = reduced @ x
     assert np.abs(op.product(element_values(op, x)) - want).max() <= 1e-14 * np.abs(want).max()
     b = np.zeros(weakops.dof_count(mesh))
     quadrature = weakops.load_quadrature(mesh.element_points())
     b[: 6 * mesh.n_elements] = weakops.local_load(quadrature, spec.f).ravel()
-    fixed = weakops.boundary_mask(mesh)
+    fixed = boundary_mask(mesh)
     assert np.abs(system.boundary_values[fixed]).max() > 0
     lifted = b[op.dissection.order] - coupling @ system.boundary_values[fixed]
     assert np.abs(system.rhs - lifted).max() <= 1e-14 * np.abs(lifted).max()

@@ -10,6 +10,7 @@ import pytest
 
 from util import (
     Element,
+    boundary_mask,
     edge_projection,
     element_load,
     error_sums,
@@ -96,9 +97,9 @@ def test_error_report_sums_match_per_element_loop(setup):
     rng = np.random.default_rng(31)
     perturbation = 1e-2 * rng.normal(size=projected.coeffs.size)
     u_h = weakops.WeakFunction(projected.coeffs + perturbation, mesh.n_elements)
-    report = error_report(mesh, spec, u_h)
+    report = error_report(assembly.assemble(mesh, spec).operator, spec, u_h)
     e = projected.coeffs - u_h.coeffs
-    e[weakops.boundary_mask(mesh)] = 0.0
+    e[boundary_mask(mesh)] = 0.0
     l2, eb, eg = error_sums(mesh, e)
     assert report.l2_e0 == pytest.approx(l2, rel=RTOL)
     assert report.eb_edge == pytest.approx(eb, rel=RTOL)
@@ -122,7 +123,8 @@ def test_class_matrices_match_reference_kernel(domain, field):
         coeff = CoefficientField.from_regions(mesh, np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4)
     else:
         coeff = _random_field(mesh, np.random.default_rng(41))
-    mats, classes = assembly._class_matrices(mesh, coeff)
+    op = assembly._operator(mesh, coeff)
+    mats, classes = op.class_matrices, op.classes
     assert len(mats) == (5 if field == "uniform" else mesh.n_elements)
     for i in range(mesh.n_elements):
         geom = reference_geometry(Element.of_mesh(mesh, i))

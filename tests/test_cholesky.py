@@ -6,7 +6,7 @@ dissection is held to."""
 import numpy as np
 import pytest
 
-from util import unit_square_mesh
+from util import boundary_mask, unit_square_mesh
 
 from wg4 import cholesky, weakops
 from wg4.mesh import build_structured_mesh
@@ -32,7 +32,7 @@ def _order_blocks(mesh, order):
 def test_dissection_order_is_the_free_dofs_in_whole_blocks(domain, n):
     mesh = build_structured_mesh(domain, n)
     order = cholesky.dissect(mesh).order
-    free = np.flatnonzero(~weakops.boundary_mask(mesh))
+    free = np.flatnonzero(~boundary_mask(mesh))
     assert np.array_equal(np.sort(order), free)  # a permutation of the free dofs
     # each block, an element's 6 dofs or an interior edge's 4, is one run in layout order
     base = 6 * mesh.n_elements

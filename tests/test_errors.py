@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from util import unit_square_mesh
+from util import boundary_mask, unit_square_mesh
 
 from wg4 import weakops
+from wg4.assembly import assemble
 from wg4.errors import ErrorReport, convergence_orders, error_report, orders_from_values
 from wg4.harness import case_sine
 from wg4.mesh import build_structured_mesh
+
+
+def _operator(mesh, spec):
+    """The operator that solves ``spec`` on ``mesh``."""
+    return assemble(mesh, spec).operator
 
 
 @pytest.fixture(scope="module")
@@ -16,14 +22,23 @@ def sine_setup():
     mesh = unit_square_mesh(2)
     spec = case_sine().problem(mesh)
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
-    return mesh, spec, projected
+    return _operator(mesh, spec), spec, projected
 
 
 def test_error_report_rejects_another_meshs_field():
     spec = case_sine().problem(unit_square_mesh(4))
     mesh = unit_square_mesh(8)
-    with pytest.raises(ValueError, match="coefficient field has 32 elements, mesh has 128"):
-        error_report(mesh, spec, weakops.WeakFunction.zeros(mesh))
+    op = _operator(mesh, case_sine().problem(mesh))
+    with pytest.raises(ValueError, match="^spec: its coefficient field is not the operator's$"):
+        error_report(op, spec, weakops.WeakFunction.zeros(mesh))
+
+
+def test_error_report_rejects_another_fields_spec():
+    # the field of the same case on the same mesh, but another object than the operator's
+    mesh = unit_square_mesh(4)
+    op = _operator(mesh, case_sine().problem(mesh))
+    with pytest.raises(ValueError, match="^spec: its coefficient field is not the operator's$"):
+        error_report(op, case_sine().problem(mesh), weakops.WeakFunction.zeros(mesh))
 
 
 def test_error_report_rejects_another_meshs_solution():
@@ -31,12 +46,12 @@ def test_error_report_rejects_another_meshs_solution():
     spec = case_sine().problem(mesh)
     u_h = weakops.WeakFunction.zeros(unit_square_mesh(2))
     with pytest.raises(ValueError, match="^solution has 8 elements, mesh has 32$"):
-        error_report(mesh, spec, u_h)
+        error_report(_operator(mesh, spec), spec, u_h)
 
 
 def test_projected_solution_has_zero_errors(sine_setup):
-    mesh, spec, projected = sine_setup
-    report = error_report(mesh, spec, projected)
+    op, spec, projected = sine_setup
+    report = error_report(op, spec, projected)
     assert report.l2_e0 == 0.0
     assert report.tbar == 0.0
     assert report.eb_edge == 0.0
@@ -44,14 +59,15 @@ def test_projected_solution_has_zero_errors(sine_setup):
 
 
 def test_norm_homogeneity(sine_setup):
-    mesh, spec, projected = sine_setup
+    op, spec, projected = sine_setup
+    mesh = op.mesh
     rng = np.random.default_rng(12)
     delta = rng.normal(size=weakops.dof_count(mesh))
-    delta[weakops.boundary_mask(mesh)] = 0.0
+    delta[boundary_mask(mesh)] = 0.0
 
     def perturbed(scale):
         u_h = weakops.WeakFunction(projected.coeffs - scale * delta, mesh.n_elements)
-        return error_report(mesh, spec, u_h)
+        return error_report(op, spec, u_h)
 
     r1 = perturbed(1.0)
     r3 = perturbed(-3.0)
@@ -60,12 +76,12 @@ def test_norm_homogeneity(sine_setup):
 
 
 def test_error_report_requires_exact_solution(sine_setup):
-    mesh, spec, projected = sine_setup
+    op, spec, projected = sine_setup
     from wg4.assembly import ProblemSpec
 
     stripped = ProblemSpec(f=spec.f, xi=spec.xi, nu=spec.nu, coeff=spec.coeff)
     with pytest.raises(ValueError):
-        error_report(mesh, stripped, projected)
+        error_report(op, stripped, projected)
 
 
 def test_report_validation():
@@ -97,9 +113,9 @@ def test_convergence_orders_requires_doubling():
 
 
 def test_error_report_h_is_the_longer_side_over_n(sine_setup):
-    mesh, spec, projected = sine_setup
-    assert error_report(mesh, spec, projected).h == 0.5
+    op, spec, projected = sine_setup
+    assert error_report(op, spec, projected).h == 0.5
     mesh = build_structured_mesh((-1.0, 2.0, 3.0, 5.0), 4)  # 4 wide, 3 high
     spec = case_sine().builder(mesh, ())
     projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad, spec.coeff.kappa)
-    assert error_report(mesh, spec, projected).h == 1.0
+    assert error_report(_operator(mesh, spec), spec, projected).h == 1.0

@@ -257,7 +257,7 @@ def test_exact_discrete_solution_reports_exact_orders():
         spec = entry.problem(mesh)
         projected = weakops.project_Qh(mesh, spec.exact_u, spec.exact_grad,
                                        spec.coeff.kappa)
-        reports.append(error_report(mesh, spec, projected))
+        reports.append(error_report(assemble(mesh, spec).operator, spec, projected))
     from wg4.errors import convergence_orders
     from wg4.harness import ConvergenceResult
 

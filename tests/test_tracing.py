@@ -31,3 +31,20 @@ def test_benchmark_tracer_records_kernel_and_solve(tmp_path):
     assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"assembly.kernel", "solve.solve"} <= names
+
+
+def test_benchmark_tracer_sees_one_kernel_call_and_one_norm_per_level():
+    # Each level's error report reads the operator that solved it, so the
+    # element kernel runs once per level.  The tracer counts a norm's
+    # elements from its first argument, which must have ``n_elements``.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        code = cli.main(["convergence", "--case", "sine", "--levels", "4,8"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    rows = tracer.rows()
+    norms = [row[5]["elements"] for row in rows if row[0] == "assembly.triple_bar"]
+    assert norms == [32, 128]
+    assert sum(row[0] == "assembly.kernel" for row in rows) == 2

@@ -7,6 +7,7 @@ from util import (
     Element,
     ElementBasis,
     LocalWeakFunction,
+    boundary_mask,
     edge_vg,
     local_of,
     local_projection,
@@ -215,7 +216,7 @@ def test_dof_count_and_roundtrip():
 
 def test_boundary_mask_counts():
     mesh = unit_square_mesh(2)
-    mask = weakops.boundary_mask(mesh)
+    mask = boundary_mask(mesh)
     assert mask.sum() == 4 * (4 * mesh.n)  # 4 dofs per boundary edge
     assert not mask[: 6 * mesh.n_elements].any()  # interior blocks are never boundary
 

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from wg4 import assembly, harness, poly, weakops
+from wg4 import harness, poly, weakops
 from wg4.mesh import Mesh
 from wg4.assembly import COEFFICIENT_RANGE, CoefficientField, ProblemSpec
 from wg4.mesh import build_structured_mesh
@@ -102,15 +102,21 @@ class ElementBasis:
         """Local coordinates (X, Y) of ``pts`` as rows of a (2, npoints) array."""
         return self.inverse_jacobian @ (np.atleast_2d(pts) - self.center).T
 
+    @property
+    def exponents(self) -> list[tuple[int, int]]:
+        """(a, b) of each X^a Y^b, by total degree and then by rising b."""
+        return [(d - b, b) for d in range(self.degree + 1) for b in range(d + 1)]
+
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        return poly.monomials(self.degree, *self._local(pts))
+        """Values at ``pts``; shape (npoints, dim)."""
+        x, y = self._local(pts)
+        return np.stack([x**a * y**b for a, b in self.exponents], axis=-1)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """Gradients at ``pts``; shape (npoints, dim, 2)."""
         x, y = self._local(pts)
         out = np.zeros((len(x), self.dim, 2))
-        exponents = [(d - b, b) for d in range(self.degree + 1) for b in range(d + 1)]
-        for i, (a, b) in enumerate(exponents):
+        for i, (a, b) in enumerate(self.exponents):
             if a > 0:
                 out[:, i, 0] = a * x ** (a - 1) * y**b
             if b > 0:
@@ -420,35 +426,41 @@ def matrix_system(matrix, rhs, factor=None) -> SimpleNamespace:
     return SimpleNamespace(operator=operator, rhs=np.asarray(rhs, dtype=float))
 
 
-def full_matrix(operator, coeff) -> sp.csr_matrix:
-    """The matrix over all dofs of the operator of ``coeff``, boundary rows
-    and columns included, assembled from its class matrices."""
+def boundary_mask(mesh: Mesh) -> np.ndarray:
+    """True for every vb/vg dof living on a boundary edge."""
+    mask = weakops.WeakFunction(np.zeros(weakops.dof_count(mesh), dtype=bool), mesh.n_elements)
+    mask.edges[mesh.boundary] = True
+    return mask.coeffs
+
+
+def full_matrix(operator) -> sp.csr_matrix:
+    """The matrix over all dofs of ``operator``, boundary rows and columns
+    included, assembled from its class matrices."""
     mesh = operator.mesh
     idx = weakops.local_dofs(mesh)
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
-    mats, classes = assembly._class_matrices(mesh, coeff)
-    values = mats[classes].ravel()
+    values = operator.class_matrices[operator.classes].ravel()
     size = weakops.dof_count(mesh)
     return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def sliced_blocks(operator, coeff) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The reduced matrix and coupling block of the operator of ``coeff``, made the plain
-    way: the whole system summed in the numbering with the free dofs first, in the
-    operator's solve order, and the boundary dofs last, in layout order, converted
-    to CSR, and both blocks sliced from its leading rows."""
+def sliced_blocks(operator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The reduced matrix and coupling block of ``operator``, made the plain
+    way: the whole system summed in the numbering with the free dofs first,
+    in the operator's solve order, and the boundary dofs last, in layout
+    order, converted to CSR, and both blocks sliced from its leading rows."""
     mesh = operator.mesh
     order = operator.dissection.order
     k, size = len(order), weakops.dof_count(mesh)
     numbering = np.empty(size, dtype=np.intp)
     numbering[order] = np.arange(k)
-    numbering[weakops.boundary_mask(mesh)] = np.arange(k, size)
+    numbering[boundary_mask(mesh)] = np.arange(k, size)
     idx = numbering[weakops.local_dofs(mesh)]
     rows = np.repeat(idx[:, :, None], weakops.N_LOCAL, axis=2).ravel()
     cols = np.repeat(idx[:, None, :], weakops.N_LOCAL, axis=1).ravel()
-    mats, classes = assembly._class_matrices(mesh, coeff)
-    full = sp.coo_matrix((mats[classes].ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    mats = operator.class_matrices[operator.classes]
+    full = sp.coo_matrix((mats.ravel(), (rows, cols)), shape=(size, size)).tocsr()
     return full[:k, :k], full[:k, k:]
 
 
