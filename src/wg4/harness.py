@@ -18,11 +18,12 @@ operator of ``wg4.assembly`` with its factorization and load
 quadrature, and the lattice of the last grid it sampled.  A source
 point only swaps the spec's ``f``, so each later source costs its load,
 triangular solves and sampling.
-``solve_case`` solves on a model of its own and drops it, so a one-shot
-solve keeps nothing.  Each level of ``run_convergence`` solves on a
-model of its own too, and releases the model's factor before its error
-norms, which read the operator's element matrices and not the factor,
-so the norms run without the factor's memory held.
+``solve_case`` solves on a model of its own and drops it, and hands
+back the operator that solved with its factor released, so a one-shot
+solve keeps nothing that another solve could reuse.  Each level of
+``run_convergence`` is a ``solve_case``, and its error norms read that
+operator's element matrices and not the factor, so they run without the
+factor's memory held.
 ``sample_field`` evaluates the P2 basis of ``wg4.poly`` in the element
 that ``mesh.locate_point`` finds for each lattice point.
 """
@@ -357,15 +358,18 @@ def solve_case(
     n: int,
     config: SolverConfig = SolverConfig(),
     regions: Sequence[Region] = (),
-) -> tuple[Mesh, ProblemSpec, WeakFunction, SolveReport]:
+) -> tuple[assembly.Operator, ProblemSpec, WeakFunction, SolveReport]:
     """Build, assemble and solve one scenario at subdivision count n on a
-    ``ForwardModel`` of its own, which it drops.
+    ``ForwardModel`` of its own, which it drops; the operator it returns
+    has its mesh and element matrices, but not its factor.
 
     ``regions`` are laid over the case's own coefficient regions (the
     inclusion hook of the Gaussian scenario).
     """
     model = ForwardModel(entry, n, regions)
-    return (model.mesh, *model.solve(config=config))
+    spec, u_h, report = model.solve(config=config)
+    model.operator.factor = None  # no later solve can reuse it
+    return model.operator, spec, u_h, report
 
 
 @dataclass
@@ -380,23 +384,22 @@ def run_convergence(
     levels: Sequence[int],
     config: SolverConfig = SolverConfig(),
 ) -> ConvergenceResult:
-    """Solve a case over halving mesh sizes, each on a ``ForwardModel``
-    of its own, and tabulate errors and orders; each level's error
-    report reads the operator that solved, with its factor released."""
+    """Solve a case over halving mesh sizes, each with ``solve_case``, and
+    tabulate errors and orders; each level's error report reads the
+    operator that solved."""
     if not entry.has_exact:
         raise ValueError(f"case {entry.name!r} has no exact solution")
     check_doubling(levels)
     reports = []
     for n in levels:
-        model = ForwardModel(entry, n)
         try:
-            spec, u_h, _ = model.solve(config=config)
+            operator, spec, u_h, _ = solve_case(entry, n, config)
         except solve_mod.SolverError as exc:
             raise solve_mod.SolverError(
                 f"level n={n}: {exc}", exc.residual_history
             ) from exc
-        model.operator.factor = None  # the norms need only the class matrices
-        reports.append(err_mod.error_report(model.operator, spec, u_h))
+        reports.append(err_mod.error_report(operator, spec, u_h))
+        del operator  # gone before the next level builds its own
     return ConvergenceResult(
         case=entry.name, reports=reports, orders=convergence_orders(reports)
     )

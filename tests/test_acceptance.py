@@ -16,7 +16,7 @@ from util import Element, boundary_mask, l2_q0_residual, monomial_fields, local_
 
 from wg4 import assembly, weakops
 from wg4.errors import convergence_orders, error_report
-from wg4.harness import ForwardModel, catalog_entry, sample_field, solve_case
+from wg4.harness import catalog_entry, sample_field, solve_case
 from wg4.solve import solve_spd
 
 # Frozen reference values for the two manufactured cases at h = 1/64.
@@ -40,10 +40,9 @@ class _Study:
         self.final_mesh = None
         self.final_solution = None
         for n in LEVELS:
-            model = ForwardModel(catalog_entry(case), n)
-            spec, u_h, _ = model.solve()
-            self.reports.append(error_report(model.operator, spec, u_h))
-            self.final_mesh, self.final_solution = model.mesh, u_h
+            operator, spec, u_h, _ = solve_case(catalog_entry(case), n)
+            self.reports.append(error_report(operator, spec, u_h))
+            self.final_mesh, self.final_solution = operator.mesh, u_h
         self.orders = convergence_orders(self.reports)
         self.elapsed = time.perf_counter() - start
 
@@ -63,8 +62,8 @@ def ft_fields():
     start = time.perf_counter()
     fields = {}
     for name in ("boundary-indicator", "boundary-dirac", "gaussian-source"):
-        mesh, _, u_h, _ = solve_case(catalog_entry(name), 64)
-        _, values = sample_field(mesh, u_h, 101)
+        operator, _, u_h, _ = solve_case(catalog_entry(name), 64)
+        _, values = sample_field(operator.mesh, u_h, 101)
         fields[name] = values
     return fields, time.perf_counter() - start
 

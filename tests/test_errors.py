@@ -25,20 +25,14 @@ def sine_setup():
     return _operator(mesh, spec), spec, projected
 
 
-def test_error_report_rejects_another_meshs_field():
-    spec = case_sine().problem(unit_square_mesh(4))
+@pytest.mark.parametrize("spec_n", [4, 8], ids=["another_meshs", "same_meshs_fresh"])
+def test_error_report_rejects_a_spec_of_another_field(spec_n):
+    # the case's field on another mesh, or on the operator's mesh but another object
+    spec = case_sine().problem(unit_square_mesh(spec_n))
     mesh = unit_square_mesh(8)
     op = _operator(mesh, case_sine().problem(mesh))
     with pytest.raises(ValueError, match="^spec: its coefficient field is not the operator's$"):
         error_report(op, spec, weakops.WeakFunction.zeros(mesh))
-
-
-def test_error_report_rejects_another_fields_spec():
-    # the field of the same case on the same mesh, but another object than the operator's
-    mesh = unit_square_mesh(4)
-    op = _operator(mesh, case_sine().problem(mesh))
-    with pytest.raises(ValueError, match="^spec: its coefficient field is not the operator's$"):
-        error_report(op, case_sine().problem(mesh), weakops.WeakFunction.zeros(mesh))
 
 
 def test_error_report_rejects_another_meshs_solution():

@@ -346,9 +346,9 @@ def test_solve_case_region_override():
     entry = catalog_entry("gaussian-source")
     region = Region(shape="disk", center=(25.0, 15.0), radius=4.0,
                     kappa=np.eye(2), mu=0.5)
-    mesh, spec, u_h, report = solve_case(entry, 8, SolverConfig(), regions=[region])
+    operator, spec, u_h, report = solve_case(entry, 8, SolverConfig(), regions=[region])
     assert report.residual <= 1e-10
-    inside = [i for i, (cx, cy) in enumerate(mesh.centroids)
+    inside = [i for i, (cx, cy) in enumerate(operator.mesh.centroids)
               if (cx - 25) ** 2 + (cy - 15) ** 2 <= 16.0]
     assert inside
     for i in inside:
@@ -391,7 +391,8 @@ def test_overlapping_region_override_matches_from_regions():
         Region(shape="rect", bounds=(20.0, 20.0, 40.0, 40.0),
                kappa=np.array([[1.0, 0.2], [0.2, 1.0]]), mu=0.1),
     ]
-    mesh, spec, _, _ = solve_case(catalog_entry("gaussian-source"), 8, regions=regions)
+    operator, spec, _, _ = solve_case(catalog_entry("gaussian-source"), 8, regions=regions)
+    mesh = operator.mesh
     expected = CoefficientField.from_regions(mesh, DIFFUSION * np.eye(2), ABSORPTION, regions)
     assert np.array_equal(spec.coeff.kappa, expected.kappa)
     assert np.array_equal(spec.coeff.mu, expected.mu)
@@ -405,7 +406,8 @@ def test_overlapping_region_override_matches_from_regions():
 
 def test_shared_arrays_are_read_only():
     # the mesh and the operator are shared by every later solve on them
-    mesh, spec, _, _ = solve_case(catalog_entry("sine"), 4)
+    operator, spec, _, _ = solve_case(catalog_entry("sine"), 4)
+    mesh = operator.mesh
     with pytest.raises(ValueError, match="read-only"):
         mesh.vertices[0, 0] = 0.5
     for name, array in vars(mesh).items():

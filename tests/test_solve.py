@@ -351,10 +351,10 @@ def test_poly_bump_n64_accepted_on_its_backward_error():
     # whatever the rounding: its backward error, about 1.3e-16, takes the reduced
     # matrix's exact ||A||_inf and the residual of the element-wise product
     config = SolverConfig(tolerance=1e-11)
-    mesh, spec, u_h, report = solve_case(catalog_entry("poly-bump"), 64, config)
+    operator, spec, u_h, report = solve_case(catalog_entry("poly-bump"), 64, config)
     assert report.residual > 1e-11 and report.iterations == 3
     assert report.backward_error is not None and report.backward_error <= 1e-11
-    system = assemble(mesh, spec)
+    system = assemble(operator.mesh, spec)
     op = system.operator
     x = u_h.coeffs[op.dissection.order]
     r = system.rhs - op.product(element_values(op, x))

@@ -36,7 +36,8 @@ def test_benchmark_tracer_records_kernel_and_solve(tmp_path):
 def test_benchmark_tracer_sees_one_kernel_call_and_one_norm_per_level():
     # Each level's error report reads the operator that solved it, so the
     # element kernel runs once per level.  The tracer counts a norm's
-    # elements from its first argument, which must have ``n_elements``.
+    # elements from its first argument, which must have ``n_elements``,
+    # and times each level's solve by wrapping ``harness.solve_case``.
     tracer = _tracer()
     tracer.install()
     try:
@@ -48,3 +49,4 @@ def test_benchmark_tracer_sees_one_kernel_call_and_one_norm_per_level():
     norms = [row[5]["elements"] for row in rows if row[0] == "assembly.triple_bar"]
     assert norms == [32, 128]
     assert sum(row[0] == "assembly.kernel" for row in rows) == 2
+    assert sum(row[0] == "harness.solve_case" for row in rows) == 2
